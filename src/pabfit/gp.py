@@ -7,9 +7,12 @@ The covariance between inputs x and x' is
 with one inverse-length weight per input dimension, so each regressor
 (normalized log-time, pH, thickness) carries its own relevance. The
 training covariance gets a jitter ``epsilon`` on its diagonal and is
-factorized once; prediction, the marginal-likelihood objective, and the
-leave-one-out objective all reuse the factor. No explicit inverse is ever
-formed.
+factorized once, K + eps*I = L L^T; prediction, the marginal-likelihood
+objective, and the leave-one-out objective all reuse the factor (Rasmussen
+& Williams, *GPML*, 2006, Algorithm 2.1 and section 5.4.2). The predictive
+variance takes one forward solve V = L^-1 k(X, X'), and the leave-one-out
+residuals need only diag((K + eps*I)^-1), read off the triangular inverse
+L^-1. The covariance matrix itself is never inverted.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ import numpy as np
 
 from .domain import Contaminant, ObservationSeries, to_removal_series, transform_time
 from .errors import DimensionMismatch, InvalidInput, NotPositiveDefinite
-from .numeric import CholeskyFactor, DescentConfig, cholesky, gradient_descent, solve
+from .numeric import (
+    CholeskyFactor,
+    DescentConfig,
+    cholesky,
+    gradient_descent,
+    inverse_diagonal,
+    solve,
+    solve_lower,
+)
 
 # diagonal jitter that keeps smooth kernel matrices invertible (~sqrt eps)
 DEFAULT_EPSILON = 1.490116e-08
@@ -31,6 +42,11 @@ DEFAULT_EPSILON = 1.490116e-08
 # (t_norm, pH, W) for lead and (t_norm, W) for methylene blue
 PB_GP_HYPERPARAMS_VALUES = dict(v=0.3852, w=(0.7839, 2.8869, 2.859e-9))
 MB_GP_HYPERPARAMS_VALUES = dict(v=0.2397, w=(14.6899, 2.2309))
+
+# elements of the (rows, m, p) squared-difference block that kernel_matrix
+# holds at once (2 MiB of float64), so its temporary stays small next to
+# the (n, m) result
+_KERNEL_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -47,10 +63,10 @@ class GpHyperParams:
             raise InvalidInput(f"signal variance must be positive, got {self.v}")
         if len(self.w) == 0:
             raise InvalidInput("need at least one input-dimension weight")
-        if any(not (x >= 0) for x in self.w):
-            raise InvalidInput(f"weights must be >= 0, got {self.w}")
-        if not (self.epsilon > 0):
-            raise InvalidInput(f"jitter must be positive, got {self.epsilon}")
+        if any(not (x >= 0) or not math.isfinite(x) for x in self.w):
+            raise InvalidInput(f"weights w must be finite and >= 0, got {self.w}")
+        if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
+            raise InvalidInput(f"jitter epsilon must be finite and positive, got {self.epsilon}")
 
     @property
     def p(self) -> int:
@@ -99,11 +115,31 @@ def _as_input_matrix(x, p: int) -> np.ndarray:
 
 
 def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
-    """Cross-covariance matrix K[i, j] = kernel(hp, x[i], x2[j])."""
+    """Cross-covariance matrix K[i, j] = kernel(hp, x[i], x2[j]).
+
+    Rows are computed in blocks, so the squared differences never occupy
+    more than a fixed number of elements at once, whatever n and m are.
+    """
     xa = _as_input_matrix(x, hp.p)
     xb = xa if x2 is None else _as_input_matrix(x2, hp.p)
-    d = xa[:, None, :] - xb[None, :, :]
-    return hp.v * np.exp(-np.einsum("ijp,p->ij", d * d, np.asarray(hp.w)))
+    n, m, w = xa.shape[0], xb.shape[0], np.asarray(hp.w)
+    out = np.empty((n, m))
+    rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, m * hp.p)))
+    block = np.empty((rows, m, hp.p))
+    for start in range(0, n, rows):
+        d = block[: min(rows, n - start)]
+        # one 2-d subtraction per input column runs faster than the
+        # broadcast over a length-p inner axis, and is exact either way
+        for k in range(hp.p):
+            np.subtract(xa[start : start + len(d), None, k], xb[None, :, k], out=d[:, :, k])
+        d *= d
+        # the same einsum per block keeps its summation order over p, and
+        # with it every bit of the unblocked result
+        np.einsum("ijp,p->ij", d, w, out=out[start : start + len(d)])
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= hp.v
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,17 +201,18 @@ class GpPrediction:
 
 
 def gp_predict(model: GpModel, x_new) -> GpPrediction:
-    """Posterior mean k(X', X) alpha and variance v - k (K+eps*I)^-1 k^T.
+    """Posterior mean k(X', X) alpha and variance v - ||L^-1 k(X, x')||^2.
 
-    The jitter is excluded from the cross- and query-covariances, so the
-    variance is for the noise-free latent; negative round-off is clamped
-    to zero.
+    One forward solve V = L^-1 k(X, X') gives the variance as v minus the
+    column sums of V^2 (GPML Algorithm 2.1). The jitter is excluded from
+    the cross- and query-covariances, so the variance is for the
+    noise-free latent; negative round-off is clamped to zero.
     """
     xs = _as_input_matrix(x_new, model.hp.p)
     cross = kernel_matrix(model.hp, xs, model.x_train)  # (m, n)
     mean = cross @ model.alpha
-    sol = solve(model.factor, cross.T)  # (n, m)
-    variance = model.hp.v - np.einsum("ij,ji->i", cross, sol)
+    lk = solve_lower(model.factor, cross.T)  # L^-1 k(X, X'), (n, m)
+    variance = model.hp.v - np.einsum("ij,ij->j", lk, lk)
     return GpPrediction(mean=mean, variance=np.maximum(variance, 0.0))
 
 
@@ -195,11 +232,11 @@ def gp_nlml(model: GpModel) -> float:
 def gp_loo_sse(model: GpModel) -> float:
     """Leave-one-out squared-error sum, computed from the factor.
 
-    The held-out residual at point i is alpha_i / (K+eps*I)^-1_ii, so no
-    refits are needed.
+    The held-out residual at point i is alpha_i / (K+eps*I)^-1_ii (GPML
+    section 5.4.2), so no refits are needed; the diagonal comes from the
+    triangular inverse L^-1, with no n x n solve against the identity.
     """
-    inv = solve(model.factor, np.eye(model.n))
-    resid = model.alpha / np.diag(inv)
+    resid = model.alpha / inverse_diagonal(model.factor)
     return float(np.dot(resid, resid))
 
 

@@ -179,6 +179,15 @@ class TestFitGp:
         )
         assert code == 2
 
+    def test_infinite_weight_rejected_by_name(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = run_cli(
+            "fit-gp", "--input", "pcp_run1.csv", "--hyper", "v=0.3,w=inf,1,1", "--output", str(out)
+        )
+        assert code == 3
+        assert "weights w must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(
             "fit-gp",

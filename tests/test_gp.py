@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from pabfit import gp as gp_module
+from pabfit.dataio import load_fixture
 from pabfit.domain import Contaminant, ObservationSeries, Sample
 from pabfit.errors import DimensionMismatch, InvalidInput
 from pabfit.gp import (
     DEFAULT_EPSILON,
     GpHyperParams,
     build_inputs,
+    default_hyperparams,
     gp_fit,
     gp_loo_sse,
     gp_nlml,
@@ -20,6 +25,14 @@ from pabfit.gp import (
     pb_default_hyperparams,
 )
 from pabfit.numeric import DescentConfig
+
+
+def unblocked_kernel_matrix(hp, x, x2=None):
+    """The kernel matrix as one broadcast over an (n, m, p) temporary."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x2 = x if x2 is None else np.atleast_2d(np.asarray(x2, dtype=float))
+    d = x[:, None, :] - x2[None, :, :]
+    return hp.v * np.exp(-np.einsum("ijp,p->ij", d * d, np.asarray(hp.w)))
 
 
 def brute_force_posterior(hp, x, y, xq):
@@ -74,6 +87,11 @@ class TestKernel:
             GpHyperParams(v=1.0, w=(-0.1,))
         with pytest.raises(InvalidInput):
             GpHyperParams(v=1.0, w=(1.0,), epsilon=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidInput, match="weights w"):
+                GpHyperParams(v=0.3, w=(bad, 1.0, 1.0))
+            with pytest.raises(InvalidInput, match="jitter epsilon"):
+                GpHyperParams(v=0.3, w=(1.0,), epsilon=bad)
 
     def test_pb_thickness_insensitivity(self):
         # the tiny thickness weight makes +-1.5 cm perturbations invisible
@@ -87,6 +105,63 @@ class TestKernel:
             for dw in (1.5, -1.5):
                 moved = kernel(hp, [t1, ph1, w0], [t2, ph2, w0 + dw])
                 assert abs(moved - base) / base < 1e-8
+
+
+class TestKernelMatrixBlocks:
+    """The row-blocked kernel matrix is bit-identical to the unblocked one."""
+
+    @staticmethod
+    def hp(p):
+        return GpHyperParams(v=0.3852, w=(0.7839, 2.8869, 2.859e-9)[:p])
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_cross_matrix_across_block_edges(self, p):
+        rng = np.random.default_rng(50 + p)
+        m = 512
+        rows = gp_module._KERNEL_BLOCK_ELEMENTS // (m * p)
+        x2 = rng.uniform(0, 3, (m, p))
+        for n in (1, 5, 2 * rows, 2 * rows + 1):
+            x = rng.uniform(0, 3, (n, p))
+            got = kernel_matrix(self.hp(p), x, x2)
+            np.testing.assert_array_equal(got, unblocked_kernel_matrix(self.hp(p), x, x2))
+
+    def test_empty_inputs(self):
+        hp = self.hp(2)
+        x = np.ones((4, 2))
+        assert kernel_matrix(hp, np.empty((0, 2)), x).shape == (0, 4)
+        assert kernel_matrix(hp, x, np.empty((0, 2))).shape == (4, 0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_training_matrix_across_block_edges(self, p):
+        rng = np.random.default_rng(60 + p)
+        # 65 rows fit one block; 512 split evenly for p = 1, 2 and leave a
+        # short last block for p = 3; 700 leave one for every p
+        for n in (1, 65, 512, 700):
+            x = rng.uniform(0, 3, (n, p))
+            np.testing.assert_array_equal(
+                kernel_matrix(self.hp(p), x), unblocked_kernel_matrix(self.hp(p), x)
+            )
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_single_row_blocks(self, p):
+        rng = np.random.default_rng(70 + p)
+        m = gp_module._KERNEL_BLOCK_ELEMENTS // p + 1  # one row exceeds a block
+        x = rng.uniform(0, 3, (3, p))
+        x2 = rng.uniform(0, 3, (m, p))
+        np.testing.assert_array_equal(
+            kernel_matrix(self.hp(p), x, x2), unblocked_kernel_matrix(self.hp(p), x, x2)
+        )
+
+    def test_peak_memory_below_two_result_matrices(self):
+        n = 1000
+        x = np.random.default_rng(80).uniform(0, 3, (n, 3))
+        tracemalloc.start()
+        try:
+            kernel_matrix(self.hp(3), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
 
 
 class TestFit:
@@ -141,6 +216,48 @@ class TestFit:
             x = rng.uniform(0, 1, size=(n, p))
             model = gp_fit(hp, x, rng.uniform(0, 1, n))
             assert model.factor.jitter_used == 0.0
+
+
+class TestUnchangedBits:
+    """Fit, mean and nlml equal, bit for bit, the direct two-solve formulas."""
+
+    def cases(self):
+        for name in ("pcbc_run1.csv", "mb_run1.csv"):
+            series = load_fixture(name)
+            x, y, _ = build_inputs(series)
+            yield default_hyperparams(series.contaminant), x, y, x
+        rng = np.random.default_rng(90)
+        hp = pb_default_hyperparams()
+        scale = np.array([1.0, 9.0, 3.0])
+        yield hp, rng.uniform(0, 1, (65, 3)) * scale, rng.uniform(0, 1, 65), rng.uniform(
+            0, 1, (40, 3)
+        ) * scale
+
+    def test_factor_alpha_mean_nlml(self):
+        for hp, x, y, xq in self.cases():
+            cov = unblocked_kernel_matrix(hp, x) + hp.epsilon * np.eye(len(y))
+            lower = np.linalg.cholesky(cov)
+            alpha = solve_triangular(lower.T, solve_triangular(lower, y, lower=True), lower=False)
+            model = gp_fit(hp, x, y)
+            assert model.factor.jitter_used == 0.0
+            np.testing.assert_array_equal(model.factor.lower, lower)
+            np.testing.assert_array_equal(model.alpha, alpha)
+            pred = gp_predict(model, xq)
+            np.testing.assert_array_equal(pred.mean, unblocked_kernel_matrix(hp, xq, x) @ alpha)
+            nlml = float(
+                0.5 * np.dot(y, alpha)
+                + float(np.sum(np.log(np.diag(lower))))
+                + 0.5 * len(y) * math.log(2.0 * math.pi)
+            )
+            assert gp_nlml(model) == nlml
+            # the variance formula changed: one forward solve in place of two
+            cross = unblocked_kernel_matrix(hp, xq, x)
+            two_solves = hp.v - np.einsum(
+                "ij,ji->i", cross, solve_triangular(
+                    lower.T, solve_triangular(lower, cross.T, lower=True), lower=False
+                )
+            )
+            np.testing.assert_allclose(pred.variance, np.maximum(two_solves, 0.0), atol=1e-10)
 
 
 class TestPredict:
@@ -235,6 +352,28 @@ def draw_from(hp, x, rng):
     k = kernel_matrix(hp, x)
     k[np.diag_indices_from(k)] += hp.epsilon
     return np.linalg.cholesky(k) @ rng.standard_normal(len(x))
+
+
+class TestLooSse:
+    def test_matches_refits_on_near_singular_kernel(self):
+        # closely spaced points and long length scales put cond(K + eps*I)
+        # near 1e8, within reach of the nominal jitter
+        rng = np.random.default_rng(45)
+        n = 12
+        for w in (0.5, 1.0, 3.0):
+            hp = GpHyperParams(v=0.5, w=(w,))
+            x = np.sort(rng.uniform(0, 1, n))[:, None]
+            y = np.sin(3 * x[:, 0]) + 0.01 * rng.standard_normal(n)
+            model = gp_fit(hp, x, y)
+            cov = kernel_matrix(hp, x) + hp.epsilon * np.eye(n)
+            assert np.linalg.cond(cov) > 1e8
+            resid = []
+            for i in range(n):
+                keep = np.arange(n) != i
+                sub = gp_fit(hp, x[keep], y[keep])
+                assert sub.factor.jitter_used == 0.0 == model.factor.jitter_used
+                resid.append(y[i] - gp_predict(sub, x[i : i + 1]).mean[0])
+            assert gp_loo_sse(model) == pytest.approx(float(np.dot(resid, resid)), rel=1e-6)
 
 
 class TestOptimize:

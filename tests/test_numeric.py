@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from pabfit.errors import (
     DimensionMismatch,
@@ -10,11 +11,14 @@ from pabfit.errors import (
     NotPositiveDefinite,
 )
 from pabfit.numeric import (
+    CholeskyFactor,
     DescentConfig,
     cholesky,
     finite_difference_gradient,
     gradient_descent,
+    inverse_diagonal,
     solve,
+    solve_lower,
 )
 
 
@@ -85,6 +89,8 @@ class TestSolve:
         f = cholesky(np.eye(3))
         with pytest.raises(DimensionMismatch):
             solve(f, [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            solve_lower(f, np.ones((2, 2)))
 
     def test_roundtrip_property(self):
         # solve(chol(M), M x) recovers x to 1e-6 relative error
@@ -96,6 +102,39 @@ class TestSolve:
             x = rng.standard_normal(n)
             got = solve(cholesky(m), m @ x)
             assert np.linalg.norm(got - x) <= 1e-6 * max(np.linalg.norm(x), 1e-30)
+
+    def test_forward_then_back_solve_is_solve(self):
+        rng = np.random.default_rng(12)
+        for shape in ((9,), (9, 4)):
+            a = rng.standard_normal((9, 9))
+            f = cholesky(a @ a.T + 9 * np.eye(9))
+            rhs = rng.standard_normal(shape)
+            forward = solve_lower(f, rhs)
+            np.testing.assert_allclose(f.lower @ forward, rhs, atol=1e-12)
+            back = solve_triangular(f.lower.T, forward, lower=False)
+            np.testing.assert_array_equal(back, solve(f, rhs))
+
+
+class TestInverseDiagonal:
+    def test_matches_explicit_inverse(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            a = rng.standard_normal((n, n))
+            m = a @ a.T + n * np.eye(n)
+            np.testing.assert_allclose(
+                inverse_diagonal(cholesky(m)), np.diag(np.linalg.inv(m)), rtol=1e-10
+            )
+
+    def test_hand_expanded_2x2(self):
+        # inverse of [[4,2],[2,3]] is [[3,-2],[-2,4]]/8
+        got = inverse_diagonal(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])))
+        np.testing.assert_allclose(got, [3.0 / 8.0, 0.5], rtol=1e-15)
+
+    def test_singular_factor_raises(self):
+        f = CholeskyFactor(lower=np.array([[1.0, 0.0], [2.0, 0.0]]), jitter_used=0.0)
+        with pytest.raises(NotPositiveDefinite):
+            inverse_diagonal(f)
 
 
 class TestGradientDescent:

@@ -1,0 +1,64 @@
+"""Print the SHA-256 of every file the README command set writes.
+
+The CLI outputs are byte-deterministic, so two versions of the package that
+print the same lines here produce the same files. Each command runs in
+process through ``pabfit.cli.main``, on the bundled fixtures, inside one
+fresh temporary directory (the reports record their relative output paths,
+so the directory name never reaches the bytes). Run from the repo root:
+
+    PYTHONPATH=src python tools/output_hashes.py
+
+Output: one ``<sha256>  <file>`` line per output file, sorted by name. The
+commands' own summary lines go to stderr.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from pabfit import cli
+
+# The "Command line" section of README.md, in order; later commands read
+# the reports earlier ones write.
+COMMANDS = [
+    "fit-kinetics --input pcbc_run1.csv --output kin.json",
+    "fit-exp --input mb_run1.csv --contaminant mb --output exp.json",
+    "fit-exp --input mb_run1.csv --contaminant mb --exponent-form product --output exp2.json",
+    "fit-gp --input pcbc_run1.csv --contaminant pb"
+    " --hyper v=0.3852,w=0.7839,2.8869,2.859e-9 --output gp.json",
+    "fit-gp --input mb_run1.csv --contaminant mb --optimize --objective nlml --output gp_mb.json",
+    "fit-gp --input pcbc_run2.csv --contaminant pb --optimize --objective sse --output gp_sse.json",
+    "predict --model gp.json --t-grid 60,600,3600 --w-grid 0,0.5,1.0,1.5 --output pred.json",
+    "synth --generator first-order --k -0.0006 --seed 1 --output synth.csv",
+    "report --inputs exp.json gp.json --scan-w 0,0.5,1.0,1.5 --output summary.json",
+]
+
+
+def run_command_set(workdir: Path) -> None:
+    """Run every command with ``workdir`` as the working directory."""
+    previous = Path.cwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(sys.stderr):
+            for command in COMMANDS:
+                code = cli.main(command.split())
+                if code != 0:
+                    raise SystemExit(f"exit code {code} from: pabfit {command}")
+    finally:
+        os.chdir(previous)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="pabfit-hashes-") as tmp:
+        run_command_set(Path(tmp))
+        for path in sorted(Path(tmp).iterdir()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+
+
+if __name__ == "__main__":
+    main()
