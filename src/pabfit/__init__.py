@@ -21,7 +21,14 @@ from .domain import (
     to_removal_series,
     transform_time,
 )
-from .expmodel import ExpModelParams, ExponentForm, exp_model_eval, exp_model_grid, fit_exp_model
+from .expmodel import (
+    ExpModelParams,
+    ExponentForm,
+    exp_model_eval,
+    exp_model_grid,
+    exp_model_sse_gradient,
+    fit_exp_model,
+)
 from .gp import (
     GpHyperParams,
     GpModel,
@@ -30,7 +37,9 @@ from .gp import (
     default_hyperparams,
     gp_fit,
     gp_loo_sse,
+    gp_loo_sse_gradient,
     gp_nlml,
+    gp_nlml_gradient,
     gp_optimize_hyperparams,
     gp_predict,
     kernel,
@@ -65,6 +74,7 @@ __all__ = [
     "ExponentForm",
     "exp_model_eval",
     "exp_model_grid",
+    "exp_model_sse_gradient",
     "fit_exp_model",
     "GpHyperParams",
     "GpModel",
@@ -73,7 +83,9 @@ __all__ = [
     "default_hyperparams",
     "gp_fit",
     "gp_loo_sse",
+    "gp_loo_sse_gradient",
     "gp_nlml",
+    "gp_nlml_gradient",
     "gp_optimize_hyperparams",
     "gp_predict",
     "kernel",

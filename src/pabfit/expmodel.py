@@ -55,6 +55,34 @@ def exp_model_eval(p: ExpModelParams, t_norm, w):
     return 1.0 - decay - t * p.a * (p.b + w) * decay
 
 
+def exp_model_sse_gradient(p: ExpModelParams, t_norm, w, removal) -> np.ndarray:
+    """Gradient in (a, b) of the residual sum of squares against ``removal``.
+
+    With q = a * (b + W) and d = e^{-t*E} the model is 1 - d * (1 + t*q),
+    so dC/dE = t * d * (1 + t*q) and dC/dq = -t * d. E = a + b + W
+    (literal) gives dC/da = t*d*(1 + t*q - (b + W)) and
+    dC/db = t*d*(1 + t*q - a); E = q (product) gives
+    dC/da = t^2*d*q*(b + W) and dC/db = t^2*d*q*a. The SSE gradient is
+    2 * sum(r * dC/dtheta) over the residuals r = C - removal.
+    """
+    t = np.asarray(t_norm, dtype=float)
+    w = np.asarray(w, dtype=float)
+    shifted = p.b + w
+    q = p.a * shifted
+    exponent = p.a + p.b + w if p.exponent_form is ExponentForm.LITERAL else q
+    decay = np.exp(-t * exponent)
+    # the model term as exp_model_eval rounds it, so an exact fit has r == 0
+    resid = 1.0 - decay - t * p.a * shifted * decay - np.asarray(removal, dtype=float)
+    td = t * decay
+    if p.exponent_form is ExponentForm.LITERAL:
+        d_a = td * (1.0 + t * q - shifted)
+        d_b = td * (1.0 + t * q - p.a)
+    else:
+        d_a = td * t * q * shifted
+        d_b = td * t * q * p.a
+    return 2.0 * np.array([np.dot(resid, d_a), np.dot(resid, d_b)])
+
+
 def exp_model_grid(p: ExpModelParams, t_grid: Sequence[float], w_grid: Sequence[float]) -> np.ndarray:
     """Matrix with entry [i, j] = exp_model_eval(p, t_grid[i], w_grid[j])."""
     t = np.asarray(t_grid, dtype=float)
@@ -76,6 +104,9 @@ def fit_exp_model(
     config: DescentConfig | None = None,
 ) -> ExpModelParams:
     """Least-squares (a, b) by gradient descent on the sum of squared residuals.
+
+    The descent follows the closed-form gradient of the SSE
+    (``exp_model_sse_gradient``), one evaluation per iteration.
 
     Parameters
     ----------
@@ -102,15 +133,19 @@ def fit_exp_model(
         r = exp_model_eval(trial, t, w) - y
         return float(np.dot(r, r))
 
+    def sse_gradient(theta: np.ndarray) -> np.ndarray:
+        trial = ExpModelParams(a=theta[0], b=theta[1], exponent_form=exponent_form)
+        return exp_model_sse_gradient(trial, t, w, y)
+
     config = config or DescentConfig(step=0.1, tolerance=1e-16, max_iters=20000)
-    res = gradient_descent(sse, np.asarray(x0, dtype=float), config)
+    res = gradient_descent(sse, sse_gradient, np.asarray(x0, dtype=float), config)
     # the curve is invariant under a <-> (b + W) at any fixed thickness, so
     # a descent can settle on the mirror branch; restart from the mirrored
     # point and keep the better of the two
     w_mean = float(np.mean(w))
     mirrored = np.array([res.x[1] + w_mean, res.x[0] - w_mean])
     try:
-        res_mirror = gradient_descent(sse, mirrored, config)
+        res_mirror = gradient_descent(sse, sse_gradient, mirrored, config)
     except NonFiniteObjective:
         res_mirror = None
     if res_mirror is not None and res_mirror.fun < res.fun:

@@ -12,7 +12,10 @@ objective, and the leave-one-out objective all reuse the factor (Rasmussen
 & Williams, *GPML*, 2006, Algorithm 2.1 and section 5.4.2). The predictive
 variance takes one forward solve V = L^-1 k(X, X'), and the leave-one-out
 residuals need only diag((K + eps*I)^-1), read off the triangular inverse
-L^-1. The covariance matrix itself is never inverted.
+L^-1; neither inverts the covariance matrix. The hyperparameter search
+descends on the closed-form gradients of both objectives in log space
+(GPML eq. 5.9 and section 5.4.2), which do need (K + eps*I)^-1 itself:
+they form it as L^-T L^-1 from the same factor.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .numeric import (
     inverse_diagonal,
     solve,
     solve_lower,
+    triangular_inverse,
 )
 
 # diagonal jitter that keeps smooth kernel matrices invertible (~sqrt eps)
@@ -240,7 +244,76 @@ def gp_loo_sse(model: GpModel) -> float:
     return float(np.dot(resid, resid))
 
 
+def _squared_differences(x: np.ndarray) -> list[np.ndarray | None]:
+    """D_p[i, j] = (x[i, p] - x[j, p])^2 for each input column p.
+
+    None stands for a constant column: its D_p is zero, so the kernel does
+    not depend on its weight.
+    """
+    return [None if np.all(col == col[0]) else np.subtract.outer(col, col) ** 2 for col in x.T]
+
+
+def _log_hyper_gradient(
+    model: GpModel, weight: np.ndarray, sqdiff: list[np.ndarray | None] | None
+) -> np.ndarray:
+    """sum(weight * dC/dtheta_j) for theta = (log v, log w_1, ..., log w_p).
+
+    C = K + eps*I with K = v * exp(-sum_p w_p * D_p), so dC/dlog v = K and
+    dC/dlog w_p = -w_p * D_p * K (elementwise). A constant column's entry
+    is exactly zero, and its D_p is never formed.
+    """
+    hp = model.hp
+    if sqdiff is None:
+        sqdiff = _squared_differences(model.x_train)
+    exponent = np.zeros((model.n, model.n))
+    for w_p, d in zip(hp.w, sqdiff):
+        if d is not None:
+            exponent += w_p * d
+    wk = weight * (hp.v * np.exp(-exponent))
+    grad = np.zeros(hp.p + 1)
+    grad[0] = wk.sum()
+    for k, d in enumerate(sqdiff):
+        if d is not None:
+            grad[k + 1] = -hp.w[k] * np.vdot(wk, d)
+    return grad
+
+
+def gp_nlml_gradient(model: GpModel, sqdiff: list[np.ndarray | None] | None = None) -> np.ndarray:
+    """Gradient of ``gp_nlml`` in (log v, log w_1, ..., log w_p).
+
+    dNLML/dtheta_j = 1/2 tr((C^-1 - alpha alpha^T) dC/dtheta_j) with
+    C = K + eps*I (GPML eq. 5.9); C^-1 = L^-T L^-1 comes from the fitted
+    factor. ``sqdiff`` holds the per-column squared differences of the
+    training inputs when the caller has them already.
+    """
+    linv = triangular_inverse(model.factor)
+    weight = linv.T @ linv - np.outer(model.alpha, model.alpha)
+    return _log_hyper_gradient(model, 0.5 * weight, sqdiff)
+
+
+def gp_loo_sse_gradient(
+    model: GpModel, sqdiff: list[np.ndarray | None] | None = None
+) -> np.ndarray:
+    """Gradient of ``gp_loo_sse`` in (log v, log w_1, ..., log w_p).
+
+    With c = diag(C^-1) and LOO residuals r = alpha / c, the derivatives
+    d alpha = -C^-1 dC alpha and d C^-1 = -C^-1 dC C^-1 (GPML section
+    5.4.2; Sundararajan & Keerthi, 2001) give
+    dSSE/dtheta_j = 2 tr(W dC/dtheta_j) with
+    W = C^-1 diag(r^2 / c) C^-1 - (C^-1 (r / c)) alpha^T. ``sqdiff`` as
+    for ``gp_nlml_gradient``.
+    """
+    linv = triangular_inverse(model.factor)
+    cinv = linv.T @ linv
+    c = np.einsum("ij,ij->j", linv, linv)
+    resid = model.alpha / c
+    weight = cinv @ ((resid * resid / c)[:, None] * cinv)
+    weight -= np.outer(cinv @ (resid / c), model.alpha)
+    return _log_hyper_gradient(model, 2.0 * weight, sqdiff)
+
+
 _OBJECTIVES = {"nlml": gp_nlml, "sse": gp_loo_sse}
+_GRADIENTS = {"nlml": gp_nlml_gradient, "sse": gp_loo_sse_gradient}
 
 
 def gp_optimize_hyperparams(
@@ -255,31 +328,50 @@ def gp_optimize_hyperparams(
     The log reparameterization keeps v and the weights positive. The
     returned hyperparameters never score worse than ``hp0`` on the chosen
     objective ("nlml" or "sse", the latter meaning held-out leave-one-out
-    squared error).
+    squared error). The descent follows the closed-form gradients,
+    ``gp_nlml_gradient`` (GPML eq. 5.9) and ``gp_loo_sse_gradient`` (GPML
+    section 5.4.2), each taken from the model the objective fitted at the
+    same point, so an iteration costs one fit per line-search trial and no
+    more. A weight whose input column is constant has a zero gradient and
+    is returned as given.
     """
     if objective not in _OBJECTIVES:
         raise InvalidInput(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
     if any(wi <= 0 for wi in hp0.w):
         raise InvalidInput("log-space search needs strictly positive starting weights")
-    score = _OBJECTIVES[objective]
+    score, score_gradient = _OBJECTIVES[objective], _GRADIENTS[objective]
     x = _as_input_matrix(x_train, hp0.p)
     y = np.asarray(y_train, dtype=float).ravel()
+    sqdiff = _squared_differences(x)
+    start = np.array([hp0.v, *hp0.w])
+    free = np.array([True] + [d is not None for d in sqdiff])
+    last: dict[bytes, GpModel] = {}  # the model at the latest point fitted
+
+    def hyper(theta: np.ndarray) -> GpHyperParams:
+        vals = np.where(free, np.exp(theta), start)
+        return GpHyperParams(v=float(vals[0]), w=tuple(vals[1:]), epsilon=hp0.epsilon)
+
+    def fitted(theta: np.ndarray) -> GpModel:
+        key = theta.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = gp_fit(hyper(theta), x, y)
+        return last[key]
 
     def obj(theta: np.ndarray) -> float:
         with np.errstate(over="ignore"):
-            vals = np.exp(theta)
-        if not np.all(np.isfinite(vals)):
-            return math.inf
+            if not np.all(np.isfinite(np.exp(theta))):
+                return math.inf
         try:
-            hp = GpHyperParams(v=float(vals[0]), w=tuple(vals[1:]), epsilon=hp0.epsilon)
-            return score(gp_fit(hp, x, y))
+            return score(fitted(theta))
         except NotPositiveDefinite:
             return math.inf
 
-    theta0 = np.log(np.array([hp0.v, *hp0.w]))
-    res = gradient_descent(obj, theta0, config or DescentConfig(step=0.1, tolerance=1e-9, max_iters=200))
-    best = np.exp(res.x)
-    return GpHyperParams(v=float(best[0]), w=tuple(float(b) for b in best[1:]), epsilon=hp0.epsilon)
+    def grad(theta: np.ndarray) -> np.ndarray:
+        return score_gradient(fitted(theta), sqdiff)
+
+    config = config or DescentConfig(step=0.1, tolerance=1e-9, max_iters=200)
+    return hyper(gradient_descent(obj, grad, np.log(start), config).x)
 
 
 def build_inputs(

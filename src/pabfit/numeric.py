@@ -1,4 +1,4 @@
-"""Dense SPD linear algebra and a finite-difference descent optimizer.
+"""Dense SPD linear algebra and a steepest-descent optimizer.
 
 The covariance solves used by the regression models never form an explicit
 inverse of the matrix: a jittered Cholesky factorization M = L L^T is
@@ -6,8 +6,10 @@ computed once and reused through triangular solves. ``solve_lower`` is the
 forward half alone (L^-1 rhs), enough wherever only a quadratic form is
 needed; ``inverse_diagonal`` reads diag(M^-1) off the triangular inverse
 L^-1, which costs a third of the flops of solving against the identity.
-The optimizer is plain steepest descent with central-difference gradients
-and a backtracking (halving) line search.
+The optimizer is plain steepest descent on a caller-supplied gradient with
+a backtracking (halving) line search. ``finite_difference_gradient`` is no
+part of it: it is the reference the tests hold each closed-form gradient
+against.
 """
 
 from __future__ import annotations
@@ -77,10 +79,16 @@ def cholesky(m: np.ndarray, initial_jitter: float = 0.0) -> CholeskyFactor:
         raise InvalidInput("initial_jitter must be non-negative")
 
     jitter = float(initial_jitter)
-    eye = np.eye(m.shape[0])
     while True:
         try:
-            lower = np.linalg.cholesky(m if jitter == 0.0 else m + jitter * eye)
+            if jitter == 0.0:
+                lower = np.linalg.cholesky(m)
+            else:
+                # the jitter touches only the diagonal of a copy, so no n x n
+                # identity is built; m[i, j] + jitter * 0 adds nothing off it
+                shifted = m.copy()
+                shifted[np.diag_indices_from(shifted)] += jitter
+                lower = np.linalg.cholesky(shifted)
             return CholeskyFactor(lower=lower, jitter_used=jitter)
         except np.linalg.LinAlgError:
             if jitter >= JITTER_CAP:
@@ -112,11 +120,10 @@ def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(factor.lower.T, solve_lower(factor, rhs), lower=False)
 
 
-def inverse_diagonal(factor: CholeskyFactor) -> np.ndarray:
-    """Diagonal of ``(M + jitter_used * I)^-1 = L^-T L^-1``.
+def triangular_inverse(factor: CholeskyFactor) -> np.ndarray:
+    """The lower-triangular ``L^-1``, from LAPACK's ``dtrtri`` in n^3/3 flops.
 
-    Entry j is the squared norm of column j of ``L^-1``, which LAPACK's
-    triangular inverse (``dtrtri``) forms in n^3/3 flops.
+    ``(M + jitter_used * I)^-1 = L^-T L^-1``.
 
     Raises
     ------
@@ -126,6 +133,15 @@ def inverse_diagonal(factor: CholeskyFactor) -> np.ndarray:
     inv, info = dtrtri(factor.lower, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse failed (LAPACK dtrtri info={info})")
+    return inv
+
+
+def inverse_diagonal(factor: CholeskyFactor) -> np.ndarray:
+    """Diagonal of ``(M + jitter_used * I)^-1 = L^-T L^-1``.
+
+    Entry j is the squared norm of column j of ``triangular_inverse(factor)``.
+    """
+    inv = triangular_inverse(factor)
     return np.einsum("ij,ij->j", inv, inv)
 
 
@@ -146,13 +162,18 @@ class DescentResult:
 
 
 def finite_difference_gradient(
-    objective: Callable[[np.ndarray], float], x: np.ndarray
+    objective: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step max(1e-6, 1e-6|x_i|)."""
+    """Central-difference gradient with the same step ``h`` in every coordinate.
+
+    The reference that closed-form gradients are tested against; the
+    descent never calls it. Its error is the truncation error, of order
+    h^2, plus the objective's rounding divided by h, so a step near 1e-3
+    suits an objective accurate to ~1e-8 relative.
+    """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.size):
-        h = max(1e-6, 1e-6 * abs(x[i]))
         xp = x.copy()
         xp[i] += h
         xm = x.copy()
@@ -173,10 +194,15 @@ _MAX_STEP_GROWTH = 1024.0  # keeps the doubled step bounded on flat objectives
 
 def gradient_descent(
     objective: Callable[[np.ndarray], float],
+    gradient: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float] | np.ndarray,
     config: DescentConfig | None = None,
 ) -> DescentResult:
     """Minimize a scalar objective by backtracking steepest descent.
+
+    ``gradient(x)`` returns the gradient of ``objective`` at ``x``; it is
+    called once per iteration, at the last accepted point, which is also
+    the last point the objective was evaluated at.
 
     Each iteration takes a step ``-step * grad`` (rescaled so no coordinate
     moves more than ``config.max_move``, which keeps a huge early gradient
@@ -186,9 +212,9 @@ def gradient_descent(
     when no decrease can be found, or at ``config.max_iters``.
 
     The returned point never has a higher objective than ``x0``. A NaN
-    objective anywhere, or a non-finite value at a differentiation point,
-    raises :class:`NonFiniteObjective`; an overflowing (infinite) value at
-    a trial point is treated as an ordinary increase and backtracked.
+    objective anywhere, or a non-finite gradient, raises
+    :class:`NonFiniteObjective`; an overflowing (infinite) objective at a
+    trial point is treated as an ordinary increase and backtracked.
     """
     config = config or DescentConfig()
     if config.max_iters < 1:
@@ -203,7 +229,9 @@ def gradient_descent(
     converged = False
     for _ in range(config.max_iters):
         iterations += 1
-        grad = finite_difference_gradient(objective, x)
+        grad = np.asarray(gradient(x), dtype=float)
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteObjective(f"gradient not finite at iteration {iterations}: {grad}")
         if not np.any(grad):
             converged = True
             break

@@ -194,7 +194,12 @@ def test_10_optimizer_contract_and_hyperparameter_search():
             return float(np.sum((z - center) ** 2))
 
         x0 = rng.standard_normal(dim) * 2
-        res = gradient_descent(quad, x0, DescentConfig(max_iters=int(rng.integers(1, 60))))
+        res = gradient_descent(
+            quad,
+            lambda z, center=center: 2.0 * (z - center),
+            x0,
+            DescentConfig(max_iters=int(rng.integers(1, 60))),
+        )
         assert res.fun <= quad(x0)
 
     wins = 0

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from pabfit.dataio import FIXTURES, load_fixture
+from pabfit.domain import Contaminant, to_removal_series, transform_time
 from pabfit.errors import InvalidInput, NonFiniteObjective
 from pabfit.expmodel import (
     MB_EXP_PARAMS,
@@ -11,8 +13,10 @@ from pabfit.expmodel import (
     ExponentForm,
     exp_model_eval,
     exp_model_grid,
+    exp_model_sse_gradient,
     fit_exp_model,
 )
+from pabfit.numeric import finite_difference_gradient
 
 
 def removal_oracle(a, b, t, w):
@@ -127,3 +131,62 @@ class TestFit:
     def test_nan_target_raises(self):
         with pytest.raises(NonFiniteObjective):
             fit_exp_model([(0.5, 0.0, float("nan"))])
+
+
+def fixture_data(name):
+    series = load_fixture(name)
+    removal = to_removal_series(series)
+    t_norm = transform_time(series).t_norm
+    return series.contaminant, np.array(
+        [(tn, r.thickness_w, r.removal_fraction) for tn, r in zip(t_norm, removal)]
+    )
+
+
+def assert_sse_gradient_matches_fd(a, b, form, data):
+    t, w, y = data.T
+
+    def sse(theta):
+        r = exp_model_eval(ExpModelParams(a=theta[0], b=theta[1], exponent_form=form), t, w) - y
+        return float(np.dot(r, r))
+
+    analytic = exp_model_sse_gradient(ExpModelParams(a=a, b=b, exponent_form=form), t, w, y)
+    reference = finite_difference_gradient(sse, np.array([a, b]), h=1e-3)
+    scale = np.max(np.abs(analytic))
+    assert scale > 0
+    assert np.max(np.abs(analytic - reference)) <= 1e-4 * scale, (form, analytic, reference)
+
+
+class TestSseGradient:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_fixtures_at_shipped_parameters(self, name, form):
+        contaminant, data = fixture_data(name)
+        a, b = PB_EXP_PARAMS if contaminant is Contaminant.PB else MB_EXP_PARAMS
+        if name == "mb_run1.csv" and form is ExponentForm.LITERAL:
+            # mb_run1 is this model at these parameters without noise, so the
+            # SSE sits at its minimum there and only a zero can be checked;
+            # the comparison moves to the CLI's default start
+            t, w, y = data.T
+            assert np.max(np.abs(exp_model_sse_gradient(ExpModelParams(a, b), t, w, y))) < 1e-15
+            a, b = 1.0, 1.0
+        assert_sse_gradient_matches_fd(a, b, form, data)
+
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_random_small_inputs(self, form):
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            data = np.column_stack(
+                [rng.uniform(0, 1, n), rng.choice([0.0, 0.5, 1.0, 3.0], n), rng.uniform(0, 1, n)]
+            )
+            # positive parameters, as the fits find; where a*(b + W) < 0 the
+            # product form grows as e^{+t|E|}, and h = 1e-3 truncation alone
+            # exceeds 1e-4 of the gradient
+            a, b = rng.uniform(0.5, 4.5, 2)
+            assert_sse_gradient_matches_fd(a, b, form, data)
+
+    def test_zero_at_an_exact_fit(self):
+        data = np.array(make_grid_data(*MB_EXP_PARAMS))
+        t, w, y = data.T
+        g = exp_model_sse_gradient(ExpModelParams(*MB_EXP_PARAMS), t, w, y)
+        np.testing.assert_array_equal(g, [0.0, 0.0])

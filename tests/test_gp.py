@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from pabfit import gp as gp_module
-from pabfit.dataio import load_fixture
+from pabfit.dataio import FIXTURES, load_fixture
 from pabfit.domain import Contaminant, ObservationSeries, Sample
 from pabfit.errors import DimensionMismatch, InvalidInput
 from pabfit.gp import (
@@ -16,7 +16,9 @@ from pabfit.gp import (
     default_hyperparams,
     gp_fit,
     gp_loo_sse,
+    gp_loo_sse_gradient,
     gp_nlml,
+    gp_nlml_gradient,
     gp_optimize_hyperparams,
     gp_predict,
     kernel,
@@ -24,7 +26,7 @@ from pabfit.gp import (
     mb_default_hyperparams,
     pb_default_hyperparams,
 )
-from pabfit.numeric import DescentConfig
+from pabfit.numeric import DescentConfig, finite_difference_gradient
 
 
 def unblocked_kernel_matrix(hp, x, x2=None):
@@ -468,3 +470,101 @@ class TestBuildInputs:
         assert x.shape == (3, 2)
         assert not ph_assumed
         np.testing.assert_allclose(y, 0.01 * np.array([10.0, 100.0, 3600.0]) / 50.0)
+
+
+def log_space_objective(score, x, y, epsilon):
+    """theta = (log v, log w_1, ..., log w_p) -> score of the refitted GP."""
+
+    def f(theta):
+        hp = GpHyperParams(v=math.exp(theta[0]), w=np.exp(theta[1:]), epsilon=epsilon)
+        return score(gp_fit(hp, x, y))
+
+    return f
+
+
+GRADIENTS = ((gp_nlml, gp_nlml_gradient), (gp_loo_sse, gp_loo_sse_gradient))
+
+
+def assert_gradient_matches_fd(score, gradient, hp, x, y):
+    # central differences at h = 1e-3 carry O(h^2) truncation and
+    # ~1e-8 / h rounding; both stay well below 1e-4 of the largest entry
+    analytic = gradient(gp_fit(hp, x, y))
+    theta = np.log([hp.v, *hp.w])
+    objective = log_space_objective(score, x, y, hp.epsilon)
+    reference = finite_difference_gradient(objective, theta, h=1e-3)
+    scale = np.max(np.abs(analytic))
+    assert scale > 0
+    err = np.max(np.abs(analytic - reference))
+    assert err <= 1e-4 * scale, (score.__name__, analytic, reference)
+
+
+class TestGradients:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixtures_at_shipped_hyperparameters(self, name):
+        series = load_fixture(name)
+        x, y, _ = build_inputs(series)
+        hp = default_hyperparams(series.contaminant)
+        for score, gradient in GRADIENTS:
+            assert_gradient_matches_fd(score, gradient, hp, x, y)
+
+    def test_random_small_inputs(self):
+        # eps = 1e-4 bounds cond(K + eps*I) near 1e5; at the nominal 1.5e-8
+        # some draws reach 1e9, where the differences carry more rounding
+        # than 1e-4 of the gradient at any step
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            n, p = int(rng.integers(3, 25)), int(rng.integers(1, 4))
+            x = rng.uniform(0, 1, (n, p))
+            hp = GpHyperParams(v=rng.uniform(0.2, 2.0), w=rng.uniform(0.5, 5.0, p), epsilon=1e-4)
+            y = rng.standard_normal(n)
+            for score, gradient in GRADIENTS:
+                assert_gradient_matches_fd(score, gradient, hp, x, y)
+
+    def test_constant_column_entry_is_exactly_zero(self):
+        rng = np.random.default_rng(61)
+        x = np.column_stack([rng.uniform(0, 1, 10), np.full(10, 7.0), rng.uniform(0, 2, 10)])
+        model = gp_fit(GpHyperParams(v=0.5, w=(2.0, 1.0, 0.3)), x, rng.standard_normal(10))
+        for _, gradient in GRADIENTS:
+            g = gradient(model)
+            assert g[2] == 0.0
+            assert np.all(g[[0, 1, 3]] != 0.0)
+
+
+class TestOptimizeWithGradients:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_constant_column_weights_returned_unchanged(self, name):
+        # pH = 7 and W = 3 in every Pb fixture, W = 1 in mb_run1: the kernel
+        # does not depend on those weights, so the search leaves them as given
+        series = load_fixture(name)
+        x, y, _ = build_inputs(series)
+        hp0 = default_hyperparams(series.contaminant)
+        constant = [k for k in range(hp0.p) if np.all(x[:, k] == x[0, k])]
+        assert constant == ([1, 2] if series.contaminant is Contaminant.PB else [1])
+        for objective in ("nlml", "sse"):
+            hp = gp_optimize_hyperparams(x, y, hp0, objective=objective)
+            for k in constant:
+                assert hp.w[k] == hp0.w[k]
+
+    def test_one_fit_per_objective_evaluation(self, monkeypatch):
+        # the gradient reuses the model the objective fitted at the same point
+        series = load_fixture("pcbc_run2.csv")
+        x, y, _ = build_inputs(series)
+        counts = {"fits": 0, "objective": 0}
+        real_fit, real_descent = gp_module.gp_fit, gp_module.gradient_descent
+
+        def counting_fit(*args, **kwargs):
+            counts["fits"] += 1
+            return real_fit(*args, **kwargs)
+
+        def counting_descent(objective, *args, **kwargs):
+            def counted(theta):
+                counts["objective"] += 1
+                return objective(theta)
+
+            return real_descent(counted, *args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "gp_fit", counting_fit)
+        monkeypatch.setattr(gp_module, "gradient_descent", counting_descent)
+        gp_optimize_hyperparams(x, y, default_hyperparams(series.contaminant), objective="sse")
+        assert counts["objective"] > 2
+        assert counts["fits"] == counts["objective"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,32 @@ class TestCholesky:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
             cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_escalated_jitter_bits_match_identity_shift(self):
+        # the retry shifts the diagonal of a copy; the factor is the one
+        # of m + jitter * I, bit for bit, and m itself is left untouched
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((30, 3))
+        m = a @ a.T  # rank 3, so the jitter-free attempt fails
+        before = m.copy()
+        f = cholesky(m, initial_jitter=0.0)
+        assert f.jitter_used > 0.0
+        np.testing.assert_array_equal(m, before)
+        expected = np.linalg.cholesky(m + f.jitter_used * np.eye(30))
+        np.testing.assert_array_equal(f.lower, expected)
+
+    def test_peak_memory_below_one_and_a_half_matrices(self):
+        # the jitter-free attempt builds no n x n identity next to the factor
+        n = 1000
+        a = np.random.default_rng(9).standard_normal((n, n))
+        m = a @ a.T + n * np.eye(n)
+        tracemalloc.start()
+        try:
+            cholesky(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_reconstruction_property_random_spd(self):
         # relative Frobenius error of L L^T vs M + jitter*I stays below 1e-8
@@ -139,13 +166,14 @@ class TestInverseDiagonal:
 
 class TestGradientDescent:
     def test_scalar_quadratic(self):
-        res = gradient_descent(lambda x: (x[0] - 2.0) ** 2, [0.0])
+        res = gradient_descent(lambda x: (x[0] - 2.0) ** 2, lambda x: 2.0 * (x - 2.0), [0.0])
         assert abs(res.x[0] - 2.0) < 1e-4
         assert res.converged
 
     def test_anisotropic_bowl(self):
         res = gradient_descent(
             lambda x: x[0] ** 2 + 10.0 * x[1] ** 2,
+            lambda x: np.array([2.0 * x[0], 20.0 * x[1]]),
             [1.0, 1.0],
             DescentConfig(step=0.1, tolerance=1e-16, max_iters=5000),
         )
@@ -155,8 +183,15 @@ class TestGradientDescent:
         def rosen(x):
             return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
 
+        def rosen_gradient(x):
+            inner = x[1] - x[0] ** 2
+            return np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * inner, 200.0 * inner])
+
         res = gradient_descent(
-            rosen, [-1.2, 1.0], DescentConfig(step=0.1, tolerance=1e-16, max_iters=10000)
+            rosen,
+            rosen_gradient,
+            [-1.2, 1.0],
+            DescentConfig(step=0.1, tolerance=1e-16, max_iters=10000),
         )
         assert res.fun < rosen(np.array([-1.2, 1.0]))
         grid = np.linspace(-2.0, 2.0, 50)
@@ -173,23 +208,37 @@ class TestGradientDescent:
             def f(x):
                 return float(np.sum(scale * (x - center) ** 2))
 
+            def grad(x):
+                return 2.0 * scale * (x - center)
+
             x0 = rng.standard_normal(dim) * 3
-            res = gradient_descent(f, x0, DescentConfig(max_iters=int(rng.integers(1, 50))))
+            res = gradient_descent(f, grad, x0, DescentConfig(max_iters=int(rng.integers(1, 50))))
             assert res.fun <= f(x0)
 
     def test_non_finite_start_raises(self):
         with pytest.raises(NonFiniteObjective):
-            gradient_descent(lambda x: float("nan"), [0.0])
+            gradient_descent(lambda x: float("nan"), lambda x: np.zeros(1), [0.0])
 
     def test_nan_during_descent_raises(self):
         def trap(x):
             return float("nan") if x[0] < 0.5 else (x[0] - 0.4) ** 2
 
         with pytest.raises(NonFiniteObjective):
-            gradient_descent(trap, [0.6], DescentConfig(step=1.0))
+            gradient_descent(trap, lambda x: 2.0 * (x - 0.4), [0.6], DescentConfig(step=1.0))
+
+    def test_non_finite_gradient_raises(self):
+        # the analytic gradient keeps the contract the finite differences
+        # enforced: a non-finite derivative fails cleanly, not as a NaN step
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(NonFiniteObjective, match="gradient"):
+                gradient_descent(
+                    lambda x: float(np.sum(x**2)),
+                    lambda x, bad=bad: np.array([1.0, bad]),
+                    [0.5, 0.5],
+                )
 
     def test_zero_gradient_converges_immediately(self):
-        res = gradient_descent(lambda x: 1.0, [0.3, -0.2])
+        res = gradient_descent(lambda x: 1.0, lambda x: np.zeros(2), [0.3, -0.2])
         assert res.converged
         assert res.fun == 1.0
 

@@ -1,0 +1,86 @@
+"""Print how much work the two optimizers do on the bundled fixtures.
+
+For every fixture and both GP objectives, one ``gp_optimize_hyperparams``
+call from the shipped hyperparameters (the ``fit-gp --optimize`` path):
+its ``gp_fit`` calls, descent iterations and the objective at the returned
+hyperparameters. For both exponent forms, one ``fit_exp_model`` call from
+the CLI's default start (1, 1): its model evaluations plus gradient
+evaluations ("+Ng"), descent iterations and final SSE. The counts come
+from wrapping the module-level functions the optimizers look up, and a
+function the package lacks counts 0, so the same script compares any two
+versions of the package. Run from the repo root:
+
+    PYTHONPATH=src python tools/optimizer_counts.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+
+from pabfit import expmodel, gp
+from pabfit.dataio import FIXTURES, load_fixture
+from pabfit.domain import to_removal_series, transform_time
+
+
+@contextlib.contextmanager
+def counting(module, *names):
+    """Count the calls of ``module.<name>`` for each name, keeping the results."""
+    calls: dict[str, list] = {name: [] for name in names}
+    originals = {name: getattr(module, name) for name in names if hasattr(module, name)}
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[name].append(None)
+            calls[name][-1] = fn(*args, **kwargs)
+            return calls[name][-1]
+
+        return counted
+
+    for name, fn in originals.items():
+        setattr(module, name, wrap(name, fn))
+    try:
+        yield calls
+    finally:
+        for name, fn in originals.items():
+            setattr(module, name, fn)
+
+
+def gp_rows(name: str):
+    series = load_fixture(name)
+    x, y, _ = gp.build_inputs(series)
+    hp0 = gp.default_hyperparams(series.contaminant)
+    for objective, score in (("nlml", gp.gp_nlml), ("sse", gp.gp_loo_sse)):
+        with counting(gp, "gp_fit", "gradient_descent") as calls:
+            hp = gp.gp_optimize_hyperparams(x, y, hp0, objective=objective)
+        iterations = sum(r.iterations for r in calls["gradient_descent"] if r is not None)
+        yield f"gp {objective}", len(calls["gp_fit"]), iterations, score(gp.gp_fit(hp, x, y))
+
+
+def exp_rows(name: str):
+    series = load_fixture(name)
+    removal = to_removal_series(series)
+    data = [
+        (tn, r.thickness_w, r.removal_fraction)
+        for tn, r in zip(transform_time(series).t_norm, removal)
+    ]
+    for form in expmodel.ExponentForm:
+        names = ("exp_model_eval", "exp_model_sse_gradient", "gradient_descent")
+        with counting(expmodel, *names) as calls:
+            fit = expmodel.fit_exp_model(data, exponent_form=form)
+        evals = f"{len(calls['exp_model_eval'])}+{len(calls['exp_model_sse_gradient'])}g"
+        iterations = sum(r.iterations for r in calls["gradient_descent"] if r is not None)
+        yield f"exp {form.value}", evals, iterations, fit.sse
+
+
+def main() -> None:
+    header = ("fixture", "optimizer", "evaluations", "iterations")
+    print("{:<14} {:<12} {:>12} {:>10}  final objective".format(*header))
+    for name in FIXTURES:
+        for label, evals, iterations, final in [*gp_rows(name), *exp_rows(name)]:
+            print(f"{name:<14} {label:<12} {evals!s:>12} {iterations:>10}  {final!r}")
+
+
+if __name__ == "__main__":
+    main()
