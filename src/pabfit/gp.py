@@ -244,64 +244,48 @@ def gp_loo_sse(model: GpModel) -> float:
     return float(np.dot(resid, resid))
 
 
-def _squared_differences(x: np.ndarray) -> list[np.ndarray | None]:
-    """D_p[i, j] = (x[i, p] - x[j, p])^2 for each input column p.
-
-    None stands for a constant column: its D_p is zero, so the kernel does
-    not depend on its weight.
-    """
-    return [None if np.all(col == col[0]) else np.subtract.outer(col, col) ** 2 for col in x.T]
-
-
-def _log_hyper_gradient(
-    model: GpModel, weight: np.ndarray, sqdiff: list[np.ndarray | None] | None
-) -> np.ndarray:
+def _log_hyper_gradient(model: GpModel, weight: np.ndarray) -> np.ndarray:
     """sum(weight * dC/dtheta_j) for theta = (log v, log w_1, ..., log w_p).
 
-    C = K + eps*I with K = v * exp(-sum_p w_p * D_p), so dC/dlog v = K and
-    dC/dlog w_p = -w_p * D_p * K (elementwise). A constant column's entry
-    is exactly zero, and its D_p is never formed.
+    C = K + eps*I with K = v * exp(-sum_p w_p * D_p) and the squared
+    differences D_p[i, j] = (x[i, p] - x[j, p])^2, so dC/dlog v = K and
+    dC/dlog w_p = -w_p * D_p * K (elementwise). A constant column's D_p is
+    zero, so its entry is exactly zero and D_p is never formed.
     """
     hp = model.hp
-    if sqdiff is None:
-        sqdiff = _squared_differences(model.x_train)
-    exponent = np.zeros((model.n, model.n))
-    for w_p, d in zip(hp.w, sqdiff):
-        if d is not None:
-            exponent += w_p * d
-    wk = weight * (hp.v * np.exp(-exponent))
+    varying = [
+        (k, np.subtract.outer(col, col) ** 2)
+        for k, col in enumerate(model.x_train.T)
+        if np.any(col != col[0])
+    ]
+    wk = weight * (hp.v * np.exp(-sum(hp.w[k] * d for k, d in varying)))
     grad = np.zeros(hp.p + 1)
     grad[0] = wk.sum()
-    for k, d in enumerate(sqdiff):
-        if d is not None:
-            grad[k + 1] = -hp.w[k] * np.vdot(wk, d)
+    for k, d in varying:
+        grad[k + 1] = -hp.w[k] * np.vdot(wk, d)
     return grad
 
 
-def gp_nlml_gradient(model: GpModel, sqdiff: list[np.ndarray | None] | None = None) -> np.ndarray:
+def gp_nlml_gradient(model: GpModel) -> np.ndarray:
     """Gradient of ``gp_nlml`` in (log v, log w_1, ..., log w_p).
 
     dNLML/dtheta_j = 1/2 tr((C^-1 - alpha alpha^T) dC/dtheta_j) with
     C = K + eps*I (GPML eq. 5.9); C^-1 = L^-T L^-1 comes from the fitted
-    factor. ``sqdiff`` holds the per-column squared differences of the
-    training inputs when the caller has them already.
+    factor.
     """
     linv = triangular_inverse(model.factor)
     weight = linv.T @ linv - np.outer(model.alpha, model.alpha)
-    return _log_hyper_gradient(model, 0.5 * weight, sqdiff)
+    return _log_hyper_gradient(model, 0.5 * weight)
 
 
-def gp_loo_sse_gradient(
-    model: GpModel, sqdiff: list[np.ndarray | None] | None = None
-) -> np.ndarray:
+def gp_loo_sse_gradient(model: GpModel) -> np.ndarray:
     """Gradient of ``gp_loo_sse`` in (log v, log w_1, ..., log w_p).
 
     With c = diag(C^-1) and LOO residuals r = alpha / c, the derivatives
     d alpha = -C^-1 dC alpha and d C^-1 = -C^-1 dC C^-1 (GPML section
     5.4.2; Sundararajan & Keerthi, 2001) give
     dSSE/dtheta_j = 2 tr(W dC/dtheta_j) with
-    W = C^-1 diag(r^2 / c) C^-1 - (C^-1 (r / c)) alpha^T. ``sqdiff`` as
-    for ``gp_nlml_gradient``.
+    W = C^-1 diag(r^2 / c) C^-1 - (C^-1 (r / c)) alpha^T.
     """
     linv = triangular_inverse(model.factor)
     cinv = linv.T @ linv
@@ -309,7 +293,7 @@ def gp_loo_sse_gradient(
     resid = model.alpha / c
     weight = cinv @ ((resid * resid / c)[:, None] * cinv)
     weight -= np.outer(cinv @ (resid / c), model.alpha)
-    return _log_hyper_gradient(model, 2.0 * weight, sqdiff)
+    return _log_hyper_gradient(model, 2.0 * weight)
 
 
 _OBJECTIVES = {"nlml": gp_nlml, "sse": gp_loo_sse}
@@ -342,9 +326,9 @@ def gp_optimize_hyperparams(
     score, score_gradient = _OBJECTIVES[objective], _GRADIENTS[objective]
     x = _as_input_matrix(x_train, hp0.p)
     y = np.asarray(y_train, dtype=float).ravel()
-    sqdiff = _squared_differences(x)
     start = np.array([hp0.v, *hp0.w])
-    free = np.array([True] + [d is not None for d in sqdiff])
+    # the weights of constant columns (none when x has no rows) stay fixed
+    free = np.array([True, *np.any(x != x[:1], axis=0)])
     last: dict[bytes, GpModel] = {}  # the model at the latest point fitted
 
     def hyper(theta: np.ndarray) -> GpHyperParams:
@@ -368,7 +352,7 @@ def gp_optimize_hyperparams(
             return math.inf
 
     def grad(theta: np.ndarray) -> np.ndarray:
-        return score_gradient(fitted(theta), sqdiff)
+        return score_gradient(fitted(theta))
 
     config = config or DescentConfig(step=0.1, tolerance=1e-9, max_iters=200)
     return hyper(gradient_descent(obj, grad, np.log(start), config).x)

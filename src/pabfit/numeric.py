@@ -161,17 +161,22 @@ class DescentResult:
     converged: bool
 
 
+# central-difference step: the error is the truncation, of order h^2, plus
+# the objective's rounding divided by h, and 1e-3 balances the two for
+# objectives accurate to ~1e-8 relative, as the GP ones are
+_FD_STEP = 1e-3
+
+
 def finite_difference_gradient(
-    objective: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6
+    objective: Callable[[np.ndarray], float], x: np.ndarray
 ) -> np.ndarray:
-    """Central-difference gradient with the same step ``h`` in every coordinate.
+    """Central-difference gradient with the step 1e-3 in every coordinate.
 
     The reference that closed-form gradients are tested against; the
-    descent never calls it. Its error is the truncation error, of order
-    h^2, plus the objective's rounding divided by h, so a step near 1e-3
-    suits an objective accurate to ~1e-8 relative.
+    descent never calls it.
     """
     x = np.asarray(x, dtype=float)
+    h = _FD_STEP
     grad = np.empty_like(x)
     for i in range(x.size):
         xp = x.copy()

@@ -150,7 +150,7 @@ def assert_sse_gradient_matches_fd(a, b, form, data):
         return float(np.dot(r, r))
 
     analytic = exp_model_sse_gradient(ExpModelParams(a=a, b=b, exponent_form=form), t, w, y)
-    reference = finite_difference_gradient(sse, np.array([a, b]), h=1e-3)
+    reference = finite_difference_gradient(sse, np.array([a, b]))
     scale = np.max(np.abs(analytic))
     assert scale > 0
     assert np.max(np.abs(analytic - reference)) <= 1e-4 * scale, (form, analytic, reference)

@@ -491,7 +491,7 @@ def assert_gradient_matches_fd(score, gradient, hp, x, y):
     analytic = gradient(gp_fit(hp, x, y))
     theta = np.log([hp.v, *hp.w])
     objective = log_space_objective(score, x, y, hp.epsilon)
-    reference = finite_difference_gradient(objective, theta, h=1e-3)
+    reference = finite_difference_gradient(objective, theta)
     scale = np.max(np.abs(analytic))
     assert scale > 0
     err = np.max(np.abs(analytic - reference))
@@ -568,3 +568,9 @@ class TestOptimizeWithGradients:
         gp_optimize_hyperparams(x, y, default_hyperparams(series.contaminant), objective="sse")
         assert counts["objective"] > 2
         assert counts["fits"] == counts["objective"]
+
+    @pytest.mark.parametrize("objective", ["nlml", "sse"])
+    def test_no_training_rows_rejected(self, objective):
+        hp0 = GpHyperParams(v=1.0, w=(1.0, 2.0))
+        with pytest.raises(InvalidInput, match="at least one training point"):
+            gp_optimize_hyperparams(np.empty((0, 2)), np.empty(0), hp0, objective=objective)
