@@ -4,12 +4,16 @@ Every subcommand reads CSV series and/or JSON reports, runs the matching
 model module, and writes a report atomically. Identical options (and seed)
 produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 3 validation errors, 4 numeric failures, 5 I/O failures.
+
+``predict`` and ``_rebuild_model`` are the only code here that tells the
+model families apart; every grid option is read through ``_grid``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -43,13 +47,16 @@ from .errors import InvalidInput, PabfitError, ParseError, ValidationError
 from .expmodel import ExpModelParams, ExponentForm, exp_model_eval, fit_exp_model
 from .gp import (
     DEFAULT_EPSILON,
+    INPUT_NAMES,
     GpHyperParams,
     GpModel,
-    build_inputs,
     default_hyperparams,
+    design_matrix,
     gp_fit,
     gp_optimize_hyperparams,
     gp_predict,
+    input_names,
+    training_set,
 )
 from .kinetics import KineticFitResult, fit_first_order, predict_first_order
 from .metrics import compute_metrics
@@ -78,6 +85,14 @@ def _floats(text: str, flag: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ParseError(f"{flag}: cannot parse {text!r} as comma-separated numbers") from None
+
+
+def _grid(text: str | float, flag: str) -> list[float]:
+    """Values of a grid option (its string, or the float argparse read)."""
+    values = _floats(str(text), flag)
+    if not values or not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ValidationError(f"{flag} needs one or more finite values >= 0, got {text!r}")
+    return values
 
 
 def _parse_hyper(text: str) -> tuple[float | None, list[float], float | None]:
@@ -195,25 +210,20 @@ def _cmd_fit_exp(args) -> int:
     with _stage("fit"):
         removal = to_removal_series(series)
         t_norm = transform_time(series)
-        data = [
-            (tn, r.thickness_w, r.removal_fraction)
-            for tn, r in zip(t_norm.t_norm, removal)
-        ]
+        w = np.array([r.thickness_w for r in removal])
+        observed = np.array([r.removal_fraction for r in removal])
         x0 = _floats(args.x0, "--x0")
         if len(x0) != 2:
             raise ValidationError(f"--x0 needs exactly two values, got {len(x0)}")
         config = DescentConfig(step=0.1, tolerance=1e-16, max_iters=args.max_iters)
         params = fit_exp_model(
-            data,
+            list(zip(t_norm.t_norm, w, observed)),
             x0=x0,
             contaminant=contaminant,
             exponent_form=ExponentForm(args.exponent_form),
             config=config,
         )
-        observed = np.array([r.removal_fraction for r in removal])
-        predicted = np.array(
-            [exp_model_eval(params, tn, r.thickness_w) for tn, r in zip(t_norm.t_norm, removal)]
-        )
+        predicted, _ = predict(params, t_norm.t_norm, w)
         metrics = compute_metrics(observed, predicted)
     rows = [
         PredictionRow(
@@ -271,7 +281,7 @@ def _cmd_fit_gp(args) -> int:
         series = _load(args, contaminant)
     with _stage("fit"):
         hp = _resolve_hyper(args, contaminant)
-        x, y, ph_assumed = build_inputs(series, default_ph=args.default_ph)
+        x, y, ph_assumed, times = training_set(series, default_ph=args.default_ph)
         if x.shape[1] != hp.p:
             raise ValidationError(
                 f"{hp.p} kernel weights but the {contaminant.value} design matrix has "
@@ -280,24 +290,21 @@ def _cmd_fit_gp(args) -> int:
         if args.optimize:
             hp = gp_optimize_hyperparams(x, y, hp, objective=args.objective)
         model = gp_fit(hp, x, y)
-        pred = gp_predict(model, x)
-        metrics = compute_metrics(y, pred.mean)
-    t_norm = transform_time(series)
-    removal = to_removal_series(series)
-    rows = []
-    for i, r in enumerate(removal):
-        inputs = {"time_min": r.t_raw, "t_norm": float(x[i, 0])}
-        if contaminant is Contaminant.PB:
-            inputs["ph"] = float(x[i, 1])
-        inputs["thickness_cm"] = float(x[i, -1])
-        rows.append(
-            PredictionRow(
-                inputs=inputs,
-                predicted=float(pred.mean[i]),
-                observed=float(y[i]),
-                variance=float(pred.variance[i]),
-            )
+        names = input_names(x.shape[1])
+        columns = dict(zip(names, x.T))
+        mean, variance = predict(
+            model, columns["t_norm"], columns["thickness_cm"], columns.get("ph")
         )
+        metrics = compute_metrics(y, mean)
+    rows = [
+        PredictionRow(
+            inputs={"time_min": float(t), **dict(zip(names, map(float, xi)))},
+            predicted=float(m),
+            observed=float(yi),
+            variance=float(v),
+        )
+        for t, xi, m, yi, v in zip(times.t_raw, x, mean, y, variance)
+    ]
     report = FitReport(
         model_kind=ModelKind.GAUSSIAN_PROCESS,
         parameters={
@@ -305,7 +312,7 @@ def _cmd_fit_gp(args) -> int:
             "w": list(hp.w),
             "epsilon": hp.epsilon,
             "p": hp.p,
-            "time_denominator": t_norm.denominator,
+            "time_denominator": times.denominator,
             "jitter_used": model.factor.jitter_used,
             "default_ph": args.default_ph if contaminant is Contaminant.PB else None,
             "ph_assumed": ph_assumed,
@@ -328,7 +335,12 @@ def _cmd_fit_gp(args) -> int:
 
 
 def _rebuild_model(report: FitReport):
-    """Reconstruct a fitted model from its report."""
+    """Reconstruct a fitted model from its report.
+
+    Returns ``(model, inputs)``: ``inputs`` names the model's inputs after
+    the time in minutes, as ``predict`` rows carry them (none for the
+    first-order model, which takes raw minutes).
+    """
     params = report.parameters
     if report.model_kind is ModelKind.FIRST_ORDER:
         return KineticFitResult(
@@ -337,7 +349,7 @@ def _rebuild_model(report: FitReport):
             r2=report.metrics.r2 if report.metrics else 0.0,
             n_points=params.get("n_points", 3),
             degenerate=params.get("degenerate", False),
-        )
+        ), ()
     if report.model_kind is ModelKind.EXPONENTIAL:
         return ExpModelParams(
             a=params["a"],
@@ -345,18 +357,46 @@ def _rebuild_model(report: FitReport):
             sse=params.get("sse", 0.0),
             converged=params.get("converged", True),
             exponent_form=ExponentForm(params.get("exponent_form", "literal")),
-        )
+        ), input_names(2)  # (t_norm, W), as a GP without pH
     hp = GpHyperParams(v=params["v"], w=tuple(params["w"]), epsilon=params["epsilon"])
     train = [row for row in report.predictions if row.observed is not None]
     if not train:
         raise ValidationError("GP report carries no training rows; cannot rebuild the model")
-    cols = ["t_norm"] + (["ph"] if hp.p == 3 else []) + ["thickness_cm"]
+    names = input_names(hp.p)
     try:
-        x = np.array([[row.inputs[c] for c in cols] for row in train])
+        columns = {name: [row.inputs[name] for row in train] for name in names}
     except KeyError as e:
         raise ValidationError(f"GP report rows lack input column {e}") from None
+    x = design_matrix(columns["t_norm"], columns["thickness_cm"], columns.get("ph"))
     y = np.array([row.observed for row in train])
-    return gp_fit(hp, x, y)
+    return gp_fit(hp, x, y), names
+
+
+def predict(model, t_norm, w, ph=None):
+    """``(mean, variance)`` of a fitted model, in the inputs' broadcast shape.
+
+    Per-point arrays give one prediction per point, ``t[:, None], w[None, :]``
+    a (time, thickness) grid. The first-order model takes raw minutes and
+    ``w`` None. Only a GP with a pH input reads ``ph``, its mean training pH
+    by default. ``variance`` is None for all but the GP.
+    """
+    if isinstance(model, KineticFitResult):
+        if w is not None:
+            raise ValidationError("the first-order model has no thickness input")
+        return predict_first_order(model, t_norm), None
+    if w is None:
+        raise ValidationError("the exponential and GP models need a thickness grid")
+    if isinstance(model, ExpModelParams):
+        return exp_model_eval(model, t_norm, w), None
+    if not isinstance(model, GpModel):
+        raise InvalidInput(f"cannot predict with a {type(model).__name__}")
+    if model.hp.p != len(INPUT_NAMES):
+        ph = None
+    elif ph is None:
+        ph = float(np.mean(model.x_train[:, INPUT_NAMES.index("ph")]))
+    shape = np.broadcast_shapes(np.shape(t_norm), np.shape(w), np.shape(ph))
+    pred = gp_predict(model, design_matrix(t_norm, w, ph))
+    return pred.mean.reshape(shape), pred.variance.reshape(shape)
 
 
 def optimum_thickness_scan(model, w_grid, t_fixed: float, ph: float | None = None):
@@ -368,91 +408,43 @@ def optimum_thickness_scan(model, w_grid, t_fixed: float, ph: float | None = Non
     grid = sorted(float(w) for w in w_grid)
     if not grid:
         raise InvalidInput("thickness grid must be non-empty")
-    if isinstance(model, ExpModelParams):
-        preds = [float(exp_model_eval(model, t_fixed, w)) for w in grid]
-    elif isinstance(model, GpModel):
-        if model.hp.p == 3:
-            if ph is None:
-                ph = float(np.mean(model.x_train[:, 1]))
-            rows = [[t_fixed, ph, w] for w in grid]
-        else:
-            rows = [[t_fixed, w] for w in grid]
-        preds = [float(m) for m in gp_predict(model, np.array(rows)).mean]
-    else:
-        raise InvalidInput(
-            f"thickness scan needs an exponential or GP model, got {type(model).__name__}"
-        )
-    best = int(np.argmax(preds))  # first max on the ascending grid = smallest W
-    return grid[best], preds[best]
+    removal, _ = predict(model, t_fixed, np.array(grid), ph)
+    best = int(np.argmax(removal))  # first max on the ascending grid = smallest W
+    return grid[best], float(removal[best])
 
 
 def _cmd_predict(args) -> int:
     with _stage("load"):
         report = read_report(resolve_input(args.model))
-        model = _rebuild_model(report)
+        model, inputs = _rebuild_model(report)
     with _stage("predict"):
-        t_grid = _floats(args.t_grid, "--t-grid")
-        if not t_grid:
-            raise ValidationError("--t-grid must contain at least one time")
-        rows = []
-        if report.model_kind is ModelKind.FIRST_ORDER:
-            if args.w_grid is not None:
-                raise ValidationError("the first-order model has no thickness input")
-            for t in t_grid:
-                if t < 0:
-                    raise ValidationError(f"time {t} min is negative")
-                rows.append(
-                    PredictionRow(
-                        inputs={"time_min": t},
-                        predicted=float(predict_first_order(model, t)),
-                    )
-                )
-        else:
+        minutes = np.array(_grid(args.t_grid, "--t-grid"))[:, None]
+        w = None if args.w_grid is None else np.array(_grid(args.w_grid, "--w-grid"))[None, :]
+        ph = report.parameters.get("default_ph") or 7.0
+        if args.ph is not None:
+            ph = _grid(args.ph, "--ph")[0]
+        t = minutes
+        if "t_norm" in inputs:  # minutes -> ln(t) / ln(t_max) of the training series
             denom = report.parameters.get("time_denominator")
             if denom is None:
                 raise ValidationError("report lacks time_denominator; cannot map minutes")
-            if args.w_grid is None:
-                raise ValidationError("--w-grid is required for this model kind")
-            w_grid = _floats(args.w_grid, "--w-grid")
             horizon = float(np.exp(denom))
-            t_norms = []
-            for t in t_grid:
-                if not (1.0 < t <= horizon * (1.0 + 1e-12)):
-                    raise ValidationError(
-                        f"time {t} min outside the model's range (1, {horizon:.0f}]"
-                    )
-                t_norms.append(float(np.log(t) / denom))
-            if report.model_kind is ModelKind.EXPONENTIAL:
-                for t, tn in zip(t_grid, t_norms):
-                    for w in w_grid:
-                        rows.append(
-                            PredictionRow(
-                                inputs={"time_min": t, "t_norm": tn, "thickness_cm": w},
-                                predicted=float(exp_model_eval(model, tn, w)),
-                            )
-                        )
-            else:
-                ph = args.ph
-                if model.hp.p == 3 and ph is None:
-                    ph = report.parameters.get("default_ph") or 7.0
-                queries = []
-                inputs_list = []
-                for t, tn in zip(t_grid, t_norms):
-                    for w in w_grid:
-                        inputs = {"time_min": t, "t_norm": tn, "thickness_cm": w}
-                        q = [tn, w]
-                        if model.hp.p == 3:
-                            inputs["ph"] = float(ph)
-                            q = [tn, float(ph), w]
-                        queries.append(q)
-                        inputs_list.append(inputs)
-                pred = gp_predict(model, np.array(queries))
-                for inputs, m, var in zip(inputs_list, pred.mean, pred.variance):
-                    rows.append(
-                        PredictionRow(
-                            inputs=inputs, predicted=float(m), variance=float(var)
-                        )
-                    )
+            outside = (minutes <= 1.0) | (minutes > horizon * (1.0 + 1e-12))
+            if np.any(outside):
+                raise ValidationError(
+                    f"time {float(minutes[outside][0])} min outside the model's range "
+                    f"(1, {horizon:.0f}]"
+                )
+            t = np.log(minutes) / denom
+        mean, variance = predict(model, t, w, ph)
+        values = {"time_min": minutes, "t_norm": t, "thickness_cm": w, "ph": ph}
+        names = ("time_min", *inputs)
+        grid = [a.ravel().tolist() for a in np.broadcast_arrays(*(values[n] for n in names))]
+        variances = [None] * mean.size if variance is None else variance.ravel().tolist()
+        rows = [
+            PredictionRow(inputs=dict(zip(names, point)), predicted=m, variance=v)
+            for *point, m, v in zip(*grid, mean.ravel().tolist(), variances)
+        ]
     out = FitReport(
         model_kind=report.model_kind,
         parameters=report.parameters,
@@ -469,23 +461,12 @@ def _cmd_predict(args) -> int:
 def _cmd_synth(args) -> int:
     generator = Generator(args.generator.replace("-", "_"))
     params: dict[str, float] = {"c0": args.c0, "thickness_cm": args.thickness}
-    if args.ph is not None:
-        params["ph"] = args.ph
-    if args.k is not None:
-        params["k"] = args.k
-    if args.a is not None:
-        params["a"] = args.a
-    if args.b is not None:
-        params["b"] = args.b
-    if args.v is not None:
-        params["v"] = args.v
+    for key in ("ph", "k", "a", "b", "v", "mean", "epsilon"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     if args.w is not None:
         for i, wi in enumerate(_floats(args.w, "--w"), start=1):
             params[f"w{i}"] = wi
-    if args.mean is not None:
-        params["mean"] = args.mean
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
     schedule = DEFAULT_SCHEDULE if args.schedule is None else _floats(args.schedule, "--schedule")
     spec = SyntheticSpec(
         generator=generator,
@@ -509,6 +490,9 @@ def _cmd_report(args) -> int:
     with _stage("load"):
         loaded = [(path, read_report(resolve_input(path))) for path in args.inputs]
     with _stage("scan"):
+        scan_w = None if args.scan_w is None else sorted(_grid(args.scan_w, "--scan-w"))
+        ph = None if args.ph is None else _grid(args.ph, "--ph")[0]
+        scan_t = _grid(args.scan_t, "--scan-t")[0]
         for path, report in loaded:
             entry = {
                 "source": Path(path).name,
@@ -524,17 +508,16 @@ def _cmd_report(args) -> int:
                 },
                 "thickness_scan": None,
             }
-            if args.scan_w is not None and report.model_kind is not ModelKind.FIRST_ORDER:
-                model = _rebuild_model(report)
-                w_star, removal = optimum_thickness_scan(
-                    model, _floats(args.scan_w, "--scan-w"), args.scan_t, ph=args.ph
-                )
-                entry["thickness_scan"] = {
-                    "t_norm": args.scan_t,
-                    "w_grid": sorted(_floats(args.scan_w, "--scan-w")),
-                    "optimum_w_cm": w_star,
-                    "removal_at_optimum": removal,
-                }
+            if scan_w is not None:
+                model, inputs = _rebuild_model(report)
+                if "thickness_cm" in inputs:  # not the first-order model
+                    w_star, removal = optimum_thickness_scan(model, scan_w, scan_t, ph=ph)
+                    entry["thickness_scan"] = {
+                        "t_norm": scan_t,
+                        "w_grid": scan_w,
+                        "optimum_w_cm": w_star,
+                        "removal_at_optimum": removal,
+                    }
             comparison.append(entry)
     payload = {
         "model_kind": "comparison",

@@ -7,6 +7,9 @@ identical bytes) plus a flat CSV of prediction rows for external plotting.
 All writes are write-to-temp + atomic rename: a failing run leaves no
 partial output behind.
 
+The loader checks only the CSV (header, columns, time cells present and
+> 1); the ``ObservationSeries`` constructor checks the values.
+
 Synthetic series are seeded through numpy's default PCG64 generator, which
 is stable across platforms and releases; the seed alone reproduces a file.
 """
@@ -18,7 +21,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -37,7 +40,7 @@ from .domain import (
 )
 from .errors import FileIOError, InvalidSpec, ParseError, ValidationError
 from .expmodel import ExpModelParams, exp_model_eval
-from .gp import DEFAULT_EPSILON, GpHyperParams, kernel_matrix
+from .gp import DEFAULT_EPSILON, GpHyperParams, design_matrix, kernel_matrix
 from .metrics import FitMetrics
 from .numeric import cholesky
 
@@ -72,11 +75,12 @@ def _parse_cell(raw: str | None, row: int, column: str) -> float | None:
 
 
 def load_series(f: DatasetFile) -> ObservationSeries:
-    """Read and validate a CSV file into an :class:`ObservationSeries`.
+    """Read a CSV file into an :class:`ObservationSeries`.
 
     Row numbers in error messages count data rows from 1 (the header is
-    row 0). Unknown columns raise when ``strict_columns`` is set and warn
-    otherwise; ``removal_pct`` is divided by 100 on the way in.
+    row 0), here and in the constructor, which checks the values. Unknown
+    columns raise when ``strict_columns`` is set and warn otherwise;
+    ``removal_pct`` is divided by 100 on the way in.
     """
     path = Path(f.path)
     schema = {c: c for c in CANONICAL_COLUMNS}
@@ -106,7 +110,6 @@ def load_series(f: DatasetFile) -> ObservationSeries:
         )
 
     samples = []
-    prev_t = None
     for i, row in enumerate(reader, start=1):
         def cell(canonical: str) -> float | None:
             if canonical not in present:
@@ -120,14 +123,7 @@ def load_series(f: DatasetFile) -> ObservationSeries:
             raise ValidationError(
                 f"row {i}: time {t} min is <= 1; the log-time transform is undefined there"
             )
-        if prev_t is not None and t <= prev_t:
-            raise ValidationError(f"row {i}: times must be strictly increasing")
-        prev_t = t
         conc = cell("concentration_mg_l")
-        if conc is not None and conc > f.c0 * (1.0 + 1e-9):
-            raise ValidationError(
-                f"row {i}: concentration {conc} exceeds c0 {f.c0}"
-            )
         pct = cell("removal_pct")
         thickness = cell("thickness_cm")
         if thickness is None:
@@ -221,13 +217,10 @@ def generate_synthetic(spec: SyntheticSpec) -> ObservationSeries:
         hp = GpHyperParams(
             v=v, w=tuple(weights), epsilon=float(p.get("epsilon", DEFAULT_EPSILON))
         )
-        # columns follow the fitting convention: (t_norm[, pH][, W])
-        columns = [t_norm]
-        if len(weights) == 3:
-            columns.append(np.full(t.size, 7.0 if ph is None else float(ph)))
-        if len(weights) >= 2:
-            columns.append(np.full(t.size, thickness))
-        x = np.column_stack(columns)
+        # the fitting layout, with pH for three weights; a single weight
+        # sees the first column, t_norm, alone
+        ph_column = 7.0 if ph is None else float(ph)
+        x = design_matrix(t_norm, thickness, ph_column if hp.p == 3 else None)[:, : hp.p]
         cov = kernel_matrix(hp, x)
         cov[np.diag_indices_from(cov)] += hp.epsilon
         factor = cholesky(cov)

@@ -3,12 +3,15 @@
 A run is an :class:`ObservationSeries` of time-ordered samples holding a
 concentration, a removal fraction, or both. Removal is always stored as a
 fraction in [0, 1]; percent is a display concern only.
+
+Every check on the values of a series runs once, in the ``ObservationSeries``
+constructor, whoever builds it; its messages name the 1-based data row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -63,57 +66,48 @@ class ObservationSeries:
             raise InvalidInput(f"a series needs at least 3 samples, got {len(samples)}")
         filled = []
         prev_t = -math.inf
-        for i, s in enumerate(samples):
+        c_max = self.c0 * (1.0 + CONSISTENCY_TOL)
+        for i, s in enumerate(samples, start=1):
             if not (s.t_raw > 0) or not math.isfinite(s.t_raw):
-                raise InvalidTime(f"sample {i}: time must be positive, got {s.t_raw}")
+                raise InvalidTime(f"row {i}: time must be positive, got {s.t_raw}")
             if s.t_raw <= prev_t:
                 raise InvalidInput(
-                    f"sample {i}: times must be strictly increasing "
-                    f"({s.t_raw} after {prev_t})"
+                    f"row {i}: times must be strictly increasing ({s.t_raw} after {prev_t})"
                 )
             prev_t = s.t_raw
             if s.concentration is None and s.removal_fraction is None:
-                raise InvalidInput(
-                    f"sample {i}: needs a concentration or a removal fraction"
-                )
+                raise InvalidInput(f"row {i}: needs a concentration or a removal fraction")
             if s.concentration is not None and not (
                 math.isfinite(s.concentration) and s.concentration >= 0
             ):
                 raise InvalidInput(
-                    f"sample {i}: concentration must be finite and >= 0, "
-                    f"got {s.concentration}"
+                    f"row {i}: concentration must be finite and >= 0, got {s.concentration}"
                 )
-            if s.removal_fraction is not None and not (
-                0.0 <= s.removal_fraction <= 1.0
-            ):
+            if s.concentration is not None and s.concentration > c_max:
+                raise InconsistentSample(
+                    f"row {i}: concentration {s.concentration} exceeds c0 {self.c0}"
+                )
+            if s.removal_fraction is not None and not (0.0 <= s.removal_fraction <= 1.0):
                 raise InvalidInput(
-                    f"sample {i}: removal fraction outside [0, 1]: {s.removal_fraction}"
+                    f"row {i}: removal fraction outside [0, 1]: {s.removal_fraction}"
                 )
             if s.concentration is not None and s.removal_fraction is not None:
                 implied = (self.c0 - s.concentration) / self.c0
                 if abs(implied - s.removal_fraction) > CONSISTENCY_TOL:
                     raise InconsistentSample(
-                        f"sample {i}: removal {s.removal_fraction} disagrees with "
+                        f"row {i}: removal {s.removal_fraction} disagrees with "
                         f"concentration {s.concentration} (implies {implied})"
                     )
+            if s.ph is not None and not math.isfinite(s.ph):
+                raise InvalidInput(f"row {i}: pH must be finite, got {s.ph}")
             thickness = s.thickness_w
             if thickness is None:
                 thickness = self.barrier_thickness_cm
             if thickness is None:
-                raise InvalidInput(
-                    f"sample {i}: no thickness and no series-level barrier thickness"
-                )
-            if thickness < 0:
-                raise InvalidInput(f"sample {i}: thickness must be >= 0, got {thickness}")
-            if thickness != s.thickness_w:
-                s = Sample(
-                    t_raw=s.t_raw,
-                    concentration=s.concentration,
-                    removal_fraction=s.removal_fraction,
-                    thickness_w=thickness,
-                    ph=s.ph,
-                )
-            filled.append(s)
+                raise InvalidInput(f"row {i}: no thickness and no series-level barrier thickness")
+            if not (math.isfinite(thickness) and thickness >= 0):
+                raise InvalidInput(f"row {i}: thickness must be finite and >= 0, got {thickness}")
+            filled.append(s if thickness == s.thickness_w else replace(s, thickness_w=thickness))
         object.__setattr__(self, "samples", tuple(filled))
 
     def times(self) -> np.ndarray:
@@ -141,27 +135,15 @@ class RemovalPoint(NamedTuple):
 def to_removal_series(series: ObservationSeries) -> list[RemovalPoint]:
     """Removal fraction (c0 - c_t)/c0 per sample.
 
-    Fractions a hair outside [0, 1] (within 1e-9) are clamped; a
-    concentration exceeding c0 beyond that tolerance is an error.
+    The constructor keeps every concentration within [0, c0 * (1 + 1e-9)],
+    so a fraction can fall below 0 only by that round-off, and is clamped
+    to 0 there.
     """
     out = []
-    for i, s in enumerate(series.samples):
-        if s.removal_fraction is not None:
-            frac = s.removal_fraction
-        else:
-            if s.concentration > series.c0 * (1.0 + CONSISTENCY_TOL):
-                raise InconsistentSample(
-                    f"sample {i}: concentration {s.concentration} exceeds c0 {series.c0}"
-                )
-            frac = (series.c0 - s.concentration) / series.c0
-            if frac < 0.0:
-                frac = 0.0  # within tolerance of zero, checked above
-            elif frac > 1.0:
-                if frac > 1.0 + CONSISTENCY_TOL:
-                    raise InconsistentSample(
-                        f"sample {i}: removal fraction {frac} above 1"
-                    )
-                frac = 1.0
+    for s in series.samples:
+        frac = s.removal_fraction
+        if frac is None:
+            frac = max(0.0, (series.c0 - s.concentration) / series.c0)
         out.append(RemovalPoint(s.t_raw, frac, s.thickness_w, s.ph))
     return out
 

@@ -84,16 +84,15 @@ def exp_model_sse_gradient(p: ExpModelParams, t_norm, w, removal) -> np.ndarray:
 
 
 def exp_model_grid(p: ExpModelParams, t_grid: Sequence[float], w_grid: Sequence[float]) -> np.ndarray:
-    """Matrix with entry [i, j] = exp_model_eval(p, t_grid[i], w_grid[j])."""
-    t = np.asarray(t_grid, dtype=float)
-    w = np.asarray(w_grid, dtype=float)
+    """Matrix with entry [i, j] = exp_model_eval(p, t_grid[i], w_grid[j]).
+
+    One broadcast evaluation; every entry has the bits of the scalar call.
+    """
+    t = np.asarray(t_grid, dtype=float).ravel()
+    w = np.asarray(w_grid, dtype=float).ravel()
     if t.size == 0 or w.size == 0:
         raise InvalidInput("prediction grids must be non-empty")
-    out = np.empty((t.size, w.size))
-    for i, ti in enumerate(t.ravel()):
-        for j, wj in enumerate(w.ravel()):
-            out[i, j] = exp_model_eval(p, ti, wj)
-    return out
+    return exp_model_eval(p, t[:, None], w[None, :])
 
 
 def fit_exp_model(

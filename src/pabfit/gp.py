@@ -16,17 +16,25 @@ L^-1; neither inverts the covariance matrix. The hyperparameter search
 descends on the closed-form gradients of both objectives in log space
 (GPML eq. 5.9 and section 5.4.2), which do need (K + eps*I)^-1 itself:
 they form it as L^-T L^-1 from the same factor.
+
+``design_matrix`` alone lays out the GP inputs, (t_norm, pH, W) for lead
+and (t_norm, W) for methylene blue, which reports name by ``INPUT_NAMES``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .domain import Contaminant, ObservationSeries, to_removal_series, transform_time
+from .domain import (
+    Contaminant,
+    ObservationSeries,
+    TransformedInputs,
+    to_removal_series,
+    transform_time,
+)
 from .errors import DimensionMismatch, InvalidInput, NotPositiveDefinite
 from .numeric import (
     CholeskyFactor,
@@ -42,8 +50,12 @@ from .numeric import (
 # diagonal jitter that keeps smooth kernel matrices invertible (~sqrt eps)
 DEFAULT_EPSILON = 1.490116e-08
 
-# reference hyperparameters shipped as CLI defaults; input columns are
-# (t_norm, pH, W) for lead and (t_norm, W) for methylene blue
+# report names of the design-matrix columns, in column order; a matrix
+# built without pH has the first and the last
+INPUT_NAMES = ("t_norm", "ph", "thickness_cm")
+
+# reference hyperparameters shipped as CLI defaults, one weight per
+# design-matrix column
 PB_GP_HYPERPARAMS_VALUES = dict(v=0.3852, w=(0.7839, 2.8869, 2.859e-9))
 MB_GP_HYPERPARAMS_VALUES = dict(v=0.2397, w=(14.6899, 2.2309))
 
@@ -89,6 +101,22 @@ def default_hyperparams(contaminant: Contaminant, epsilon: float = DEFAULT_EPSIL
     if contaminant is Contaminant.PB:
         return pb_default_hyperparams(epsilon)
     return mb_default_hyperparams(epsilon)
+
+
+def design_matrix(t_norm, w, ph=None) -> np.ndarray:
+    """GP inputs, columns (t_norm, pH, W), or (t_norm, W) when ``ph`` is None.
+
+    The arguments broadcast as numpy arrays do (scalars, per-point arrays,
+    a ``t[:, None], w[None, :]`` grid); rows follow that shape in C order.
+    """
+    columns = (t_norm, w) if ph is None else (t_norm, ph, w)
+    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
+    return np.column_stack([a.ravel() for a in arrays])
+
+
+def input_names(p: int) -> tuple[str, ...]:
+    """Report names of the columns of a design matrix with ``p`` columns."""
+    return INPUT_NAMES if p == len(INPUT_NAMES) else (INPUT_NAMES[0], INPUT_NAMES[-1])
 
 
 def kernel(hp: GpHyperParams, x, x2) -> float:
@@ -358,25 +386,30 @@ def gp_optimize_hyperparams(
     return hyper(gradient_descent(obj, grad, np.log(start), config).x)
 
 
+def training_set(
+    series: ObservationSeries, default_ph: float = 7.0
+) -> tuple[np.ndarray, np.ndarray, bool, TransformedInputs]:
+    """``build_inputs`` plus the log-time transform its first column came from."""
+    removal = to_removal_series(series)
+    times = transform_time(series)
+    ph = None
+    ph_assumed = False
+    if series.contaminant is Contaminant.PB:
+        ph_assumed = any(r.ph is None for r in removal)
+        ph = [default_ph if r.ph is None else r.ph for r in removal]
+    x = design_matrix(times.t_norm, [r.thickness_w for r in removal], ph)
+    y = np.array([r.removal_fraction for r in removal])
+    return x, y, ph_assumed, times
+
+
 def build_inputs(
     series: ObservationSeries, default_ph: float = 7.0
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Assemble the (X, y) training arrays for a series.
 
-    Columns are (t_norm, pH, W) for lead and (t_norm, W) for methylene
-    blue. Returns ``(X, y, ph_assumed)`` where ``ph_assumed`` is True when
-    any pH value had to be filled from ``default_ph``; reports should
-    surface that flag.
+    X is the ``design_matrix`` of the samples: with the pH column for lead,
+    without it for methylene blue. Returns ``(X, y, ph_assumed)`` where
+    ``ph_assumed`` is True when any pH value had to be filled from
+    ``default_ph``; reports should surface that flag.
     """
-    removal = to_removal_series(series)
-    t_norm = transform_time(series).t_norm
-    y = np.array([r.removal_fraction for r in removal])
-    w = np.array([r.thickness_w for r in removal])
-    if series.contaminant is Contaminant.PB:
-        ph_assumed = any(r.ph is None for r in removal)
-        ph = np.array([default_ph if r.ph is None else r.ph for r in removal])
-        x = np.column_stack([t_norm, ph, w])
-    else:
-        ph_assumed = False
-        x = np.column_stack([t_norm, w])
-    return x, y, ph_assumed
+    return training_set(series, default_ph)[:3]

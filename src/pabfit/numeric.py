@@ -6,6 +6,8 @@ computed once and reused through triangular solves. ``solve_lower`` is the
 forward half alone (L^-1 rhs), enough wherever only a quadratic form is
 needed; ``inverse_diagonal`` reads diag(M^-1) off the triangular inverse
 L^-1, which costs a third of the flops of solving against the identity.
+scipy.linalg supplies the triangular solves and LAPACK's ``dtrtri``; it is
+imported on first use, so commands that factor no matrix never load it.
 The optimizer is plain steepest descent on a caller-supplied gradient with
 a backtracking (halving) line search. ``finite_difference_gradient`` is no
 part of it: it is the reference the tests hold each closed-form gradient
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     DimensionMismatch,
@@ -104,6 +104,8 @@ def solve_lower(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
     For a column k, ``||L^-1 k||^2 = k^T (M + jitter_used * I)^-1 k``.
     """
+    from scipy.linalg import solve_triangular
+
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != factor.n:
         raise DimensionMismatch(
@@ -117,6 +119,8 @@ def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
 
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
     """
+    from scipy.linalg import solve_triangular
+
     return solve_triangular(factor.lower.T, solve_lower(factor, rhs), lower=False)
 
 
@@ -130,6 +134,8 @@ def triangular_inverse(factor: CholeskyFactor) -> np.ndarray:
     NotPositiveDefinite
         If LAPACK reports the factor singular (a zero on its diagonal).
     """
+    from scipy.linalg.lapack import dtrtri
+
     inv, info = dtrtri(factor.lower, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse failed (LAPACK dtrtri info={info})")

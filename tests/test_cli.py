@@ -5,11 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from pabfit.cli import main, optimum_thickness_scan
-from pabfit.dataio import report_csv_path
-from pabfit.errors import InvalidInput
-from pabfit.expmodel import ExpModelParams
-from pabfit.gp import GpHyperParams, gp_fit
+from pabfit.cli import main, optimum_thickness_scan, predict
+from pabfit.dataio import fixture_dir, load_fixture, report_csv_path
+from pabfit.errors import InvalidInput, ValidationError
+from pabfit.expmodel import ExpModelParams, ExponentForm, exp_model_eval
+from pabfit.gp import (
+    GpHyperParams,
+    build_inputs,
+    gp_fit,
+    gp_predict,
+    mb_default_hyperparams,
+    pb_default_hyperparams,
+)
+from pabfit.kinetics import KineticFitResult
 
 
 def run_cli(*argv):
@@ -298,6 +306,159 @@ class TestPredict:
             str(tmp_path / "p.json"),
         )
         assert code == 3
+
+
+def corrupted_fixture(tmp_path, column, value):
+    """pcbc_run1.csv with the cell of ``column`` in data row 5 set to ``value``."""
+    lines = (fixture_dir() / "pcbc_run1.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[5].split(",")
+    cells[header.index(column)] = value
+    lines[5] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestNonFiniteSampleValues:
+    @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
+    @pytest.mark.parametrize("column,value", [("thickness_cm", "nan"), ("ph", "inf")])
+    def test_rejected_at_load(self, tmp_path, capsys, command, column, value):
+        bad = corrupted_fixture(tmp_path, column, value)
+        out = tmp_path / "o.json"
+        code = run_cli(command, "--input", str(bad), "--output", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "stage=load code=3" in err
+        assert "row 5" in err
+        assert not out.exists()
+
+
+class TestBadGrids:
+    def fit(self, tmp_path, *argv):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run_cli(*argv, "--output", str(out)) == 0
+        return str(out)
+
+    def kinetics(self, tmp_path):
+        return self.fit(tmp_path, "fit-kinetics", "--input", "pcbc_run1.csv")
+
+    def exp(self, tmp_path):
+        return self.fit(tmp_path, "fit-exp", "--input", "mb_run1.csv", "--contaminant", "mb")
+
+    def gp(self, tmp_path):
+        return self.fit(tmp_path, "fit-gp", "--input", "pcbc_run1.csv")
+
+    def check_rejected(self, tmp_path, capsys, stage, *argv):
+        out = tmp_path / "o.json"
+        assert run_cli(*argv, "--output", str(out)) == 3
+        assert f"stage={stage} code=3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_time_on_kinetics(self, tmp_path, capsys):
+        model = self.kinetics(tmp_path)
+        self.check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", "nan")
+
+    @pytest.mark.parametrize("w_grid", ["nan", ",", "1,-0.5"])
+    @pytest.mark.parametrize("model_kind", ["exp", "gp"])
+    def test_bad_thickness_grid(self, tmp_path, capsys, w_grid, model_kind):
+        model = getattr(self, model_kind)(tmp_path)
+        self.check_rejected(
+            tmp_path, capsys, "predict",
+            "predict", "--model", model, "--t-grid", "60,3600", "--w-grid", w_grid,
+        )
+
+    @pytest.mark.parametrize("t_grid", ["-10", ",", "inf"])
+    def test_bad_time_grid(self, tmp_path, capsys, t_grid):
+        model = self.kinetics(tmp_path)
+        self.check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", t_grid)
+
+    def test_nan_ph(self, tmp_path, capsys):
+        model = self.gp(tmp_path)
+        self.check_rejected(
+            tmp_path, capsys, "predict",
+            "predict", "--model", model, "--t-grid", "60", "--w-grid", "1", "--ph", "nan",
+        )
+
+    @pytest.mark.parametrize("scan_w", ["nan", ",", "0,-1"])
+    def test_bad_scan_grid(self, tmp_path, capsys, scan_w):
+        model = self.exp(tmp_path)
+        self.check_rejected(
+            tmp_path, capsys, "scan", "report", "--inputs", model, "--scan-w", scan_w
+        )
+
+    @pytest.mark.parametrize("scan_t", ["nan", "-0.5"])
+    def test_bad_scan_time(self, tmp_path, capsys, scan_t):
+        model = self.exp(tmp_path)
+        self.check_rejected(
+            tmp_path, capsys, "scan",
+            "report", "--inputs", model, "--scan-w", "0,1", "--scan-t", scan_t,
+        )
+
+    def test_nan_scan_ph(self, tmp_path, capsys):
+        model = self.gp(tmp_path)
+        self.check_rejected(
+            tmp_path, capsys, "scan",
+            "report", "--inputs", model, "--scan-w", "0,1", "--ph", "nan",
+        )
+
+
+class TestPredictDispatch:
+    """``predict`` on a (t, W) grid against one model call per point."""
+
+    t = np.array([0.05, 0.3, 0.62, 0.9, 1.0])
+    w = np.array([0.0, 0.5, 1.0, 3.0])
+
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_exp_grid_equals_pointwise(self, form):
+        model = ExpModelParams(a=2.068, b=3.486, exponent_form=form)
+        mean, variance = predict(model, self.t[:, None], self.w[None, :])
+        assert variance is None
+        pointwise = [[exp_model_eval(model, ti, wj) for wj in self.w] for ti in self.t]
+        assert np.array_equal(mean, np.array(pointwise))
+
+    @pytest.mark.parametrize(
+        "fixture,hp,ph",
+        [("pcbc_run1.csv", pb_default_hyperparams(), 6.8), ("mb_run1.csv", mb_default_hyperparams(), None)],
+    )
+    def test_gp_grid_equals_pointwise_rows(self, fixture, hp, ph):
+        x, y, _ = build_inputs(load_fixture(fixture))
+        model = gp_fit(hp, x, y)
+        mean, variance = predict(model, self.t[:, None], self.w[None, :], ph)
+        assert mean.shape == variance.shape == (self.t.size, self.w.size)
+        # one row per point, (t, pH, W) or (t, W); a single gp_predict call,
+        # since single-row calls sum k(x, X) alpha in another order
+        rows = [[ti, ph, wj] if hp.p == 3 else [ti, wj] for ti in self.t for wj in self.w]
+        pred = gp_predict(model, np.array(rows))
+        assert np.array_equal(mean.ravel(), pred.mean)
+        assert np.array_equal(variance.ravel(), pred.variance)
+
+    def test_gp_ph_defaults_to_mean_training_ph(self):
+        x, y, _ = build_inputs(load_fixture("pcp_run1.csv"))
+        model = gp_fit(pb_default_hyperparams(), x, y)
+        given = predict(model, 1.0, self.w, float(np.mean(x[:, 1])))
+        assert all(np.array_equal(a, b) for a, b in zip(predict(model, 1.0, self.w), given))
+
+    def test_ph_ignored_without_ph_input(self):
+        model = ExpModelParams(a=2.068, b=3.486)
+        assert np.array_equal(predict(model, 1.0, self.w, 9.0)[0], predict(model, 1.0, self.w)[0])
+
+    def test_thickness_required_or_refused(self):
+        with pytest.raises(ValidationError, match="thickness grid"):
+            predict(ExpModelParams(a=1.0, b=1.0), self.t, None)
+        kinetics = KineticFitResult(k=-0.0006, ln_c0_fit=3.9, r2=1.0, n_points=3)
+        with pytest.raises(ValidationError, match="no thickness input"):
+            predict(kinetics, self.t, self.w)
+        mean, variance = predict(kinetics, np.array([0.0, 3600.0]), None)
+        assert variance is None
+        assert np.array_equal(mean, np.exp(-0.0006 * np.array([0.0, 3600.0]) + 3.9))
+
+
+def test_cli_import_leaves_scipy_unloaded(cli_env):
+    code = "import sys, pabfit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 class TestSynth:

@@ -92,8 +92,8 @@ class TestToRemovalSeries:
         assert to_removal_series(s)[0].removal_fraction == 0.0
 
     def test_concentration_above_c0_rejected(self):
-        s = series_from_concentrations([10, 20, 30], [50.001, 40.0, 30.0])
         with pytest.raises(InconsistentSample):
+            s = series_from_concentrations([10, 20, 30], [50.001, 40.0, 30.0])
             to_removal_series(s)
 
     def test_tiny_overshoot_clamped_to_zero(self):

@@ -89,6 +89,20 @@ class TestGrid:
         with pytest.raises(InvalidInput):
             exp_model_grid(ExpModelParams(a=1, b=1), [], [1.0])
 
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_broadcast_equals_double_loop_oracle(self, form):
+        rng = np.random.default_rng(23)
+        t_grid = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 38)])
+        w_grid = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 29)])
+        for a, b in (PB_EXP_PARAMS, MB_EXP_PARAMS, (0.519, 0.876), (3.876, -2.481)):
+            p = ExpModelParams(a=a, b=b, exponent_form=form)
+            # the double loop of scalar calls that exp_model_grid replaced
+            oracle = np.empty((t_grid.size, w_grid.size))
+            for i, ti in enumerate(t_grid):
+                for j, wj in enumerate(w_grid):
+                    oracle[i, j] = exp_model_eval(p, ti, wj)
+            assert np.array_equal(exp_model_grid(p, t_grid, w_grid), oracle)
+
 
 class TestFit:
     def test_recovery_from_default_start(self):

@@ -7,13 +7,15 @@ from scipy.linalg import solve_triangular
 
 from pabfit import gp as gp_module
 from pabfit.dataio import FIXTURES, load_fixture
-from pabfit.domain import Contaminant, ObservationSeries, Sample
+from pabfit.domain import Contaminant, ObservationSeries, Sample, transform_time
 from pabfit.errors import DimensionMismatch, InvalidInput
 from pabfit.gp import (
     DEFAULT_EPSILON,
+    INPUT_NAMES,
     GpHyperParams,
     build_inputs,
     default_hyperparams,
+    design_matrix,
     gp_fit,
     gp_loo_sse,
     gp_loo_sse_gradient,
@@ -21,6 +23,7 @@ from pabfit.gp import (
     gp_nlml_gradient,
     gp_optimize_hyperparams,
     gp_predict,
+    input_names,
     kernel,
     kernel_matrix,
     mb_default_hyperparams,
@@ -470,6 +473,40 @@ class TestBuildInputs:
         assert x.shape == (3, 2)
         assert not ph_assumed
         np.testing.assert_allclose(y, 0.01 * np.array([10.0, 100.0, 3600.0]) / 50.0)
+
+
+class TestDesignMatrix:
+    def test_pb_column_order(self):
+        x = design_matrix([0.5, 1.0], [3.0, 1.5], ph=[6.2, 7.1])
+        np.testing.assert_array_equal(x, [[0.5, 6.2, 3.0], [1.0, 7.1, 1.5]])
+        assert input_names(x.shape[1]) == INPUT_NAMES == ("t_norm", "ph", "thickness_cm")
+
+    def test_mb_column_order(self):
+        x = design_matrix([0.5, 1.0], [3.0, 1.5])
+        np.testing.assert_array_equal(x, [[0.5, 3.0], [1.0, 1.5]])
+        assert input_names(x.shape[1]) == ("t_norm", "thickness_cm")
+
+    def test_scalars_give_one_row(self):
+        np.testing.assert_array_equal(design_matrix(1.0, 0.5), [[1.0, 0.5]])
+        np.testing.assert_array_equal(design_matrix(1.0, 0.5, 7.0), [[1.0, 7.0, 0.5]])
+
+    def test_scalar_broadcasts_over_array(self):
+        x = design_matrix(np.array([0.2, 0.4, 1.0]), 3.0, 6.5)
+        np.testing.assert_array_equal(x, [[0.2, 6.5, 3.0], [0.4, 6.5, 3.0], [1.0, 6.5, 3.0]])
+
+    def test_grid_rows_in_c_order(self):
+        t, w = np.array([0.5, 1.0]), np.array([0.0, 1.5, 3.0])
+        x = design_matrix(t[:, None], w[None, :], 7.0)
+        expected = [[ti, 7.0, wj] for ti in t for wj in w]
+        np.testing.assert_array_equal(x, expected)
+
+    def test_build_inputs_is_the_design_matrix_of_the_series(self):
+        series = load_fixture("pcbc_run1.csv")
+        x, _, _ = build_inputs(series)
+        t_norm = transform_time(series).t_norm
+        w = [s.thickness_w for s in series.samples]
+        ph = [s.ph for s in series.samples]
+        np.testing.assert_array_equal(x, design_matrix(t_norm, w, ph))
 
 
 def log_space_objective(score, x, y, epsilon):

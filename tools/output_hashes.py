@@ -1,4 +1,4 @@
-"""Print the SHA-256 of every file the README command set writes.
+"""Print the SHA-256 of every file the README command set, and more, writes.
 
 The CLI outputs are byte-deterministic, so two versions of the package that
 print the same lines here produce the same files. Each command runs in
@@ -23,8 +23,8 @@ from pathlib import Path
 
 from pabfit import cli
 
-# The "Command line" section of README.md, in order; later commands read
-# the reports earlier ones write.
+# The "Command line" section of README.md, in order, then more commands on
+# its outputs; later commands read the reports earlier ones write.
 COMMANDS = [
     "fit-kinetics --input pcbc_run1.csv --output kin.json",
     "fit-exp --input mb_run1.csv --contaminant mb --output exp.json",
@@ -36,6 +36,18 @@ COMMANDS = [
     "predict --model gp.json --t-grid 60,600,3600 --w-grid 0,0.5,1.0,1.5 --output pred.json",
     "synth --generator first-order --k -0.0006 --seed 1 --output synth.csv",
     "report --inputs exp.json gp.json --scan-w 0,0.5,1.0,1.5 --output summary.json",
+    # beyond the README: predict on every model kind (the first-order model,
+    # the exponential model, a 2-input GP), a report that scans three models
+    # at a given pH, and the generators that build GP and exponential draws
+    "predict --model kin.json --t-grid 0,1800,3600 --output pred_kin.json",
+    "predict --model exp.json --t-grid 60,600,3600 --w-grid 0,0.5,1.0,1.5 --output pred_exp.json",
+    "predict --model gp_mb.json --t-grid 60,600,3600 --w-grid 0,0.5,1.0,1.5 --output pred_mb.json",
+    "report --inputs exp.json gp.json gp_mb.json --scan-w 0,0.5,1.0,1.5 --ph 7.2"
+    " --output summary_ph.json",
+    "synth --generator gp-draw --v 0.3 --w 6.0,2.0,1.0 --ph 6.5 --seed 3 --output synth_gp.csv",
+    "synth --generator gp-draw --v 0.3 --w 6.0 --seed 4 --contaminant mb --output synth_gp1.csv",
+    "synth --generator exp-model --a 2.068 --b 3.486 --noise-sd 0.005 --seed 5"
+    " --contaminant mb --thickness 1.0 --output synth_exp.csv",
 ]
 
 
