@@ -60,7 +60,6 @@ from .gp import (
 )
 from .kinetics import KineticFitResult, fit_first_order, predict_first_order
 from .metrics import compute_metrics
-from .numeric import DescentConfig
 
 _CONTAMINANTS = {
     "pb": Contaminant.PB,
@@ -215,13 +214,12 @@ def _cmd_fit_exp(args) -> int:
         x0 = _floats(args.x0, "--x0")
         if len(x0) != 2:
             raise ValidationError(f"--x0 needs exactly two values, got {len(x0)}")
-        config = DescentConfig(step=0.1, tolerance=1e-16, max_iters=args.max_iters)
         params = fit_exp_model(
             list(zip(t_norm.t_norm, w, observed)),
             x0=x0,
             contaminant=contaminant,
             exponent_form=ExponentForm(args.exponent_form),
-            config=config,
+            max_iters=args.max_iters,
         )
         predicted, _ = predict(params, t_norm.t_norm, w)
         metrics = compute_metrics(observed, predicted)
@@ -245,6 +243,7 @@ def _cmd_fit_exp(args) -> int:
             "sse": params.sse,
             "converged": params.converged,
             "negative_parameters": bool(params.a < 0 or params.b < 0),
+            "identifiable": params.identifiable,
             "exponent_form": params.exponent_form.value,
             "time_denominator": t_norm.denominator,
             "c0": series.c0,
@@ -574,14 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-exp", help="exponential removal model fit")
     _add_series_options(p, 3.0)
-    p.add_argument("--x0", default="1,1", help="initial a,b for the descent")
+    p.add_argument("--x0", default="1,1", help="initial a,b for the fit")
     p.add_argument(
         "--exponent-form",
         choices=[f.value for f in ExponentForm],
         default=ExponentForm.LITERAL.value,
         help="read the model exponent as a+b+W (literal) or a*(b+W) (product)",
     )
-    p.add_argument("--max-iters", type=int, default=20000, help="descent iteration cap")
+    p.add_argument(
+        "--max-iters", type=int, default=20000, help="Levenberg-Marquardt iteration cap per start"
+    )
     p.set_defaults(func=_cmd_fit_exp)
 
     p = sub.add_parser("fit-gp", help="Gaussian Process regression fit")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -39,7 +40,7 @@ from .domain import (
     log_time_norm,
 )
 from .errors import FileIOError, InvalidSpec, ParseError, ValidationError
-from .expmodel import ExpModelParams, exp_model_eval
+from .expmodel import ExpModelParams, ExponentForm, exp_model_eval
 from .gp import DEFAULT_EPSILON, GpHyperParams, design_matrix, kernel_matrix
 from .metrics import FitMetrics
 from .numeric import cholesky
@@ -336,8 +337,35 @@ def write_report(report: FitReport, path: str | Path) -> None:
     _atomic_write(report_csv_path(path), "\n".join(lines) + "\n")
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# the check each parameter a model is rebuilt from must pass (None: absent)
+_PARAMETER_CHECKS = {
+    ModelKind.FIRST_ORDER: {"k": _finite_number, "ln_c0_fit": _finite_number},
+    ModelKind.EXPONENTIAL: {
+        "a": _finite_number,
+        "b": _finite_number,
+        "exponent_form": lambda f: f is None or f in {form.value for form in ExponentForm},
+    },
+    ModelKind.GAUSSIAN_PROCESS: {
+        "v": _finite_number,
+        "w": lambda w: isinstance(w, list) and len(w) > 0 and all(map(_finite_number, w)),
+        "epsilon": _finite_number,
+    },
+}
+
+
 def read_report(path: str | Path) -> FitReport:
-    """Load a report written by :func:`write_report`."""
+    """Load a report written by :func:`write_report`.
+
+    Every check a report's parameters need before a model is rebuilt from
+    them runs here: the model kind must be known, and each parameter its
+    kind requires must be present and valid (a finite number; for the GP's
+    ``w`` a non-empty list of them; an exponential ``exponent_form``, which
+    may be absent, one of the forms).
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -350,6 +378,16 @@ def read_report(path: str | Path) -> FitReport:
     missing = [k for k in ("model_kind", "parameters", "metrics", "predictions", "provenance") if k not in payload]
     if missing:
         raise ValidationError(f"{path}: report is missing keys {missing}")
+    try:
+        kind = ModelKind(payload["model_kind"])
+    except ValueError:
+        raise ValidationError(f"{path}: unknown model_kind {payload['model_kind']!r}") from None
+    params = payload["parameters"]
+    if not isinstance(params, dict):
+        raise ValidationError(f"{path}: parameters must be a JSON object")
+    bad = [k for k, ok in _PARAMETER_CHECKS[kind].items() if not ok(params.get(k))]
+    if bad:
+        raise ValidationError(f"{path}: {kind.value} report has missing or invalid parameters {bad}")
     metrics = None
     if payload["metrics"] is not None:
         m = payload["metrics"]
@@ -364,8 +402,8 @@ def read_report(path: str | Path) -> FitReport:
         for row in payload["predictions"]
     ]
     return FitReport(
-        model_kind=ModelKind(payload["model_kind"]),
-        parameters=payload["parameters"],
+        model_kind=kind,
+        parameters=params,
         metrics=metrics,
         predictions=predictions,
         provenance=payload["provenance"],

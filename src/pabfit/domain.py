@@ -6,6 +6,8 @@ fraction in [0, 1]; percent is a display concern only.
 
 Every check on the values of a series runs once, in the ``ObservationSeries``
 constructor, whoever builds it; its messages name the 1-based data row.
+Thickness is bounded above by ``MAX_THICKNESS_CM``, so no value the models
+see can overflow.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .errors import InconsistentSample, InvalidInput, InvalidTime
 
 # tolerance for agreement between a stored concentration and removal fraction
 CONSISTENCY_TOL = 1e-9
+
+# thickest barrier a sample may carry, in cm: a hundred metres is far beyond
+# any permeable barrier, and keeps W, a * (b + W) and sums over W far from
+# floating-point overflow in the models
+MAX_THICKNESS_CM = 1e4
 
 
 class Contaminant(Enum):
@@ -105,8 +112,10 @@ class ObservationSeries:
                 thickness = self.barrier_thickness_cm
             if thickness is None:
                 raise InvalidInput(f"row {i}: no thickness and no series-level barrier thickness")
-            if not (math.isfinite(thickness) and thickness >= 0):
-                raise InvalidInput(f"row {i}: thickness must be finite and >= 0, got {thickness}")
+            if not (0.0 <= thickness <= MAX_THICKNESS_CM):
+                raise InvalidInput(
+                    f"row {i}: thickness must lie in [0, {MAX_THICKNESS_CM:g}] cm, got {thickness}"
+                )
             filled.append(s if thickness == s.thickness_w else replace(s, thickness_w=thickness))
         object.__setattr__(self, "samples", tuple(filled))
 

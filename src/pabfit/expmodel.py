@@ -5,10 +5,15 @@
 with the exponent E read either literally as a + b + W (the default) or as
 the product a * (b + W); the printed form of the model is ambiguous between
 the two, so both are provided behind a switch.
+
+``exp_model_residual_jacobian`` is the one place the derivatives in (a, b)
+are written; the SSE gradient is 2 J^T r of it, and ``fit_exp_model`` runs
+Levenberg-Marquardt on it from a start and its a <-> (b + W) mirror.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -17,7 +22,7 @@ import numpy as np
 
 from .domain import Contaminant
 from .errors import InvalidInput, NonFiniteObjective
-from .numeric import DescentConfig, gradient_descent
+from .numeric import levenberg_marquardt
 
 # reference parameter sets shipped as CLI defaults
 PB_EXP_PARAMS = (3.315, 0.829)
@@ -37,6 +42,7 @@ class ExpModelParams:
     sse: float = 0.0
     converged: bool = True
     exponent_form: ExponentForm = ExponentForm.LITERAL
+    identifiable: bool = True  # False when the data held a single thickness
 
 
 def exp_model_eval(p: ExpModelParams, t_norm, w):
@@ -55,32 +61,42 @@ def exp_model_eval(p: ExpModelParams, t_norm, w):
     return 1.0 - decay - t * p.a * (p.b + w) * decay
 
 
-def exp_model_sse_gradient(p: ExpModelParams, t_norm, w, removal) -> np.ndarray:
-    """Gradient in (a, b) of the residual sum of squares against ``removal``.
+def exp_model_residual_jacobian(p: ExpModelParams, t_norm, w, removal):
+    """Residuals r = C - removal and their (n, 2) Jacobian in (a, b).
 
     With q = a * (b + W) and d = e^{-t*E} the model is 1 - d * (1 + t*q),
     so dC/dE = t * d * (1 + t*q) and dC/dq = -t * d. E = a + b + W
     (literal) gives dC/da = t*d*(1 + t*q - (b + W)) and
     dC/db = t*d*(1 + t*q - a); E = q (product) gives
-    dC/da = t^2*d*q*(b + W) and dC/db = t^2*d*q*a. The SSE gradient is
-    2 * sum(r * dC/dtheta) over the residuals r = C - removal.
+    dC/da = t^2*d*q*(b + W) and dC/db = t^2*d*q*a. The residuals are
+    ``exp_model_eval`` minus ``removal``, so an exact fit has r == 0.
     """
     t = np.asarray(t_norm, dtype=float)
     w = np.asarray(w, dtype=float)
+    resid = exp_model_eval(p, t, w) - np.asarray(removal, dtype=float)
     shifted = p.b + w
     q = p.a * shifted
     exponent = p.a + p.b + w if p.exponent_form is ExponentForm.LITERAL else q
-    decay = np.exp(-t * exponent)
-    # the model term as exp_model_eval rounds it, so an exact fit has r == 0
-    resid = 1.0 - decay - t * p.a * shifted * decay - np.asarray(removal, dtype=float)
-    td = t * decay
+    td = t * np.exp(-t * exponent)
+    jac = np.empty(resid.shape + (2,))
     if p.exponent_form is ExponentForm.LITERAL:
-        d_a = td * (1.0 + t * q - shifted)
-        d_b = td * (1.0 + t * q - p.a)
+        slope = td * (1.0 + t * q)
+        jac[..., 0] = slope - td * shifted
+        jac[..., 1] = slope - td * p.a
     else:
-        d_a = td * t * q * shifted
-        d_b = td * t * q * p.a
-    return 2.0 * np.array([np.dot(resid, d_a), np.dot(resid, d_b)])
+        slope = td * t * q
+        jac[..., 0] = slope * shifted
+        jac[..., 1] = slope * p.a
+    return resid, jac
+
+
+def exp_model_sse_gradient(p: ExpModelParams, t_norm, w, removal) -> np.ndarray:
+    """Gradient in (a, b) of the residual sum of squares against ``removal``.
+
+    2 J^T r, from ``exp_model_residual_jacobian``.
+    """
+    resid, jac = exp_model_residual_jacobian(p, t_norm, w, removal)
+    return 2.0 * (jac.T @ resid)
 
 
 def exp_model_grid(p: ExpModelParams, t_grid: Sequence[float], w_grid: Sequence[float]) -> np.ndarray:
@@ -95,30 +111,42 @@ def exp_model_grid(p: ExpModelParams, t_grid: Sequence[float], w_grid: Sequence[
     return exp_model_eval(p, t[:, None], w[None, :])
 
 
+# sums of squares within this relative distance of the best, or at the
+# rounding floor n * eps^2 of an exact fit, count as equal minima
+_SSE_TIE_RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
+
+
 def fit_exp_model(
     data,
     x0: Sequence[float] = (1.0, 1.0),
     contaminant: Contaminant | None = None,
     exponent_form: ExponentForm = ExponentForm.LITERAL,
-    config: DescentConfig | None = None,
+    max_iters: int = 20000,
 ) -> ExpModelParams:
-    """Least-squares (a, b) by gradient descent on the sum of squared residuals.
-
-    The descent follows the closed-form gradient of the SSE
-    (``exp_model_sse_gradient``), one evaluation per iteration.
+    """Least-squares (a, b) by Levenberg-Marquardt on the residuals.
 
     Parameters
     ----------
     data : sequence of (t_norm, w, removal_fraction) triples
     x0 : initial (a, b); (1, 1) when nothing better is known
-    config : optional descent settings; the default runs long enough for
-        noiseless data to be recovered to ~1e-3 in the parameters.
+    max_iters : cap on the iterations of each Levenberg-Marquardt run
 
-    Runs a second descent from the a <-> (b + W) mirror of the first
-    result, because that swap leaves the curve unchanged at any fixed
-    thickness and single-start descent can land on the wrong branch. No
-    positivity constraint is imposed on a or b; the search explores freely
-    and reports whatever minimizes the SSE.
+    The swap a <-> (b + W) leaves E and q = a * (b + W), and so the curve,
+    unchanged at any fixed thickness, so one run starts from ``x0`` and a
+    second from its mirror (b0 + mean(W), a0 - mean(W)). The lowest sum of
+    squares wins; among minima whose sums of squares are equal (within 1e-9
+    relative, or both at the rounding floor of an exact fit) the branch
+    rule picks the smallest |a - b|, then a > 0, then the smaller a.
+
+    With a single thickness, a and b are not identifiable
+    (``identifiable`` is False): in the literal form every minimum has an
+    equal mirror, which joins the candidates of the branch rule; in the
+    product form only q is identified and the sum of squares is flat along
+    a * (b + W) = q, so the fit reports the point of that curve with
+    a = |b + W| >= 0, where b + W takes the sign of q. No positivity
+    constraint is imposed on a or b; the fit reports whatever minimizes
+    the SSE, and ``converged`` is that of the run the answer came from.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
@@ -127,33 +155,54 @@ def fit_exp_model(
     if np.any((t < 0.0) | (t > 1.0)):
         raise InvalidInput("t_norm values must lie in [0, 1]")
 
-    def sse(theta: np.ndarray) -> float:
-        trial = ExpModelParams(a=theta[0], b=theta[1], exponent_form=exponent_form)
-        r = exp_model_eval(trial, t, w) - y
+    def params(theta) -> ExpModelParams:
+        return ExpModelParams(a=float(theta[0]), b=float(theta[1]), exponent_form=exponent_form)
+
+    def residual_jacobian(theta: np.ndarray):
+        return exp_model_residual_jacobian(params(theta), t, w, y)
+
+    def sse(theta) -> float:
+        r = exp_model_eval(params(theta), t, w) - y
         return float(np.dot(r, r))
 
-    def sse_gradient(theta: np.ndarray) -> np.ndarray:
-        trial = ExpModelParams(a=theta[0], b=theta[1], exponent_form=exponent_form)
-        return exp_model_sse_gradient(trial, t, w, y)
+    def mirror(theta) -> np.ndarray:
+        return np.array([theta[1] + w_mean, theta[0] - w_mean])
 
-    config = config or DescentConfig(step=0.1, tolerance=1e-16, max_iters=20000)
-    res = gradient_descent(sse, sse_gradient, np.asarray(x0, dtype=float), config)
-    # the curve is invariant under a <-> (b + W) at any fixed thickness, so
-    # a descent can settle on the mirror branch; restart from the mirrored
-    # point and keep the better of the two
     w_mean = float(np.mean(w))
-    mirrored = np.array([res.x[1] + w_mean, res.x[0] - w_mean])
-    try:
-        res_mirror = gradient_descent(sse, sse_gradient, mirrored, config)
-    except NonFiniteObjective:
-        res_mirror = None
-    if res_mirror is not None and res_mirror.fun < res.fun:
-        res = res_mirror
+    identifiable = bool(np.any(w != w[0]))
+    runs = []
+    failure = None
+    x0 = np.asarray(x0, dtype=float)
+    # a trial step may overflow the exponential; the fit rejects it, so
+    # numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in (x0, mirror(x0)):
+            try:
+                runs.append(levenberg_marquardt(residual_jacobian, start, max_iters))
+            except NonFiniteObjective as e:
+                failure = failure or e
+    if not runs:
+        raise failure
+    # (x, sse, converged) of each candidate answer
+    candidates = [(res.x, res.fun, res.converged) for res in runs]
+    if not identifiable and exponent_form is ExponentForm.LITERAL:
+        mirrors = [(mirror(x), ok) for x, _, ok in candidates]
+        candidates += [(x, sse(x), ok) for x, ok in mirrors]
+    elif not identifiable:
+        for i, (x, _, ok) in enumerate(candidates):
+            q = x[0] * (x[1] + w[0])
+            root = math.sqrt(abs(q))
+            canonical = np.array([root, math.copysign(root, q) - w[0]])
+            candidates[i] = (canonical, sse(canonical), ok)
+    best = min(f for _, f, _ in candidates)
+    tied = [c for c in candidates if c[1] <= best * (1.0 + _SSE_TIE_RTOL) + w.size * _EPS**2]
+    x, f, converged = min(tied, key=lambda c: (abs(c[0][0] - c[0][1]), c[0][0] <= 0, c[0][0]))
     return ExpModelParams(
-        a=float(res.x[0]),
-        b=float(res.x[1]),
+        a=float(x[0]),
+        b=float(x[1]),
         contaminant=contaminant,
-        sse=res.fun,
-        converged=res.converged,
+        sse=f,
+        converged=converged,
         exponent_form=exponent_form,
+        identifiable=identifiable,
     )

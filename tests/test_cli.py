@@ -81,6 +81,7 @@ class TestFitExp:
         assert payload["metrics"]["r2"] > 0.9999
         assert payload["parameters"]["exponent_form"] == "literal"
         assert payload["parameters"]["negative_parameters"] is False
+        assert payload["parameters"]["identifiable"] is False
         assert "98.54%" in capsys.readouterr().out  # percent shown with 2 decimals
 
     def test_product_form_flag(self, tmp_path):
@@ -98,6 +99,38 @@ class TestFitExp:
         )
         assert code == 0
         assert json.loads(out.read_text())["parameters"]["exponent_form"] == "product"
+
+    @pytest.mark.parametrize("fixture,mirror_x0", [("mb_run1.csv", "2,0"), ("pcp_run2.csv", "4,-2")])
+    @pytest.mark.parametrize("form", ["literal", "product"])
+    def test_start_and_its_mirror_give_identical_reports(self, tmp_path, fixture, mirror_x0, form):
+        # the mirror of (1, 1) is (1 + W, 1 - W); only the provenance, which
+        # records --x0, may differ
+        outs = []
+        for x0 in ("1,1", mirror_x0):
+            out = tmp_path / f"exp_{x0}.json"
+            argv = ["fit-exp", "--input", fixture, "--exponent-form", form, "--x0", x0]
+            assert run_cli(*argv, "--output", str(out)) == 0
+            payload = json.loads(out.read_text())
+            assert payload.pop("provenance")["options"]["x0"] == x0
+            outs.append((json.dumps(payload, sort_keys=True), report_csv_path(out).read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_pb_literal_reports_the_least_squares_minimum(self, tmp_path):
+        out = tmp_path / "exp.json"
+        assert run_cli("fit-exp", "--input", "pcp_run1.csv", "--output", str(out)) == 0
+        params = json.loads(out.read_text())["parameters"]
+        assert params["sse"] < 0.078  # the steepest descent stopped at 2.28
+        assert params["converged"] is True
+        # the minimum has b < 0 (a growing exponential), and the report says so
+        assert params["negative_parameters"] is True
+        assert params["identifiable"] is False  # one thickness
+
+    def test_max_iters_caps_the_fit(self, tmp_path):
+        out = tmp_path / "exp.json"
+        argv = ["fit-exp", "--input", "pcp_run1.csv", "--max-iters", "1", "--output", str(out)]
+        assert run_cli(*argv) == 0
+        assert json.loads(out.read_text())["parameters"]["converged"] is False
+        assert run_cli(*argv[:3], "--max-iters", "0", "--output", str(out)) == 3
 
     def test_bad_x0(self, tmp_path, capsys):
         code = run_cli(
@@ -331,6 +364,62 @@ class TestNonFiniteSampleValues:
         err = capsys.readouterr().err
         assert "stage=load code=3" in err
         assert "row 5" in err
+        assert not out.exists()
+
+
+class TestOverflowScaleThickness:
+    def test_rejected_at_load_without_numpy_warnings(self, tmp_path, cli_env):
+        bad = corrupted_fixture(tmp_path, "thickness_cm", "1e308")
+        out = tmp_path / "o.json"
+        r = subprocess.run(
+            [sys.executable, "-m", "pabfit", "fit-exp", "--input", str(bad), "--output", str(out)],
+            capture_output=True, text=True, env=cli_env, cwd=tmp_path,
+        )
+        assert r.returncode == 3
+        assert "stage=load code=3" in r.stderr
+        assert "row 5" in r.stderr
+        assert "RuntimeWarning" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
+    def test_series_default_thickness_bounded(self, tmp_path, capsys, command):
+        csv = tmp_path / "no_w.csv"
+        csv.write_text("time_min,concentration_mg_l\n10,40\n60,30\n90,20\n")
+        out = tmp_path / "o.json"
+        code = run_cli(command, "--input", str(csv), "--thickness", "1e5", "--output", str(out))
+        assert code == 3
+        assert "stage=load code=3" in capsys.readouterr().err
+
+
+class TestMalformedReportParameters:
+    """A report lacking a parameter its model needs fails at load, with code 3."""
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["fit-kinetics", "--input", "pcbc_run1.csv"], "k"),
+            (["fit-exp", "--input", "mb_run1.csv", "--contaminant", "mb"], "a"),
+            (["fit-gp", "--input", "pcbc_run1.csv"], "w"),
+        ],
+        ids=["first_order", "exponential", "gaussian_process"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_missing_parameter(self, tmp_path, capsys, argv, key, command):
+        model = tmp_path / "model.json"
+        assert run_cli(*argv, "--output", str(model)) == 0
+        payload = json.loads(model.read_text())
+        del payload["parameters"][key]
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        if command == "predict":
+            rest = ["--model", str(model), "--t-grid", "60,3600", "--w-grid", "1"]
+        else:
+            rest = ["--inputs", str(model), "--scan-w", "0,1"]
+        assert run_cli(command, *rest, "--output", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "stage=load code=3" in err
+        assert repr(key) in err
         assert not out.exists()
 
 

@@ -328,6 +328,27 @@ class TestReports:
         with pytest.raises(ParseError):
             read_report(path)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model_kind": "comparison"},
+            {"parameters": []},
+            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": []}},
+            {"parameters": {"v": "0.3852", "epsilon": 1.490116e-08, "w": [1.0]}},
+            {"parameters": {"v": True, "epsilon": 1.490116e-08, "w": [1.0]}},
+            {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": "x"}},
+            {"model_kind": "first_order", "parameters": {"k": -0.1}},
+        ],
+    )
+    def test_invalid_parameters_rejected(self, tmp_path, change):
+        path = tmp_path / "report.json"
+        write_report(minimal_report(), path)
+        payload = json.loads(path.read_text())
+        payload.update(change)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError):
+            read_report(path)
+
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"model_kind": "first_order"}), encoding="utf-8")

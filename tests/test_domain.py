@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pabfit.domain import (
+    MAX_THICKNESS_CM,
     Contaminant,
     ObservationSeries,
     Sample,
@@ -68,6 +69,17 @@ class TestSeriesValidation:
             barrier_thickness_cm=3.0,
         )
         assert all(sample.thickness_w == 3.0 for sample in s.samples)
+
+    @pytest.mark.parametrize("thickness", [1e308, 1.0001e4, -1e-9, float("inf")])
+    def test_thickness_outside_its_bound_rejected(self, thickness):
+        samples = tuple(Sample(t, concentration=40.0, thickness_w=thickness) for t in (10, 20, 30))
+        with pytest.raises(InvalidInput, match="row 1: thickness"):
+            ObservationSeries(Contaminant.PB, "x", 50.0, samples)
+
+    def test_thickness_at_its_bound_accepted(self):
+        samples = tuple(Sample(t, concentration=40.0) for t in (10, 20, 30))
+        series = ObservationSeries(Contaminant.PB, "x", 50.0, samples, MAX_THICKNESS_CM)
+        assert all(s.thickness_w == MAX_THICKNESS_CM for s in series.samples)
 
     def test_missing_thickness_everywhere_rejected(self):
         with pytest.raises(InvalidInput):

@@ -13,6 +13,7 @@ from pabfit.expmodel import (
     ExponentForm,
     exp_model_eval,
     exp_model_grid,
+    exp_model_residual_jacobian,
     exp_model_sse_gradient,
     fit_exp_model,
 )
@@ -204,3 +205,102 @@ class TestSseGradient:
         t, w, y = data.T
         g = exp_model_sse_gradient(ExpModelParams(*MB_EXP_PARAMS), t, w, y)
         np.testing.assert_array_equal(g, [0.0, 0.0])
+
+
+class TestResidualJacobian:
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_columns_match_finite_differences(self, form):
+        # each row of J is the gradient of one residual; positive parameters
+        # as in TestSseGradient, so h = 1e-3 truncation stays below 1e-4
+        rng = np.random.default_rng(71)
+        for name in ("pcp_run1.csv", "mb_run1.csv"):
+            _, data = fixture_data(name)
+            t, w, y = data.T
+            for a, b in ((1.0, 1.0), PB_EXP_PARAMS, tuple(rng.uniform(0.5, 4.5, 2))):
+                _, jac = exp_model_residual_jacobian(ExpModelParams(a, b, exponent_form=form), t, w, y)
+                for i in range(t.size):
+
+                    def residual(theta, i=i):
+                        p = ExpModelParams(theta[0], theta[1], exponent_form=form)
+                        return float(exp_model_eval(p, t[i], w[i]) - y[i])
+
+                    reference = finite_difference_gradient(residual, np.array([a, b]))
+                    scale = max(np.max(np.abs(jac[i])), 1e-12)
+                    assert np.max(np.abs(jac[i] - reference)) <= 1e-4 * scale, (name, i)
+
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_sse_gradient_is_twice_jt_r(self, form):
+        _, data = fixture_data("pcbc_run2.csv")
+        t, w, y = data.T
+        p = ExpModelParams(*PB_EXP_PARAMS, exponent_form=form)
+        r, jac = exp_model_residual_jacobian(p, t, w, y)
+        np.testing.assert_array_equal(r, exp_model_eval(p, t, w) - y)
+        np.testing.assert_array_equal(exp_model_sse_gradient(p, t, w, y), 2.0 * (jac.T @ r))
+
+
+# SSE of the fit from (1, 1) on each fixture: with the steepest descent this
+# fit replaced, and as reached now (literal, product)
+FIXTURE_SSE = {
+    "pcp_run1.csv": ((2.276920756151712, 1.6822409013395776), (0.0770210662558104, 1.68224090133958)),
+    "pcp_run2.csv": ((1.0140183426114948, 0.6218200944065903), (0.11919082312787499, 0.62182009440659)),
+    "pcbc_run1.csv": ((2.6115756597928588, 1.9813591669509376), (0.030353970439770103, 1.98135916695094)),
+    "pcbc_run2.csv": ((2.365921718242557, 1.7671751373944764), (0.034377688731918606, 1.76717513739448)),
+    "mb_run1.csv": ((1.3764151616359444e-16, 0.007670096219265564), (0.0, 0.00767009621926557)),
+}
+
+
+class TestFixtureFits:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_sse_no_higher_than_the_descent(self, name, form):
+        _, data = fixture_data(name)
+        fit = fit_exp_model(data, exponent_form=form)
+        column = list(ExponentForm).index(form)
+        before, now = FIXTURE_SSE[name][0][column], FIXTURE_SSE[name][1][column]
+        # the product form on one thickness lands on the descent's minimum,
+        # equal up to the rounding of the sum (~1e-15 relative)
+        assert fit.sse <= before * (1.0 + 1e-12)
+        assert fit.sse == pytest.approx(now, rel=1e-9, abs=1e-28)
+        assert fit.converged
+        assert not fit.identifiable
+
+    def test_mb_literal_branch_rule_gives_the_reference(self):
+        _, data = fixture_data("mb_run1.csv")
+        fit = fit_exp_model(data)
+        assert (fit.a, fit.b) == pytest.approx(MB_EXP_PARAMS, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_start_and_its_mirror_give_the_same_fit(self, name, form):
+        _, data = fixture_data(name)
+        w = float(np.mean(data[:, 1]))
+        fits = [fit_exp_model(data, x0=x0, exponent_form=form) for x0 in ((1.0, 1.0), (1.0 + w, 1.0 - w))]
+        assert fits[0] == fits[1]
+
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_identifiable_needs_two_thicknesses(self, form):
+        truth = ExpModelParams(*PB_EXP_PARAMS, exponent_form=form)
+        t = np.linspace(0.05, 1.0, 20)
+        one = [(ti, 1.0, float(exp_model_eval(truth, ti, 1.0))) for ti in t]
+        two = [(ti, wj, float(exp_model_eval(truth, ti, wj))) for ti in t for wj in (0.5, 1.5)]
+        assert not fit_exp_model(one, exponent_form=form).identifiable
+        fit = fit_exp_model(two, exponent_form=form)
+        assert fit.identifiable
+        assert (fit.a, fit.b) == pytest.approx(PB_EXP_PARAMS, abs=1e-8)
+
+    def test_product_valley_point_is_canonical(self):
+        # one thickness identifies only q = a * (b + W); the fit reports the
+        # point of that curve with a = b + W
+        truth = ExpModelParams(2.0, 1.0, exponent_form=ExponentForm.PRODUCT)
+        t = np.linspace(0.05, 1.0, 20)
+        data = [(ti, 0.5, float(exp_model_eval(truth, ti, 0.5))) for ti in t]
+        for x0 in ((1.0, 1.0), (3.0, -0.2), (0.4, 5.0)):
+            fit = fit_exp_model(data, x0=x0, exponent_form=ExponentForm.PRODUCT)
+            assert fit.a == pytest.approx(math.sqrt(3.0), rel=1e-9)
+            assert fit.b + 0.5 == pytest.approx(fit.a, rel=1e-12)
+
+    def test_iteration_cap_reaches_the_report(self):
+        _, data = fixture_data("pcp_run1.csv")
+        assert not fit_exp_model(data, max_iters=2).converged
+        with pytest.raises(InvalidInput):
+            fit_exp_model(data, max_iters=0)

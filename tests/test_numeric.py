@@ -18,6 +18,7 @@ from pabfit.numeric import (
     finite_difference_gradient,
     gradient_descent,
     inverse_diagonal,
+    levenberg_marquardt,
     solve,
     solve_lower,
 )
@@ -258,3 +259,88 @@ class TestFiniteDifferenceGradient:
             analytic = q @ x + b
             numeric = finite_difference_gradient(f, x)
             np.testing.assert_allclose(numeric, analytic, rtol=1e-4, atol=1e-8)
+
+
+def exp_decay_problem(truth=(2.0, -1.5), n=12):
+    """Residuals y - A e^{k t} of noiseless data, with their Jacobian in (A, k)."""
+    t = np.linspace(0.0, 2.0, n)
+    y = truth[0] * np.exp(truth[1] * t)
+
+    def residual_jacobian(x):
+        e = np.exp(x[1] * t)
+        return x[0] * e - y, np.column_stack([e, x[0] * t * e])
+
+    return residual_jacobian
+
+
+def rosenbrock_residuals(x):
+    return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)]), np.array(
+        [[-1.0, 0.0], [-20.0 * x[0], 10.0]]
+    )
+
+
+class TestLevenbergMarquardt:
+    def test_recovers_an_exact_fit(self):
+        res = levenberg_marquardt(exp_decay_problem(), [1.0, 0.0])
+        assert res.converged
+        np.testing.assert_allclose(res.x, [2.0, -1.5], rtol=1e-10)
+        assert res.fun < 1e-20
+
+    def test_rosenbrock_reaches_its_minimum(self):
+        res = levenberg_marquardt(rosenbrock_residuals, [-1.2, 1.0])
+        assert res.converged
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
+
+    def test_never_ends_above_its_start(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            x0 = rng.uniform(-3.0, 3.0, 2)
+            residual_jacobian = (
+                rosenbrock_residuals if rng.random() < 0.5
+                else exp_decay_problem(tuple(rng.uniform(-2.0, 2.0, 2)))
+            )
+            r0, _ = residual_jacobian(x0)
+            # far trial points may overflow; they are rejected like any increase
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = levenberg_marquardt(residual_jacobian, x0, int(rng.integers(1, 6)))
+            assert res.fun <= float(r0 @ r0)
+            r_end, _ = residual_jacobian(res.x)
+            assert res.fun == float(r_end @ r_end)
+
+    def test_respects_the_iteration_cap(self):
+        for cap in (1, 2, 3):
+            res = levenberg_marquardt(rosenbrock_residuals, [-1.2, 1.0], max_iters=cap)
+            assert res.iterations == cap
+            assert not res.converged
+        with pytest.raises(InvalidInput):
+            levenberg_marquardt(rosenbrock_residuals, [0.0, 0.0], max_iters=0)
+
+    def test_nan_residual_raises(self):
+        with pytest.raises(NonFiniteObjective):
+            levenberg_marquardt(lambda x: (np.array([np.nan]), np.ones((1, 1))), [0.0])
+
+        def trap(x):  # finite at the start, NaN wherever the first step lands
+            value = np.nan if x[0] < 0.5 else x[0] - 0.4
+            return np.array([value]), np.ones((1, 1))
+
+        with pytest.raises(NonFiniteObjective):
+            levenberg_marquardt(trap, [0.6])
+
+    def test_infinite_trial_is_rejected(self):
+        def wall(x):  # the undamped step from 3 lands at 1, behind an overflow
+            value = np.inf if x[0] < 1.5 else x[0] - 1.0
+            return np.array([value]), np.ones((1, 1))
+
+        res = levenberg_marquardt(wall, [3.0])
+        assert math.isfinite(res.fun)
+        assert res.fun < 4.0
+        assert res.x[0] >= 1.5
+
+    def test_flat_valley_converges(self):
+        # one residual in two parameters: J^T J has rank 1 everywhere
+        def valley(x):
+            return np.array([x[0] * x[1] - 2.0]), np.array([[x[1], x[0]]])
+
+        res = levenberg_marquardt(valley, [1.0, 1.0])
+        assert res.converged
+        assert res.fun < 1e-20

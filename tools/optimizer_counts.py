@@ -4,11 +4,13 @@ For every fixture and both GP objectives, one ``gp_optimize_hyperparams``
 call from the shipped hyperparameters (the ``fit-gp --optimize`` path):
 its ``gp_fit`` calls, descent iterations and the objective at the returned
 hyperparameters. For both exponent forms, one ``fit_exp_model`` call from
-the CLI's default start (1, 1): its model evaluations plus gradient
-evaluations ("+Ng"), descent iterations and final SSE. The counts come
-from wrapping the module-level functions the optimizers look up, and a
-function the package lacks counts 0, so the same script compares any two
-versions of the package. Run from the repo root:
+the CLI's default start (1, 1): its model evaluations, then gradient
+evaluations ("+Ng") and residual-and-Jacobian evaluations ("+Nj"), the
+iterations of its descents and Levenberg-Marquardt runs, and the final
+SSE. Each residual-and-Jacobian evaluation makes one model evaluation. The
+counts come from wrapping the module-level functions the optimizers look
+up, and a function the package lacks counts 0, so the same script
+compares any two versions of the package. Run from the repo root:
 
     PYTHONPATH=src python tools/optimizer_counts.py
 """
@@ -65,12 +67,13 @@ def exp_rows(name: str):
         (tn, r.thickness_w, r.removal_fraction)
         for tn, r in zip(transform_time(series).t_norm, removal)
     ]
+    optimizers = ("gradient_descent", "levenberg_marquardt")
     for form in expmodel.ExponentForm:
-        names = ("exp_model_eval", "exp_model_sse_gradient", "gradient_descent")
-        with counting(expmodel, *names) as calls:
+        names = ("exp_model_eval", "exp_model_sse_gradient", "exp_model_residual_jacobian")
+        with counting(expmodel, *names, *optimizers) as calls:
             fit = expmodel.fit_exp_model(data, exponent_form=form)
-        evals = f"{len(calls['exp_model_eval'])}+{len(calls['exp_model_sse_gradient'])}g"
-        iterations = sum(r.iterations for r in calls["gradient_descent"] if r is not None)
+        evals = "{}+{}g+{}j".format(*(len(calls[name]) for name in names))
+        iterations = sum(r.iterations for name in optimizers for r in calls[name] if r is not None)
         yield f"exp {form.value}", evals, iterations, fit.sse
 
 
