@@ -16,7 +16,6 @@ from .domain import (
     PredictionRow,
     Sample,
     TransformedInputs,
-    compute_capacity,
     log_time_norm,
     to_removal_series,
     transform_time,
@@ -25,15 +24,12 @@ from .expmodel import (
     ExpModelParams,
     ExponentForm,
     exp_model_eval,
-    exp_model_grid,
-    exp_model_sse_gradient,
     fit_exp_model,
 )
 from .gp import (
     GpHyperParams,
     GpModel,
     GpPrediction,
-    build_inputs,
     default_hyperparams,
     gp_fit,
     gp_loo_sse,
@@ -42,7 +38,6 @@ from .gp import (
     gp_nlml_gradient,
     gp_optimize_hyperparams,
     gp_predict,
-    kernel,
     kernel_matrix,
 )
 from .kinetics import KineticFitResult, fit_first_order, predict_first_order
@@ -52,7 +47,6 @@ from .numeric import (
     DescentConfig,
     DescentResult,
     cholesky,
-    finite_difference_gradient,
     gradient_descent,
     solve,
 )
@@ -66,20 +60,16 @@ __all__ = [
     "PredictionRow",
     "Sample",
     "TransformedInputs",
-    "compute_capacity",
     "log_time_norm",
     "to_removal_series",
     "transform_time",
     "ExpModelParams",
     "ExponentForm",
     "exp_model_eval",
-    "exp_model_grid",
-    "exp_model_sse_gradient",
     "fit_exp_model",
     "GpHyperParams",
     "GpModel",
     "GpPrediction",
-    "build_inputs",
     "default_hyperparams",
     "gp_fit",
     "gp_loo_sse",
@@ -88,7 +78,6 @@ __all__ = [
     "gp_nlml_gradient",
     "gp_optimize_hyperparams",
     "gp_predict",
-    "kernel",
     "kernel_matrix",
     "KineticFitResult",
     "fit_first_order",
@@ -102,7 +91,6 @@ __all__ = [
     "DescentConfig",
     "DescentResult",
     "cholesky",
-    "finite_difference_gradient",
     "gradient_descent",
     "solve",
 ]

@@ -12,7 +12,6 @@ model families apart; every grid option is read through ``_grid``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -26,15 +25,16 @@ from .dataio import (
     DatasetFile,
     Generator,
     SyntheticSpec,
-    _atomic_write,
     generate_synthetic,
     load_series,
     read_report,
     resolve_input,
+    write_comparison,
     write_report,
     write_series,
 )
 from .domain import (
+    MAX_THICKNESS_CM,
     Contaminant,
     FitReport,
     ModelKind,
@@ -86,11 +86,18 @@ def _floats(text: str, flag: str) -> list[float]:
         raise ParseError(f"{flag}: cannot parse {text!r} as comma-separated numbers") from None
 
 
+# upper bound of each grid option that has one: thicknesses as the loader
+# bounds them, and normalized time within the range the models are fitted on
+_GRID_MAX = {"--w-grid": MAX_THICKNESS_CM, "--scan-w": MAX_THICKNESS_CM, "--scan-t": 1.0}
+
+
 def _grid(text: str | float, flag: str) -> list[float]:
     """Values of a grid option (its string, or the float argparse read)."""
     values = _floats(str(text), flag)
-    if not values or not all(math.isfinite(v) and v >= 0 for v in values):
-        raise ValidationError(f"{flag} needs one or more finite values >= 0, got {text!r}")
+    upper = _GRID_MAX.get(flag, math.inf)
+    if not values or not all(0 <= v <= upper and math.isfinite(v) for v in values):
+        bound = ">= 0" if upper == math.inf else f"in [0, {upper:g}]"
+        raise ValidationError(f"{flag} needs one or more finite values {bound}, got {text!r}")
     return values
 
 
@@ -217,7 +224,6 @@ def _cmd_fit_exp(args) -> int:
         params = fit_exp_model(
             list(zip(t_norm.t_norm, w, observed)),
             x0=x0,
-            contaminant=contaminant,
             exponent_form=ExponentForm(args.exponent_form),
             max_iters=args.max_iters,
         )
@@ -353,8 +359,6 @@ def _rebuild_model(report: FitReport):
         return ExpModelParams(
             a=params["a"],
             b=params["b"],
-            sse=params.get("sse", 0.0),
-            converged=params.get("converged", True),
             exponent_form=ExponentForm(params.get("exponent_form", "literal")),
         ), input_names(2)  # (t_norm, W), as a GP without pH
     hp = GpHyperParams(v=params["v"], w=tuple(params["w"]), epsilon=params["epsilon"])
@@ -485,7 +489,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    comparison = []
+    entries = []
     with _stage("load"):
         loaded = [(path, read_report(resolve_input(path))) for path in args.inputs]
     with _stage("scan"):
@@ -493,49 +497,27 @@ def _cmd_report(args) -> int:
         ph = None if args.ph is None else _grid(args.ph, "--ph")[0]
         scan_t = _grid(args.scan_t, "--scan-t")[0]
         for path, report in loaded:
-            entry = {
-                "source": Path(path).name,
-                "model_kind": report.model_kind.value,
-                "parameters": report.parameters,
-                "metrics": None
-                if report.metrics is None
-                else {
-                    "r2": report.metrics.r2,
-                    "rmse": report.metrics.rmse,
-                    "obs_pred_slope": report.metrics.obs_pred_slope,
-                    "n": report.metrics.n,
-                },
-                "thickness_scan": None,
-            }
+            scan = None
             if scan_w is not None:
                 model, inputs = _rebuild_model(report)
                 if "thickness_cm" in inputs:  # not the first-order model
                     w_star, removal = optimum_thickness_scan(model, scan_w, scan_t, ph=ph)
-                    entry["thickness_scan"] = {
+                    scan = {
                         "t_norm": scan_t,
                         "w_grid": scan_w,
                         "optimum_w_cm": w_star,
                         "removal_at_optimum": removal,
                     }
-            comparison.append(entry)
-    payload = {
-        "model_kind": "comparison",
-        "parameters": {},
-        "metrics": None,
-        "predictions": [],
-        "comparison": comparison,
-        "provenance": _provenance(args, "report"),
-    }
+            entries.append((Path(path).name, report, scan))
     with _stage("write"):
-        _atomic_write(Path(args.output), json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    for entry in comparison:
-        scan = entry["thickness_scan"]
+        write_comparison(entries, _provenance(args, "report"), args.output)
+    for source, _, scan in entries:
         if scan is not None:
             print(
-                f"report: {entry['source']} optimum W={scan['optimum_w_cm']:g} cm, "
+                f"report: {source} optimum W={scan['optimum_w_cm']:g} cm, "
                 f"removal {100.0 * scan['removal_at_optimum']:.2f}%"
             )
-    print(f"report: merged {len(comparison)} fits -> {args.output}")
+    print(f"report: merged {len(entries)} fits -> {args.output}")
     return 0
 
 

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -52,6 +50,8 @@ DEFAULT_SCHEDULE = tuple(float(t) for t in list(range(10, 61, 10)) + list(range(
 
 FIXTURE_DIR_ENV = "PABFIT_FIXTURE_DIR"
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass
 class DatasetFile:
@@ -60,19 +60,17 @@ class DatasetFile:
     path: str | Path
     contaminant: Contaminant
     c0: float
-    schema: dict[str, str] | None = None  # canonical name -> actual header
     default_thickness_cm: float | None = None
-    run_label: str | None = None
-    strict_columns: bool = True
 
 
-def _parse_cell(raw: str | None, row: int, column: str) -> float | None:
+def _parse_cell(row: dict, i: int, column: str) -> float | None:
+    raw = row.get(column)
     if raw is None or raw.strip() == "":
         return None
     try:
         return float(raw)
     except ValueError:
-        raise ParseError(f"row {row}, column {column}: cannot parse {raw!r} as a number") from None
+        raise ParseError(f"row {i}, column {column}: cannot parse {raw!r} as a number") from None
 
 
 def load_series(f: DatasetFile) -> ObservationSeries:
@@ -80,15 +78,9 @@ def load_series(f: DatasetFile) -> ObservationSeries:
 
     Row numbers in error messages count data rows from 1 (the header is
     row 0), here and in the constructor, which checks the values. Unknown
-    columns raise when ``strict_columns`` is set and warn otherwise;
-    ``removal_pct`` is divided by 100 on the way in.
+    columns raise; ``removal_pct`` is divided by 100 on the way in.
     """
     path = Path(f.path)
-    schema = {c: c for c in CANONICAL_COLUMNS}
-    if f.schema:
-        schema.update(f.schema)
-    header_to_canonical = {v: k for k, v in schema.items()}
-
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as e:
@@ -97,36 +89,28 @@ def load_series(f: DatasetFile) -> ObservationSeries:
     reader = csv.DictReader(raw.splitlines())
     if reader.fieldnames is None:
         raise ParseError(f"{path}: empty file, expected a CSV header row")
-    unknown = [h for h in reader.fieldnames if h not in header_to_canonical]
+    unknown = [h for h in reader.fieldnames if h not in CANONICAL_COLUMNS]
     if unknown:
-        if f.strict_columns:
-            raise ValidationError(f"{path}: unknown columns {unknown}")
-        warnings.warn(f"{path}: ignoring unknown columns {unknown}", stacklevel=2)
-    present = {header_to_canonical[h] for h in reader.fieldnames if h in header_to_canonical}
-    if "time_min" not in present:
-        raise ValidationError(f"{path}: required column {schema['time_min']!r} is missing")
-    if "concentration_mg_l" not in present and "removal_pct" not in present:
+        raise ValidationError(f"{path}: unknown columns {unknown}")
+    if "time_min" not in reader.fieldnames:
+        raise ValidationError(f"{path}: required column 'time_min' is missing")
+    if "concentration_mg_l" not in reader.fieldnames and "removal_pct" not in reader.fieldnames:
         raise ValidationError(
             f"{path}: need a concentration or removal column"
         )
 
     samples = []
     for i, row in enumerate(reader, start=1):
-        def cell(canonical: str) -> float | None:
-            if canonical not in present:
-                return None
-            return _parse_cell(row.get(schema[canonical]), i, schema[canonical])
-
-        t = cell("time_min")
+        t = _parse_cell(row, i, "time_min")
         if t is None:
             raise ValidationError(f"row {i}: missing time")
         if t <= 1.0:
             raise ValidationError(
                 f"row {i}: time {t} min is <= 1; the log-time transform is undefined there"
             )
-        conc = cell("concentration_mg_l")
-        pct = cell("removal_pct")
-        thickness = cell("thickness_cm")
+        conc = _parse_cell(row, i, "concentration_mg_l")
+        pct = _parse_cell(row, i, "removal_pct")
+        thickness = _parse_cell(row, i, "thickness_cm")
         if thickness is None:
             thickness = f.default_thickness_cm
         samples.append(
@@ -135,13 +119,13 @@ def load_series(f: DatasetFile) -> ObservationSeries:
                 concentration=conc,
                 removal_fraction=None if pct is None else pct / 100.0,
                 thickness_w=thickness,
-                ph=cell("ph"),
+                ph=_parse_cell(row, i, "ph"),
             )
         )
 
     return ObservationSeries(
         contaminant=f.contaminant,
-        run_label=f.run_label or path.stem,
+        run_label=path.stem,
         c0=f.c0,
         samples=tuple(samples),
         barrier_thickness_cm=f.default_thickness_cm,
@@ -293,11 +277,18 @@ def write_series(series: ObservationSeries, path: str | Path) -> None:
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
+_METRIC_KEYS = ("r2", "rmse", "obs_pred_slope", "n")
+
+
+def _metrics_payload(metrics: FitMetrics | None) -> dict | None:
+    return None if metrics is None else {k: getattr(metrics, k) for k in _METRIC_KEYS}
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    _atomic_write(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _report_payload(report: FitReport) -> dict:
-    metrics = None
-    if report.metrics is not None:
-        m = report.metrics
-        metrics = {"r2": m.r2, "rmse": m.rmse, "obs_pred_slope": m.obs_pred_slope, "n": m.n}
     predictions = []
     for row in report.predictions:
         entry = {"inputs": dict(row.inputs), "predicted": row.predicted, "observed": row.observed}
@@ -307,7 +298,7 @@ def _report_payload(report: FitReport) -> dict:
     return {
         "model_kind": report.model_kind.value,
         "parameters": report.parameters,
-        "metrics": metrics,
+        "metrics": _metrics_payload(report.metrics),
         "predictions": predictions,
         "provenance": report.provenance,
     }
@@ -324,8 +315,7 @@ def write_report(report: FitReport, path: str | Path) -> None:
     input dimension followed by observed and predicted.
     """
     path = Path(path)
-    payload = _report_payload(report)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, _report_payload(report))
 
     input_keys = sorted({k for row in report.predictions for k in row.inputs})
     lines = [",".join(input_keys + ["observed", "predicted"])]
@@ -337,8 +327,33 @@ def write_report(report: FitReport, path: str | Path) -> None:
     _atomic_write(report_csv_path(path), "\n".join(lines) + "\n")
 
 
+def write_comparison(entries, provenance: dict, path: str | Path) -> None:
+    """Write the merge that ``pabfit report`` produces as JSON.
+
+    ``entries``: one (source name, report, thickness scan or None) per
+    merged report. A report's top-level keys stay empty beside ``comparison``.
+    """
+    comparison = [
+        {
+            "source": source,
+            "model_kind": report.model_kind.value,
+            "parameters": report.parameters,
+            "metrics": _metrics_payload(report.metrics),
+            "thickness_scan": scan,
+        }
+        for source, report, scan in entries
+    ]
+    empty = {"model_kind": "comparison", "parameters": {}, "metrics": None, "predictions": []}
+    _write_json(path, {**empty, "comparison": comparison, "provenance": provenance})
+
+
 def _finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A JSON number within the float range: not a bool, NaN, inf or a huge int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
+def _absent_or_positive(value) -> bool:
+    return value is None or (_finite_number(value) and value > 0)
 
 
 # the check each parameter a model is rebuilt from must pass (None: absent)
@@ -348,23 +363,40 @@ _PARAMETER_CHECKS = {
         "a": _finite_number,
         "b": _finite_number,
         "exponent_form": lambda f: f is None or f in {form.value for form in ExponentForm},
+        "time_denominator": _absent_or_positive,
     },
     ModelKind.GAUSSIAN_PROCESS: {
         "v": _finite_number,
         "w": lambda w: isinstance(w, list) and len(w) > 0 and all(map(_finite_number, w)),
         "epsilon": _finite_number,
+        "time_denominator": _absent_or_positive,
+        "default_ph": lambda ph: ph is None or _finite_number(ph),
     },
 }
+
+
+def _valid_row(row) -> bool:
+    """A prediction row: numeric inputs and prediction, numeric or null rest."""
+    return (
+        isinstance(row, dict)
+        and isinstance(row.get("inputs"), dict)
+        and all(map(_finite_number, row["inputs"].values()))
+        and _finite_number(row.get("predicted"))
+        and all(row.get(k) is None or _finite_number(row[k]) for k in ("observed", "variance"))
+    )
 
 
 def read_report(path: str | Path) -> FitReport:
     """Load a report written by :func:`write_report`.
 
-    Every check a report's parameters need before a model is rebuilt from
-    them runs here: the model kind must be known, and each parameter its
-    kind requires must be present and valid (a finite number; for the GP's
-    ``w`` a non-empty list of them; an exponential ``exponent_form``, which
-    may be absent, one of the forms).
+    Every check a report needs before a model is rebuilt from it runs
+    here, in one pass: a known model kind; each parameter the kind requires
+    (a finite number; the GP's ``w`` a non-empty list of them), and, where
+    present, ``exponent_form`` one of the forms, ``time_denominator``
+    positive and ``default_ph`` finite; the four metrics, unless null,
+    finite; and in each prediction row ``inputs`` an object of finite
+    numbers, a finite ``predicted``, and a finite or null ``observed`` and
+    ``variance``.
     """
     path = Path(path)
     try:
@@ -375,6 +407,8 @@ def read_report(path: str | Path) -> FitReport:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: a report must be a JSON object")
     missing = [k for k in ("model_kind", "parameters", "metrics", "predictions", "provenance") if k not in payload]
     if missing:
         raise ValidationError(f"{path}: report is missing keys {missing}")
@@ -388,10 +422,19 @@ def read_report(path: str | Path) -> FitReport:
     bad = [k for k, ok in _PARAMETER_CHECKS[kind].items() if not ok(params.get(k))]
     if bad:
         raise ValidationError(f"{path}: {kind.value} report has missing or invalid parameters {bad}")
-    metrics = None
-    if payload["metrics"] is not None:
-        m = payload["metrics"]
-        metrics = FitMetrics(r2=m["r2"], rmse=m["rmse"], obs_pred_slope=m["obs_pred_slope"], n=m["n"])
+    m = payload["metrics"]
+    if m is not None and not (isinstance(m, dict) and all(_finite_number(m.get(k)) for k in _METRIC_KEYS)):
+        raise ValidationError(f"{path}: metrics must be null or hold finite numbers {list(_METRIC_KEYS)}")
+    rows = payload["predictions"]
+    if not isinstance(rows, list):
+        raise ValidationError(f"{path}: predictions must be a JSON list")
+    bad_row = next((i for i, row in enumerate(rows, start=1) if not _valid_row(row)), None)
+    if bad_row is not None:
+        raise ValidationError(
+            f"{path}: prediction row {bad_row} needs numeric inputs and predicted, "
+            "and numeric or null observed and variance"
+        )
+    metrics = None if m is None else FitMetrics(**{k: m[k] for k in _METRIC_KEYS})
     predictions = [
         PredictionRow(
             inputs=dict(row["inputs"]),
@@ -399,7 +442,7 @@ def read_report(path: str | Path) -> FitReport:
             observed=row.get("observed"),
             variance=row.get("variance"),
         )
-        for row in payload["predictions"]
+        for row in rows
     ]
     return FitReport(
         model_kind=kind,

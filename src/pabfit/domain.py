@@ -182,17 +182,6 @@ def transform_time(series: ObservationSeries) -> TransformedInputs:
     return log_time_norm(series.times())
 
 
-def compute_capacity(c0: float, ct: float, volume_l: float, mass_g: float) -> float:
-    """Adsorption capacity (c0 - ct) * V / m in mg per gram of adsorbent."""
-    if not (mass_g > 0):
-        raise InvalidInput(f"adsorbent mass must be positive, got {mass_g}")
-    if not (volume_l > 0):
-        raise InvalidInput(f"volume must be positive, got {volume_l}")
-    if not (0 <= ct <= c0):
-        raise InvalidInput(f"need 0 <= ct <= c0, got ct={ct}, c0={c0}")
-    return (c0 - ct) * volume_l / mass_g
-
-
 @dataclass
 class PredictionRow:
     inputs: dict[str, float]

@@ -7,8 +7,8 @@ the product a * (b + W); the printed form of the model is ambiguous between
 the two, so both are provided behind a switch.
 
 ``exp_model_residual_jacobian`` is the one place the derivatives in (a, b)
-are written; the SSE gradient is 2 J^T r of it, and ``fit_exp_model`` runs
-Levenberg-Marquardt on it from a start and its a <-> (b + W) mirror.
+are written; ``fit_exp_model`` runs Levenberg-Marquardt on it from a start
+and its a <-> (b + W) mirror.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Contaminant
 from .errors import InvalidInput, NonFiniteObjective
 from .numeric import levenberg_marquardt
-
-# reference parameter sets shipped as CLI defaults
-PB_EXP_PARAMS = (3.315, 0.829)
-MB_EXP_PARAMS = (2.068, 3.486)
-
 
 class ExponentForm(Enum):
     LITERAL = "literal"  # E = a + b + W
@@ -38,7 +32,6 @@ class ExponentForm(Enum):
 class ExpModelParams:
     a: float
     b: float
-    contaminant: Contaminant | None = None
     sse: float = 0.0
     converged: bool = True
     exponent_form: ExponentForm = ExponentForm.LITERAL
@@ -90,27 +83,6 @@ def exp_model_residual_jacobian(p: ExpModelParams, t_norm, w, removal):
     return resid, jac
 
 
-def exp_model_sse_gradient(p: ExpModelParams, t_norm, w, removal) -> np.ndarray:
-    """Gradient in (a, b) of the residual sum of squares against ``removal``.
-
-    2 J^T r, from ``exp_model_residual_jacobian``.
-    """
-    resid, jac = exp_model_residual_jacobian(p, t_norm, w, removal)
-    return 2.0 * (jac.T @ resid)
-
-
-def exp_model_grid(p: ExpModelParams, t_grid: Sequence[float], w_grid: Sequence[float]) -> np.ndarray:
-    """Matrix with entry [i, j] = exp_model_eval(p, t_grid[i], w_grid[j]).
-
-    One broadcast evaluation; every entry has the bits of the scalar call.
-    """
-    t = np.asarray(t_grid, dtype=float).ravel()
-    w = np.asarray(w_grid, dtype=float).ravel()
-    if t.size == 0 or w.size == 0:
-        raise InvalidInput("prediction grids must be non-empty")
-    return exp_model_eval(p, t[:, None], w[None, :])
-
-
 # sums of squares within this relative distance of the best, or at the
 # rounding floor n * eps^2 of an exact fit, count as equal minima
 _SSE_TIE_RTOL = 1e-9
@@ -120,7 +92,6 @@ _EPS = float(np.finfo(float).eps)
 def fit_exp_model(
     data,
     x0: Sequence[float] = (1.0, 1.0),
-    contaminant: Contaminant | None = None,
     exponent_form: ExponentForm = ExponentForm.LITERAL,
     max_iters: int = 20000,
 ) -> ExpModelParams:
@@ -200,7 +171,6 @@ def fit_exp_model(
     return ExpModelParams(
         a=float(x[0]),
         b=float(x[1]),
-        contaminant=contaminant,
         sse=f,
         converged=converged,
         exponent_form=exponent_form,

@@ -18,7 +18,8 @@ descends on the closed-form gradients of both objectives in log space
 they form it as L^-T L^-1 from the same factor.
 
 ``design_matrix`` alone lays out the GP inputs, (t_norm, pH, W) for lead
-and (t_norm, W) for methylene blue, which reports name by ``INPUT_NAMES``.
+and (t_norm, W) for methylene blue, which reports name by ``INPUT_NAMES``;
+``training_set`` builds the training arrays of a series through it.
 """
 
 from __future__ import annotations
@@ -54,10 +55,12 @@ DEFAULT_EPSILON = 1.490116e-08
 # built without pH has the first and the last
 INPUT_NAMES = ("t_norm", "ph", "thickness_cm")
 
-# reference hyperparameters shipped as CLI defaults, one weight per
-# design-matrix column
-PB_GP_HYPERPARAMS_VALUES = dict(v=0.3852, w=(0.7839, 2.8869, 2.859e-9))
-MB_GP_HYPERPARAMS_VALUES = dict(v=0.2397, w=(14.6899, 2.2309))
+# reference (v, w) shipped as CLI defaults, one weight per design-matrix
+# column
+_DEFAULT_HYPERPARAMS = {
+    Contaminant.PB: (0.3852, (0.7839, 2.8869, 2.859e-9)),
+    Contaminant.METHYLENE_BLUE: (0.2397, (14.6899, 2.2309)),
+}
 
 # elements of the (rows, m, p) squared-difference block that kernel_matrix
 # holds at once (2 MiB of float64), so its temporary stays small next to
@@ -89,18 +92,9 @@ class GpHyperParams:
         return len(self.w)
 
 
-def pb_default_hyperparams(epsilon: float = DEFAULT_EPSILON) -> GpHyperParams:
-    return GpHyperParams(epsilon=epsilon, **PB_GP_HYPERPARAMS_VALUES)
-
-
-def mb_default_hyperparams(epsilon: float = DEFAULT_EPSILON) -> GpHyperParams:
-    return GpHyperParams(epsilon=epsilon, **MB_GP_HYPERPARAMS_VALUES)
-
-
 def default_hyperparams(contaminant: Contaminant, epsilon: float = DEFAULT_EPSILON) -> GpHyperParams:
-    if contaminant is Contaminant.PB:
-        return pb_default_hyperparams(epsilon)
-    return mb_default_hyperparams(epsilon)
+    v, w = _DEFAULT_HYPERPARAMS[contaminant]
+    return GpHyperParams(v=v, w=w, epsilon=epsilon)
 
 
 def design_matrix(t_norm, w, ph=None) -> np.ndarray:
@@ -119,22 +113,6 @@ def input_names(p: int) -> tuple[str, ...]:
     return INPUT_NAMES if p == len(INPUT_NAMES) else (INPUT_NAMES[0], INPUT_NAMES[-1])
 
 
-def kernel(hp: GpHyperParams, x, x2) -> float:
-    """Covariance between two input points; exactly v at zero distance.
-
-    The jitter is never added here: it belongs to training-matrix
-    diagonals only.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.size != hp.p or x2.size != hp.p:
-        raise DimensionMismatch(
-            f"kernel inputs must have {hp.p} dimensions, got {x.size} and {x2.size}"
-        )
-    d = x - x2
-    return float(hp.v * np.exp(-np.dot(np.asarray(hp.w), d * d)))
-
-
 def _as_input_matrix(x, p: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
@@ -147,7 +125,7 @@ def _as_input_matrix(x, p: int) -> np.ndarray:
 
 
 def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
-    """Cross-covariance matrix K[i, j] = kernel(hp, x[i], x2[j]).
+    """Cross-covariance matrix K[i, j] = k(x[i], x2[j]), without jitter.
 
     Rows are computed in blocks, so the squared differences never occupy
     more than a fixed number of elements at once, whatever n and m are.
@@ -184,10 +162,6 @@ class GpModel:
     factor: CholeskyFactor
     alpha: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.y_train.size
-
 
 def gp_fit(hp: GpHyperParams, x_train, y_train) -> GpModel:
     """Build K(X, X) + eps*I, factorize it, and precompute (K+eps*I)^-1 y.
@@ -207,7 +181,7 @@ def gp_fit(hp: GpHyperParams, x_train, y_train) -> GpModel:
         raise InvalidInput("targets must be finite")
     cov = kernel_matrix(hp, x)
     cov[np.diag_indices_from(cov)] += hp.epsilon
-    factor = cholesky(cov, initial_jitter=0.0)
+    factor = cholesky(cov)
     alpha = solve(factor, y)
     return GpModel(hp=hp, x_train=x.copy(), y_train=y.copy(), factor=factor, alpha=alpha)
 
@@ -218,18 +192,6 @@ class GpPrediction:
 
     mean: np.ndarray
     variance: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.mean.size
-
-    def quantile(self, q: float) -> np.ndarray:
-        """Gaussian posterior quantile, for uncertainty bands."""
-        from statistics import NormalDist
-
-        if not (0.0 < q < 1.0):
-            raise InvalidInput(f"quantile level must be in (0, 1), got {q}")
-        return self.mean + np.sqrt(self.variance) * NormalDist().inv_cdf(q)
 
 
 def gp_predict(model: GpModel, x_new) -> GpPrediction:
@@ -257,7 +219,7 @@ def gp_nlml(model: GpModel) -> float:
     return float(
         0.5 * np.dot(model.y_train, model.alpha)
         + log_det_half
-        + 0.5 * model.n * math.log(2.0 * math.pi)
+        + 0.5 * model.y_train.size * math.log(2.0 * math.pi)
     )
 
 
@@ -389,7 +351,13 @@ def gp_optimize_hyperparams(
 def training_set(
     series: ObservationSeries, default_ph: float = 7.0
 ) -> tuple[np.ndarray, np.ndarray, bool, TransformedInputs]:
-    """``build_inputs`` plus the log-time transform its first column came from."""
+    """Training arrays of a series: ``(X, y, ph_assumed, times)``.
+
+    X is the ``design_matrix`` of the samples: with the pH column for lead,
+    without it for methylene blue. ``ph_assumed`` is True when any pH value
+    had to be filled from ``default_ph``; reports surface that flag.
+    ``times`` is the log-time transform the first column came from.
+    """
     removal = to_removal_series(series)
     times = transform_time(series)
     ph = None
@@ -400,16 +368,3 @@ def training_set(
     x = design_matrix(times.t_norm, [r.thickness_w for r in removal], ph)
     y = np.array([r.removal_fraction for r in removal])
     return x, y, ph_assumed, times
-
-
-def build_inputs(
-    series: ObservationSeries, default_ph: float = 7.0
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Assemble the (X, y) training arrays for a series.
-
-    X is the ``design_matrix`` of the samples: with the pH column for lead,
-    without it for methylene blue. Returns ``(X, y, ph_assumed)`` where
-    ``ph_assumed`` is True when any pH value had to be filled from
-    ``default_ph``; reports should surface that flag.
-    """
-    return training_set(series, default_ph)[:3]

@@ -58,24 +58,16 @@ def rmse(observed, predicted) -> float:
     return float(np.sqrt(np.mean((o - p) ** 2)))
 
 
-def obs_pred_slope(observed, predicted, through_origin: bool = True) -> float:
-    """Slope of observed regressed on predicted.
+def obs_pred_slope(observed, predicted) -> float:
+    """Slope of observed regressed on predicted through the origin.
 
-    The default is the through-origin form sum(o*p)/sum(p^2), which reads
-    as 1 for an unbiased fit; ``through_origin=False`` gives the ordinary
-    with-intercept slope.
+    sum(o*p)/sum(p^2), which reads as 1 for an unbiased fit.
     """
     o, p = _paired(observed, predicted, 2)
-    if through_origin:
-        denom = float(np.dot(p, p))
-        if denom == 0.0:
-            raise DegenerateFit("predictions are identically zero")
-        return float(np.dot(o, p) / denom)
-    pc = p - p.mean()
-    var = float(np.dot(pc, pc))
-    if var == 0.0:
-        raise DegenerateFit("predictions have zero variance")
-    return float(np.dot(pc, o - o.mean()) / var)
+    denom = float(np.dot(p, p))
+    if denom == 0.0:
+        raise DegenerateFit("predictions are identically zero")
+    return float(np.dot(o, p) / denom)
 
 
 def compute_metrics(observed, predicted) -> FitMetrics:

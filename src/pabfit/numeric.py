@@ -13,9 +13,7 @@ gradient with a backtracking (halving) line search; the GP hyperparameter
 search uses it. ``levenberg_marquardt`` minimizes a sum of squares from
 its residuals and their Jacobian (More 1978, "The Levenberg-Marquardt
 algorithm: implementation and theory"); the exponential-model fit uses it.
-Both return a ``DescentResult``. ``finite_difference_gradient`` is part of
-neither: it is the reference the tests hold each closed-form gradient and
-Jacobian against.
+Both return a ``DescentResult``.
 """
 
 from __future__ import annotations
@@ -47,22 +45,18 @@ class CholeskyFactor:
     lower: np.ndarray
     jitter_used: float
 
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
 
-
-def cholesky(m: np.ndarray, initial_jitter: float = 0.0) -> CholeskyFactor:
+def cholesky(m: np.ndarray) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
+
+    The first attempt adds no jitter. On failure the jitter enters the
+    ladder at ``DEFAULT_JITTER`` and grows tenfold per attempt, capped at
+    ``JITTER_CAP``.
 
     Parameters
     ----------
     m : (n, n) array_like
         Symmetric matrix with finite entries.
-    initial_jitter : float
-        Diagonal mass added before the first attempt. On failure the jitter
-        grows tenfold per attempt, capped at ``JITTER_CAP``; a zero start
-        enters the ladder at ``DEFAULT_JITTER``.
 
     Returns
     -------
@@ -79,10 +73,8 @@ def cholesky(m: np.ndarray, initial_jitter: float = 0.0) -> CholeskyFactor:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrix entries must be finite")
-    if initial_jitter < 0:
-        raise InvalidInput("initial_jitter must be non-negative")
 
-    jitter = float(initial_jitter)
+    jitter = 0.0
     while True:
         try:
             if jitter == 0.0:
@@ -111,9 +103,10 @@ def solve_lower(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     from scipy.linalg import solve_triangular
 
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != factor.n:
+    n = factor.lower.shape[0]
+    if rhs.shape[0] != n:
         raise DimensionMismatch(
-            f"rhs has leading dimension {rhs.shape[0]}, factor is {factor.n}x{factor.n}"
+            f"rhs has leading dimension {rhs.shape[0]}, factor is {n}x{n}"
         )
     return solve_triangular(factor.lower, rhs, lower=True)
 
@@ -169,38 +162,6 @@ class DescentResult:
     fun: float
     iterations: int
     converged: bool
-
-
-# central-difference step: the error is the truncation, of order h^2, plus
-# the objective's rounding divided by h, and 1e-3 balances the two for
-# objectives accurate to ~1e-8 relative, as the GP ones are
-_FD_STEP = 1e-3
-
-
-def finite_difference_gradient(
-    objective: Callable[[np.ndarray], float], x: np.ndarray
-) -> np.ndarray:
-    """Central-difference gradient with the step 1e-3 in every coordinate.
-
-    The reference that closed-form gradients are tested against; the
-    descent never calls it.
-    """
-    x = np.asarray(x, dtype=float)
-    h = _FD_STEP
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        fp = float(objective(xp))
-        fm = float(objective(xm))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NonFiniteObjective(
-                f"objective non-finite while differentiating coordinate {i}"
-            )
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
 
 
 _MIN_STEP = 1e-18

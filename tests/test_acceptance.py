@@ -18,28 +18,22 @@ from pabfit.dataio import (
     load_fixture,
 )
 from pabfit.domain import Contaminant, ObservationSeries, Sample, to_removal_series
-from pabfit.expmodel import (
-    MB_EXP_PARAMS,
-    PB_EXP_PARAMS,
-    ExpModelParams,
-    exp_model_eval,
-    fit_exp_model,
-)
+from pabfit.expmodel import ExpModelParams, exp_model_eval, fit_exp_model
 from pabfit.gp import (
     GpHyperParams,
-    build_inputs,
+    default_hyperparams,
     gp_fit,
     gp_nlml,
     gp_optimize_hyperparams,
     gp_predict,
-    kernel,
     kernel_matrix,
-    mb_default_hyperparams,
-    pb_default_hyperparams,
+    training_set,
 )
 from pabfit.kinetics import fit_first_order
 from pabfit.metrics import compute_metrics
 from pabfit.numeric import DescentConfig, gradient_descent
+
+from oracles import MB_EXP_PARAMS, PB_EXP_PARAMS
 
 
 def done(number, name):
@@ -120,7 +114,7 @@ def test_05_exp_fit_recovery_within_basin():
 
 
 def test_06_gp_posterior_matches_explicit_inverse_oracle():
-    for hp in (pb_default_hyperparams(), mb_default_hyperparams()):
+    for hp in map(default_hyperparams, Contaminant):
         rng = np.random.default_rng(6)
         scale = np.array([1.0, 9.0, 3.0])[: hp.p]
         for _ in range(50):
@@ -142,8 +136,8 @@ def test_06_gp_posterior_matches_explicit_inverse_oracle():
 def test_07_gp_reference_hyperparameters_interpolate_all_fixtures():
     for name, info in FIXTURES.items():
         series = load_fixture(name)
-        x, y, _ = build_inputs(series)
-        hp = pb_default_hyperparams() if info.contaminant is Contaminant.PB else mb_default_hyperparams()
+        x, y, _, _ = training_set(series)
+        hp = default_hyperparams(info.contaminant)
         pred = gp_predict(gp_fit(hp, x, y), x)
         metrics = compute_metrics(y, pred.mean)
         assert metrics.r2 >= 0.99, (name, metrics.r2)
@@ -171,15 +165,15 @@ def test_08_gp_prior_posterior_sanity():
 
 
 def test_09_pb_kernel_thickness_insensitivity():
-    hp = pb_default_hyperparams()
+    hp = default_hyperparams(Contaminant.PB)
     rng = np.random.default_rng(9)
     for _ in range(200):
         t1, t2 = rng.uniform(0, 1, 2)
         ph1, ph2 = rng.uniform(5, 9, 2)
         w0 = float(rng.uniform(0, 3))
-        base = kernel(hp, [t1, ph1, w0], [t2, ph2, w0])
+        base = kernel_matrix(hp, [[t1, ph1, w0]], [[t2, ph2, w0]])[0, 0]
         for dw in (1.5, -1.5):
-            moved = kernel(hp, [t1, ph1, w0], [t2, ph2, w0 + dw])
+            moved = kernel_matrix(hp, [[t1, ph1, w0]], [[t2, ph2, w0 + dw]])[0, 0]
             assert abs(moved - base) / base < 1e-8
     done(9, "thickness-insensitive lead kernel")
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +10,8 @@ from pabfit.cli import main, optimum_thickness_scan, predict
 from pabfit.dataio import fixture_dir, load_fixture, report_csv_path
 from pabfit.errors import InvalidInput, ValidationError
 from pabfit.expmodel import ExpModelParams, ExponentForm, exp_model_eval
-from pabfit.gp import (
-    GpHyperParams,
-    build_inputs,
-    gp_fit,
-    gp_predict,
-    mb_default_hyperparams,
-    pb_default_hyperparams,
-)
+from pabfit.domain import Contaminant
+from pabfit.gp import GpHyperParams, default_hyperparams, gp_fit, gp_predict, training_set
 from pabfit.kinetics import KineticFitResult
 
 
@@ -391,24 +386,18 @@ class TestOverflowScaleThickness:
         assert "stage=load code=3" in capsys.readouterr().err
 
 
-class TestMalformedReportParameters:
-    """A report lacking a parameter its model needs fails at load, with code 3."""
+FIT_EXP = ["fit-exp", "--input", "mb_run1.csv", "--contaminant", "mb"]
+FIT_GP = ["fit-gp", "--input", "pcbc_run1.csv"]
 
-    @pytest.mark.parametrize(
-        "argv,key",
-        [
-            (["fit-kinetics", "--input", "pcbc_run1.csv"], "k"),
-            (["fit-exp", "--input", "mb_run1.csv", "--contaminant", "mb"], "a"),
-            (["fit-gp", "--input", "pcbc_run1.csv"], "w"),
-        ],
-        ids=["first_order", "exponential", "gaussian_process"],
-    )
-    @pytest.mark.parametrize("command", ["predict", "report"])
-    def test_missing_parameter(self, tmp_path, capsys, argv, key, command):
+
+class TestMalformedReportParameters:
+    """A malformed report fails at load, with code 3 and one error line."""
+
+    def rejected(self, tmp_path, capsys, argv, change, command):
         model = tmp_path / "model.json"
         assert run_cli(*argv, "--output", str(model)) == 0
         payload = json.loads(model.read_text())
-        del payload["parameters"][key]
+        change(payload)
         model.write_text(json.dumps(payload))
         capsys.readouterr()
         out = tmp_path / "o.json"
@@ -419,8 +408,45 @@ class TestMalformedReportParameters:
         assert run_cli(command, *rest, "--output", str(out)) == 3
         err = capsys.readouterr().err
         assert "stage=load code=3" in err
-        assert repr(key) in err
+        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["fit-kinetics", "--input", "pcbc_run1.csv"], "k"),
+            (FIT_EXP, "a"),
+            (FIT_GP, "w"),
+        ],
+        ids=["first_order", "exponential", "gaussian_process"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_missing_parameter(self, tmp_path, capsys, argv, key, command):
+        err = self.rejected(tmp_path, capsys, argv, lambda p: p["parameters"].pop(key), command)
+        assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "argv,change",
+        [
+            (FIT_EXP, lambda p: p.update(metrics={})),
+            (FIT_EXP, lambda p: p["predictions"][0].pop("inputs")),
+            (FIT_EXP, lambda p: p["parameters"].update(time_denominator="x")),
+            (FIT_EXP, lambda p: p["parameters"].update(time_denominator=0.0)),
+            (FIT_GP, lambda p: p["predictions"][0]["inputs"].update(t_norm="abc")),
+            (FIT_GP, lambda p: p["predictions"][0].update(observed="x")),
+            (FIT_GP, lambda p: p["predictions"][0].update(variance=[])),
+            (FIT_GP, lambda p: p["parameters"].update(default_ph="x")),
+        ],
+        ids=[
+            "empty_metrics", "row_without_inputs", "time_denominator_text",
+            "time_denominator_zero", "gp_t_norm_text", "gp_observed_text",
+            "gp_variance_list", "gp_default_ph_text",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_malformed_report(self, tmp_path, capsys, argv, change, command):
+        self.rejected(tmp_path, capsys, argv, change, command)
 
 
 class TestBadGrids:
@@ -440,15 +466,20 @@ class TestBadGrids:
 
     def check_rejected(self, tmp_path, capsys, stage, *argv):
         out = tmp_path / "o.json"
-        assert run_cli(*argv, "--output", str(out)) == 3
-        assert f"stage={stage} code=3" in capsys.readouterr().err
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no overflow reaches numpy
+            assert run_cli(*argv, "--output", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"stage={stage} code=3" in err
+        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_nan_time_on_kinetics(self, tmp_path, capsys):
         model = self.kinetics(tmp_path)
         self.check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", "nan")
 
-    @pytest.mark.parametrize("w_grid", ["nan", ",", "1,-0.5"])
+    @pytest.mark.parametrize("w_grid", ["nan", ",", "1,-0.5", "1e308", "1,10000.5"])
     @pytest.mark.parametrize("model_kind", ["exp", "gp"])
     def test_bad_thickness_grid(self, tmp_path, capsys, w_grid, model_kind):
         model = getattr(self, model_kind)(tmp_path)
@@ -456,6 +487,17 @@ class TestBadGrids:
             tmp_path, capsys, "predict",
             "predict", "--model", model, "--t-grid", "60,3600", "--w-grid", w_grid,
         )
+
+    @pytest.mark.parametrize("model_kind", ["exp", "gp"])
+    def test_thickness_bound_is_inclusive(self, tmp_path, model_kind):
+        model = getattr(self, model_kind)(tmp_path)
+        out = tmp_path / "o.json"
+        argv = ["--model", model, "--t-grid", "60,3600", "--w-grid", "0,10000", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("predict", *argv) == 0
+        rows = json.loads(out.read_text())["predictions"]
+        assert len(rows) == 4 and all(np.isfinite(r["predicted"]) for r in rows)
 
     @pytest.mark.parametrize("t_grid", ["-10", ",", "inf"])
     def test_bad_time_grid(self, tmp_path, capsys, t_grid):
@@ -469,14 +511,14 @@ class TestBadGrids:
             "predict", "--model", model, "--t-grid", "60", "--w-grid", "1", "--ph", "nan",
         )
 
-    @pytest.mark.parametrize("scan_w", ["nan", ",", "0,-1"])
+    @pytest.mark.parametrize("scan_w", ["nan", ",", "0,-1", "1,1e308"])
     def test_bad_scan_grid(self, tmp_path, capsys, scan_w):
         model = self.exp(tmp_path)
         self.check_rejected(
             tmp_path, capsys, "scan", "report", "--inputs", model, "--scan-w", scan_w
         )
 
-    @pytest.mark.parametrize("scan_t", ["nan", "-0.5"])
+    @pytest.mark.parametrize("scan_t", ["nan", "-0.5", "1e308", "1.5"])
     def test_bad_scan_time(self, tmp_path, capsys, scan_t):
         model = self.exp(tmp_path)
         self.check_rejected(
@@ -508,10 +550,13 @@ class TestPredictDispatch:
 
     @pytest.mark.parametrize(
         "fixture,hp,ph",
-        [("pcbc_run1.csv", pb_default_hyperparams(), 6.8), ("mb_run1.csv", mb_default_hyperparams(), None)],
+        [
+            ("pcbc_run1.csv", default_hyperparams(Contaminant.PB), 6.8),
+            ("mb_run1.csv", default_hyperparams(Contaminant.METHYLENE_BLUE), None),
+        ],
     )
     def test_gp_grid_equals_pointwise_rows(self, fixture, hp, ph):
-        x, y, _ = build_inputs(load_fixture(fixture))
+        x, y, _, _ = training_set(load_fixture(fixture))
         model = gp_fit(hp, x, y)
         mean, variance = predict(model, self.t[:, None], self.w[None, :], ph)
         assert mean.shape == variance.shape == (self.t.size, self.w.size)
@@ -523,8 +568,8 @@ class TestPredictDispatch:
         assert np.array_equal(variance.ravel(), pred.variance)
 
     def test_gp_ph_defaults_to_mean_training_ph(self):
-        x, y, _ = build_inputs(load_fixture("pcp_run1.csv"))
-        model = gp_fit(pb_default_hyperparams(), x, y)
+        x, y, _, _ = training_set(load_fixture("pcp_run1.csv"))
+        model = gp_fit(default_hyperparams(Contaminant.PB), x, y)
         given = predict(model, 1.0, self.w, float(np.mean(x[:, 1])))
         assert all(np.array_equal(a, b) for a, b in zip(predict(model, 1.0, self.w), given))
 

@@ -81,37 +81,16 @@ class TestLoadSeries:
         with pytest.raises(ValidationError, match="row 1"):
             load_series(DatasetFile(path, Contaminant.PB, 50.0, default_thickness_cm=3.0))
 
-    def test_unknown_column_strict_vs_lenient(self, tmp_path):
+    def test_unknown_column_rejected(self, tmp_path):
         text = "time_min,concentration_mg_l,operator\n10,40.0,bob\n60,30.0,bob\n90,20.0,bob\n"
         path = write_csv(tmp_path, text)
         with pytest.raises(ValidationError, match="operator"):
             load_series(DatasetFile(path, Contaminant.PB, 50.0, default_thickness_cm=3.0))
-        with pytest.warns(UserWarning, match="operator"):
-            s = load_series(
-                DatasetFile(
-                    path, Contaminant.PB, 50.0, default_thickness_cm=3.0, strict_columns=False
-                )
-            )
-        assert len(s.samples) == 3
 
     def test_removal_pct_divided_by_100(self, tmp_path):
         path = write_csv(tmp_path, "time_min,removal_pct,thickness_cm\n10,10.0,1.0\n60,50.0,1.0\n90,86.94,1.0\n")
         s = load_series(DatasetFile(path, Contaminant.METHYLENE_BLUE, 50.0))
         assert [x.removal_fraction for x in s.samples] == [0.1, 0.5, 0.8694]
-
-    def test_mapped_schema(self, tmp_path):
-        text = "minutes,conc\n10,40.0\n60,30.0\n90,20.0\n"
-        path = write_csv(tmp_path, text)
-        s = load_series(
-            DatasetFile(
-                path,
-                Contaminant.PB,
-                50.0,
-                schema={"time_min": "minutes", "concentration_mg_l": "conc"},
-                default_thickness_cm=3.0,
-            )
-        )
-        assert s.samples[0].concentration == 40.0
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(FileIOError):
@@ -336,8 +315,17 @@ class TestReports:
             {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": []}},
             {"parameters": {"v": "0.3852", "epsilon": 1.490116e-08, "w": [1.0]}},
             {"parameters": {"v": True, "epsilon": 1.490116e-08, "w": [1.0]}},
+            {"parameters": {"v": 10**400, "epsilon": 1.490116e-08, "w": [1.0]}},
+            {"parameters": {"v": 0.3852, "epsilon": float("nan"), "w": [1.0]}},
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": "x"}},
             {"model_kind": "first_order", "parameters": {"k": -0.1}},
+            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0], "time_denominator": -1.0}},
+            {"metrics": {}},
+            {"metrics": {"r2": 1.0, "rmse": 0.0, "obs_pred_slope": 1.0, "n": "2"}},
+            {"predictions": {}},
+            {"predictions": [{"predicted": 0.4}]},
+            {"predictions": [{"inputs": {"t_norm": "abc"}, "predicted": 0.4}]},
+            {"predictions": [{"inputs": {"t_norm": 0.5}, "predicted": None}]},
         ],
     )
     def test_invalid_parameters_rejected(self, tmp_path, change):
@@ -347,6 +335,12 @@ class TestReports:
         payload.update(change)
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValidationError):
+            read_report(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "number.json"
+        path.write_text("3", encoding="utf-8")
+        with pytest.raises(ValidationError, match="JSON object"):
             read_report(path)
 
     def test_missing_keys_rejected(self, tmp_path):

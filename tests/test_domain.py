@@ -8,7 +8,6 @@ from pabfit.domain import (
     Contaminant,
     ObservationSeries,
     Sample,
-    compute_capacity,
     log_time_norm,
     to_removal_series,
     transform_time,
@@ -156,35 +155,3 @@ class TestTransformTime:
         s = series_from_concentrations([10, 100, 3600], [40, 30, 20])
         tr = transform_time(s)
         assert tr.denominator == pytest.approx(math.log(3600))
-
-
-class TestComputeCapacity:
-    def test_direct_arithmetic(self):
-        assert compute_capacity(50, 10, 6, 240) == 1.0
-
-    def test_zero_uptake(self):
-        assert compute_capacity(50, 50, 6, 100) == 0.0
-
-    def test_reference_capacity(self):
-        assert compute_capacity(50, 6.53, 6, 241.5) == pytest.approx(1.08, abs=1e-2)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidInput):
-            compute_capacity(50, 10, 6, 0)
-        with pytest.raises(InvalidInput):
-            compute_capacity(50, 60, 6, 10)
-        with pytest.raises(InvalidInput):
-            compute_capacity(50, 10, -1, 10)
-
-    def test_scaling_property(self):
-        # linear in volume, inversely linear in mass
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            c0 = rng.uniform(1, 100)
-            ct = rng.uniform(0, c0)
-            vol = rng.uniform(0.1, 10)
-            mass = rng.uniform(1, 500)
-            lam = rng.uniform(0.5, 3)
-            base = compute_capacity(c0, ct, vol, mass)
-            assert compute_capacity(c0, ct, lam * vol, mass) == pytest.approx(lam * base)
-            assert compute_capacity(c0, ct, vol, lam * mass) == pytest.approx(base / lam)

@@ -83,13 +83,6 @@ class TestObsPredSlope:
         with pytest.raises(DegenerateFit):
             obs_pred_slope([1.0, 2.0], [0.0, 0.0])
 
-    def test_with_intercept_variant(self):
-        o = np.array([1.0, 3.0, 5.0])
-        p = np.array([0.0, 1.0, 2.0])
-        assert obs_pred_slope(o, p, through_origin=False) == pytest.approx(2.0)
-        with pytest.raises(DegenerateFit):
-            obs_pred_slope(o, np.full(3, 4.0), through_origin=False)
-
 
 def test_compute_metrics_bundle():
     o = np.array([1.0, 2.0, 3.0])

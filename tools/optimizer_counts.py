@@ -4,13 +4,13 @@ For every fixture and both GP objectives, one ``gp_optimize_hyperparams``
 call from the shipped hyperparameters (the ``fit-gp --optimize`` path):
 its ``gp_fit`` calls, descent iterations and the objective at the returned
 hyperparameters. For both exponent forms, one ``fit_exp_model`` call from
-the CLI's default start (1, 1): its model evaluations, then gradient
-evaluations ("+Ng") and residual-and-Jacobian evaluations ("+Nj"), the
-iterations of its descents and Levenberg-Marquardt runs, and the final
-SSE. Each residual-and-Jacobian evaluation makes one model evaluation. The
-counts come from wrapping the module-level functions the optimizers look
-up, and a function the package lacks counts 0, so the same script
-compares any two versions of the package. Run from the repo root:
+the CLI's default start (1, 1): its model evaluations, then
+residual-and-Jacobian evaluations ("+Nj"), the iterations of its
+Levenberg-Marquardt runs, and the final SSE. Each residual-and-Jacobian
+evaluation makes one model evaluation. The counts come from wrapping the
+module-level functions the optimizers look up, and a function the package
+lacks counts 0, so the same script compares any two versions of the
+package. Run from the repo root:
 
     PYTHONPATH=src python tools/optimizer_counts.py
 """
@@ -51,7 +51,7 @@ def counting(module, *names):
 
 def gp_rows(name: str):
     series = load_fixture(name)
-    x, y, _ = gp.build_inputs(series)
+    x, y, _, _ = gp.training_set(series)
     hp0 = gp.default_hyperparams(series.contaminant)
     for objective, score in (("nlml", gp.gp_nlml), ("sse", gp.gp_loo_sse)):
         with counting(gp, "gp_fit", "gradient_descent") as calls:
@@ -67,13 +67,12 @@ def exp_rows(name: str):
         (tn, r.thickness_w, r.removal_fraction)
         for tn, r in zip(transform_time(series).t_norm, removal)
     ]
-    optimizers = ("gradient_descent", "levenberg_marquardt")
     for form in expmodel.ExponentForm:
-        names = ("exp_model_eval", "exp_model_sse_gradient", "exp_model_residual_jacobian")
-        with counting(expmodel, *names, *optimizers) as calls:
+        names = ("exp_model_eval", "exp_model_residual_jacobian")
+        with counting(expmodel, *names, "levenberg_marquardt") as calls:
             fit = expmodel.fit_exp_model(data, exponent_form=form)
-        evals = "{}+{}g+{}j".format(*(len(calls[name]) for name in names))
-        iterations = sum(r.iterations for name in optimizers for r in calls[name] if r is not None)
+        evals = "{}+{}j".format(*(len(calls[name]) for name in names))
+        iterations = sum(r.iterations for r in calls["levenberg_marquardt"] if r is not None)
         yield f"exp {form.value}", evals, iterations, fit.sse
 
 
