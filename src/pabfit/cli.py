@@ -34,6 +34,7 @@ from .dataio import (
     write_series,
 )
 from .domain import (
+    MAX_PH,
     MAX_THICKNESS_CM,
     Contaminant,
     FitReport,
@@ -86,9 +87,16 @@ def _floats(text: str, flag: str) -> list[float]:
         raise ParseError(f"{flag}: cannot parse {text!r} as comma-separated numbers") from None
 
 
-# upper bound of each grid option that has one: thicknesses as the loader
-# bounds them, and normalized time within the range the models are fitted on
-_GRID_MAX = {"--w-grid": MAX_THICKNESS_CM, "--scan-w": MAX_THICKNESS_CM, "--scan-t": 1.0}
+# upper bound of each grid option that has one: thicknesses and pH as the
+# loader bounds them, and normalized time within the range the models are
+# fitted on
+_GRID_MAX = {
+    "--w-grid": MAX_THICKNESS_CM,
+    "--scan-w": MAX_THICKNESS_CM,
+    "--scan-t": 1.0,
+    "--ph": MAX_PH,
+    "--default-ph": MAX_PH,
+}
 
 
 def _grid(text: str | float, flag: str) -> list[float]:
@@ -283,10 +291,11 @@ def _resolve_hyper(args, contaminant: Contaminant) -> GpHyperParams:
 def _cmd_fit_gp(args) -> int:
     contaminant = _CONTAMINANTS[args.contaminant]
     with _stage("load"):
+        default_ph = _grid(args.default_ph, "--default-ph")[0]
         series = _load(args, contaminant)
     with _stage("fit"):
         hp = _resolve_hyper(args, contaminant)
-        x, y, ph_assumed, times = training_set(series, default_ph=args.default_ph)
+        x, y, ph_assumed, times = training_set(series, default_ph=default_ph)
         if x.shape[1] != hp.p:
             raise ValidationError(
                 f"{hp.p} kernel weights but the {contaminant.value} design matrix has "
@@ -319,7 +328,7 @@ def _cmd_fit_gp(args) -> int:
             "p": hp.p,
             "time_denominator": times.denominator,
             "jitter_used": model.factor.jitter_used,
-            "default_ph": args.default_ph if contaminant is Contaminant.PB else None,
+            "default_ph": default_ph if contaminant is Contaminant.PB else None,
             "ph_assumed": ph_assumed,
             "optimized": bool(args.optimize),
             "objective": args.objective if args.optimize else None,
@@ -423,9 +432,11 @@ def _cmd_predict(args) -> int:
     with _stage("predict"):
         minutes = np.array(_grid(args.t_grid, "--t-grid"))[:, None]
         w = None if args.w_grid is None else np.array(_grid(args.w_grid, "--w-grid"))[None, :]
-        ph = report.parameters.get("default_ph") or 7.0
+        ph = report.parameters.get("default_ph")
         if args.ph is not None:
             ph = _grid(args.ph, "--ph")[0]
+        elif ph is None:
+            ph = 7.0
         t = minutes
         if "t_norm" in inputs:  # minutes -> ln(t) / ln(t_max) of the training series
             denom = report.parameters.get("time_denominator")

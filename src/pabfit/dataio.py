@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import (
+    MAX_PH,
     Contaminant,
     FitReport,
     ModelKind,
@@ -370,7 +371,7 @@ _PARAMETER_CHECKS = {
         "w": lambda w: isinstance(w, list) and len(w) > 0 and all(map(_finite_number, w)),
         "epsilon": _finite_number,
         "time_denominator": _absent_or_positive,
-        "default_ph": lambda ph: ph is None or _finite_number(ph),
+        "default_ph": lambda ph: ph is None or (_finite_number(ph) and 0 <= ph <= MAX_PH),
     },
 }
 
@@ -393,10 +394,10 @@ def read_report(path: str | Path) -> FitReport:
     here, in one pass: a known model kind; each parameter the kind requires
     (a finite number; the GP's ``w`` a non-empty list of them), and, where
     present, ``exponent_form`` one of the forms, ``time_denominator``
-    positive and ``default_ph`` finite; the four metrics, unless null,
-    finite; and in each prediction row ``inputs`` an object of finite
-    numbers, a finite ``predicted``, and a finite or null ``observed`` and
-    ``variance``.
+    positive and ``default_ph`` in [0, ``MAX_PH``]; the four metrics,
+    unless null, finite; and in each prediction row ``inputs`` an object of
+    finite numbers, a finite ``predicted``, and a finite or null
+    ``observed`` and ``variance``.
     """
     path = Path(path)
     try:

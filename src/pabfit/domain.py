@@ -6,8 +6,8 @@ fraction in [0, 1]; percent is a display concern only.
 
 Every check on the values of a series runs once, in the ``ObservationSeries``
 constructor, whoever builds it; its messages name the 1-based data row.
-Thickness is bounded above by ``MAX_THICKNESS_CM``, so no value the models
-see can overflow.
+Thickness is bounded above by ``MAX_THICKNESS_CM`` and pH lies in
+[0, ``MAX_PH``], so no value the models see can overflow.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ CONSISTENCY_TOL = 1e-9
 # any permeable barrier, and keeps W, a * (b + W) and sums over W far from
 # floating-point overflow in the models
 MAX_THICKNESS_CM = 1e4
+
+# the top of the aqueous pH scale; with pH in [0, 14] the squared pH
+# differences of the GP kernel cannot overflow
+MAX_PH = 14.0
 
 
 class Contaminant(Enum):
@@ -105,8 +109,8 @@ class ObservationSeries:
                         f"row {i}: removal {s.removal_fraction} disagrees with "
                         f"concentration {s.concentration} (implies {implied})"
                     )
-            if s.ph is not None and not math.isfinite(s.ph):
-                raise InvalidInput(f"row {i}: pH must be finite, got {s.ph}")
+            if s.ph is not None and not (0.0 <= s.ph <= MAX_PH):
+                raise InvalidInput(f"row {i}: pH must lie in [0, {MAX_PH:g}], got {s.ph}")
             thickness = s.thickness_w
             if thickness is None:
                 thickness = self.barrier_thickness_cm

@@ -5,8 +5,13 @@ The covariance between inputs x and x' is
     k(x, x') = v * exp(-sum_p w_p * (x_p - x'_p)^2)
 
 with one inverse-length weight per input dimension, so each regressor
-(normalized log-time, pH, thickness) carries its own relevance. The
-training covariance gets a jitter ``epsilon`` on its diagonal and is
+(normalized log-time, pH, thickness) carries its own relevance.
+``kernel_matrix`` builds it one input column at a time on row blocks of
+2^16 entries, a 512 KiB temporary, and sums the exponent in a pinned
+order, the even-indexed columns plus the odd-indexed ones: numpy's einsum
+order for up to 7 columns, so it equals v * exp(-einsum(...)) bit for bit.
+
+The training covariance gets a jitter ``epsilon`` on its diagonal and is
 factorized once, K + eps*I = L L^T; prediction, the marginal-likelihood
 objective, and the leave-one-out objective all reuse the factor (Rasmussen
 & Williams, *GPML*, 2006, Algorithm 2.1 and section 5.4.2). The predictive
@@ -62,10 +67,10 @@ _DEFAULT_HYPERPARAMS = {
     Contaminant.METHYLENE_BLUE: (0.2397, (14.6899, 2.2309)),
 }
 
-# elements of the (rows, m, p) squared-difference block that kernel_matrix
-# holds at once (2 MiB of float64), so its temporary stays small next to
-# the (n, m) result
-_KERNEL_BLOCK_ELEMENTS = 1 << 18
+# elements of one (rows, m) block of kernel_matrix: the squared-difference
+# term it holds (512 KiB of float64) stays in cache while the block's rows
+# accumulate and exponentiate, and stays small next to the (n, m) result
+_KERNEL_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -124,30 +129,56 @@ def _as_input_matrix(x, p: int) -> np.ndarray:
     return arr
 
 
+def _term_sum(ca, cb, neg_w, columns, acc, scratch) -> np.ndarray:
+    """acc = sum of -w_k * (ca[k] - cb[k])^2 over ``columns``, left to right.
+
+    ``ca`` holds the block's rows and ``cb`` the other inputs, one input
+    column per row; ``scratch`` holds each term after the first.
+    """
+    for i, k in enumerate(columns):
+        term = acc if i == 0 else scratch
+        np.subtract(ca[k, :, None], cb[k, None, :], out=term)
+        term *= term
+        term *= neg_w[k]
+        if i:
+            acc += term
+    return acc
+
+
 def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
     """Cross-covariance matrix K[i, j] = k(x[i], x2[j]), without jitter.
 
-    Rows are computed in blocks, so the squared differences never occupy
-    more than a fixed number of elements at once, whatever n and m are.
+    Rows are computed in blocks of at most ``_KERNEL_BLOCK_ELEMENTS``
+    entries, one input column at a time: each column's term -w_k * d_k^2
+    is a contiguous (rows, m) array, and the block is exponentiated while
+    it is still in cache. The exponent sums its terms in a fixed order,
+    the even-indexed columns left to right plus the odd-indexed ones left
+    to right, the order numpy's ``einsum("ijp,p->ij", d * d, w)`` uses for
+    p <= 7; the negation folded into each weight is exact. So the result
+    is bit-identical to v * exp(-einsum(...)) for every p the package uses,
+    and the temporary is one block (two for p > 3, whose odd-indexed sum
+    needs its own), whatever n and m are.
     """
     xa = _as_input_matrix(x, hp.p)
     xb = xa if x2 is None else _as_input_matrix(x2, hp.p)
-    n, m, w = xa.shape[0], xb.shape[0], np.asarray(hp.w)
+    n, m, p = xa.shape[0], xb.shape[0], hp.p
+    # one contiguous row per input column, so each subtraction streams
+    ca = xa.T.copy()
+    cb = ca if x2 is None else xb.T.copy()
+    neg_w = [-wk for wk in hp.w]
     out = np.empty((n, m))
-    rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, m * hp.p)))
-    block = np.empty((rows, m, hp.p))
+    rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, m)))
+    blocks = np.empty((1 if p <= 3 else 2, rows, m))
     for start in range(0, n, rows):
-        d = block[: min(rows, n - start)]
-        # one 2-d subtraction per input column runs faster than the
-        # broadcast over a length-p inner axis, and is exact either way
-        for k in range(hp.p):
-            np.subtract(xa[start : start + len(d), None, k], xb[None, :, k], out=d[:, :, k])
-        d *= d
-        # the same einsum per block keeps its summation order over p, and
-        # with it every bit of the unblocked result
-        np.einsum("ijp,p->ij", d, w, out=out[start : start + len(d)])
-    np.negative(out, out=out)
-    np.exp(out, out=out)
+        acc = out[start : start + rows]
+        block_ca = ca[:, start : start + rows]
+        scratch = blocks[0, : len(acc)]
+        _term_sum(block_ca, cb, neg_w, range(0, p, 2), acc, scratch)
+        if p > 1:
+            # a single odd-indexed term is its own sum and needs no second block
+            odd = blocks[-1, : len(acc)]
+            acc += _term_sum(block_ca, cb, neg_w, range(1, p, 2), odd, scratch)
+        np.exp(acc, out=acc)
     out *= hp.v
     return out
 

@@ -386,6 +386,97 @@ class TestOverflowScaleThickness:
         assert "stage=load code=3" in capsys.readouterr().err
 
 
+def check_rejected(tmp_path, capsys, stage, *argv):
+    """The command exits 3 at ``stage`` with one error line and no output."""
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow reaches numpy
+        assert run_cli(*argv, "--output", str(out)) == 3
+    err = capsys.readouterr().err
+    assert f"stage={stage} code=3" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    return err
+
+
+def no_ph_csv(tmp_path):
+    """A three-row lead series with no ph column."""
+    path = tmp_path / "no_ph.csv"
+    path.write_text("time_min,concentration_mg_l,thickness_cm\n10,40,3\n60,30,3\n90,20,3\n")
+    return path
+
+
+class TestPhBound:
+    """pH lies in [0, 14] wherever it enters: a CSV cell, ``--default-ph``,
+    ``--ph`` and a report's ``default_ph``. Outside it a command exits 3 with
+    one error line, before numpy sees the value."""
+
+    @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
+    @pytest.mark.parametrize("value", ["1e200", "-3", "14.5"])
+    def test_csv_cell(self, tmp_path, capsys, command, value):
+        bad = corrupted_fixture(tmp_path, "ph", value)
+        err = check_rejected(tmp_path, capsys, "load", command, "--input", str(bad))
+        assert "row 5" in err
+
+    def test_csv_cell_without_numpy_warnings(self, tmp_path, cli_env):
+        bad = corrupted_fixture(tmp_path, "ph", "1e200")
+        out = tmp_path / "o.json"
+        r = subprocess.run(
+            [sys.executable, "-m", "pabfit", "fit-gp", "--input", str(bad), "--output", str(out)],
+            capture_output=True, text=True, env=cli_env, cwd=tmp_path,
+        )
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: stage=load code=3")
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "RuntimeWarning" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e200", "-3", "nan", "inf", "14.5"])
+    @pytest.mark.parametrize("ph_column", [True, False])
+    def test_default_ph(self, tmp_path, capsys, value, ph_column):
+        csv = "pcbc_run1.csv" if ph_column else no_ph_csv(tmp_path)
+        err = check_rejected(
+            tmp_path, capsys, "load", "fit-gp", "--input", str(csv), "--default-ph", value
+        )
+        assert "--default-ph" in err
+
+    @pytest.mark.parametrize("value", ["1e308", "-1", "14.000001"])
+    def test_predict_and_report_ph(self, tmp_path, capsys, value):
+        model = tmp_path / "gp.json"
+        assert run_cli(*FIT_GP, "--output", str(model)) == 0
+        check_rejected(
+            tmp_path, capsys, "predict",
+            "predict", "--model", str(model), "--t-grid", "60,3600", "--w-grid", "1", "--ph", value,
+        )
+        check_rejected(
+            tmp_path, capsys, "scan",
+            "report", "--inputs", str(model), "--scan-w", "0,1", "--ph", value,
+        )
+
+    def test_synth_ph(self, tmp_path, capsys):
+        check_rejected(
+            tmp_path, capsys, "generate",
+            "synth", "--generator", "first-order", "--k", "-0.0006", "--ph", "1e200",
+        )
+
+    def test_bounds_are_inclusive(self, tmp_path):
+        # a pH of 0 is a value, not a missing one: predict keeps it
+        csv = no_ph_csv(tmp_path)
+        model = tmp_path / "gp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("fit-gp", "--input", str(csv), "--default-ph", "0",
+                           "--output", str(model)) == 0
+            out = tmp_path / "p.json"
+            assert run_cli("predict", "--model", str(model), "--t-grid", "60",
+                           "--w-grid", "1", "--output", str(out)) == 0
+            assert json.loads(out.read_text())["predictions"][0]["inputs"]["ph"] == 0.0
+            assert run_cli("predict", "--model", str(model), "--t-grid", "60",
+                           "--w-grid", "1", "--ph", "14", "--output", str(out)) == 0
+            assert json.loads(out.read_text())["predictions"][0]["inputs"]["ph"] == 14.0
+
+
 FIT_EXP = ["fit-exp", "--input", "mb_run1.csv", "--contaminant", "mb"]
 FIT_GP = ["fit-gp", "--input", "pcbc_run1.csv"]
 
@@ -437,11 +528,14 @@ class TestMalformedReportParameters:
             (FIT_GP, lambda p: p["predictions"][0].update(observed="x")),
             (FIT_GP, lambda p: p["predictions"][0].update(variance=[])),
             (FIT_GP, lambda p: p["parameters"].update(default_ph="x")),
+            (FIT_GP, lambda p: p["parameters"].update(default_ph=1e200)),
+            (FIT_GP, lambda p: p["parameters"].update(default_ph=-3.0)),
         ],
         ids=[
             "empty_metrics", "row_without_inputs", "time_denominator_text",
             "time_denominator_zero", "gp_t_norm_text", "gp_observed_text",
-            "gp_variance_list", "gp_default_ph_text",
+            "gp_variance_list", "gp_default_ph_text", "gp_default_ph_huge",
+            "gp_default_ph_negative",
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "report"])
@@ -464,26 +558,15 @@ class TestBadGrids:
     def gp(self, tmp_path):
         return self.fit(tmp_path, "fit-gp", "--input", "pcbc_run1.csv")
 
-    def check_rejected(self, tmp_path, capsys, stage, *argv):
-        out = tmp_path / "o.json"
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # no overflow reaches numpy
-            assert run_cli(*argv, "--output", str(out)) == 3
-        err = capsys.readouterr().err
-        assert f"stage={stage} code=3" in err
-        assert len(err.strip().splitlines()) == 1
-        assert not out.exists()
-
     def test_nan_time_on_kinetics(self, tmp_path, capsys):
         model = self.kinetics(tmp_path)
-        self.check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", "nan")
+        check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", "nan")
 
     @pytest.mark.parametrize("w_grid", ["nan", ",", "1,-0.5", "1e308", "1,10000.5"])
     @pytest.mark.parametrize("model_kind", ["exp", "gp"])
     def test_bad_thickness_grid(self, tmp_path, capsys, w_grid, model_kind):
         model = getattr(self, model_kind)(tmp_path)
-        self.check_rejected(
+        check_rejected(
             tmp_path, capsys, "predict",
             "predict", "--model", model, "--t-grid", "60,3600", "--w-grid", w_grid,
         )
@@ -502,11 +585,11 @@ class TestBadGrids:
     @pytest.mark.parametrize("t_grid", ["-10", ",", "inf"])
     def test_bad_time_grid(self, tmp_path, capsys, t_grid):
         model = self.kinetics(tmp_path)
-        self.check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", t_grid)
+        check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", t_grid)
 
     def test_nan_ph(self, tmp_path, capsys):
         model = self.gp(tmp_path)
-        self.check_rejected(
+        check_rejected(
             tmp_path, capsys, "predict",
             "predict", "--model", model, "--t-grid", "60", "--w-grid", "1", "--ph", "nan",
         )
@@ -514,21 +597,21 @@ class TestBadGrids:
     @pytest.mark.parametrize("scan_w", ["nan", ",", "0,-1", "1,1e308"])
     def test_bad_scan_grid(self, tmp_path, capsys, scan_w):
         model = self.exp(tmp_path)
-        self.check_rejected(
+        check_rejected(
             tmp_path, capsys, "scan", "report", "--inputs", model, "--scan-w", scan_w
         )
 
     @pytest.mark.parametrize("scan_t", ["nan", "-0.5", "1e308", "1.5"])
     def test_bad_scan_time(self, tmp_path, capsys, scan_t):
         model = self.exp(tmp_path)
-        self.check_rejected(
+        check_rejected(
             tmp_path, capsys, "scan",
             "report", "--inputs", model, "--scan-w", "0,1", "--scan-t", scan_t,
         )
 
     def test_nan_scan_ph(self, tmp_path, capsys):
         model = self.gp(tmp_path)
-        self.check_rejected(
+        check_rejected(
             tmp_path, capsys, "scan",
             "report", "--inputs", model, "--scan-w", "0,1", "--ph", "nan",
         )

@@ -28,15 +28,7 @@ from pabfit.gp import (
 )
 from pabfit.numeric import DescentConfig
 
-from oracles import finite_difference_gradient, kernel
-
-
-def unblocked_kernel_matrix(hp, x, x2=None):
-    """The kernel matrix as one broadcast over an (n, m, p) temporary."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    x2 = x if x2 is None else np.atleast_2d(np.asarray(x2, dtype=float))
-    d = x[:, None, :] - x2[None, :, :]
-    return hp.v * np.exp(-np.einsum("ijp,p->ij", d * d, np.asarray(hp.w)))
+from oracles import finite_difference_gradient, kernel, unblocked_kernel_matrix
 
 
 def brute_force_posterior(hp, x, y, xq):
@@ -112,17 +104,23 @@ class TestKernel:
 
 
 class TestKernelMatrixBlocks:
-    """The row-blocked kernel matrix is bit-identical to the unblocked one."""
+    """The column-by-column, row-blocked kernel matrix is bit-identical to
+    the one-einsum oracle for every p up to 7."""
+
+    BLOCK = gp_module._KERNEL_BLOCK_ELEMENTS
+    P_RANGE = range(1, 8)
 
     @staticmethod
     def hp(p):
-        return GpHyperParams(v=0.3852, w=(0.7839, 2.8869, 2.859e-9)[:p])
+        return GpHyperParams(
+            v=0.3852, w=(0.7839, 2.8869, 2.859e-9, 1.3, 0.05, 4.2, 0.6)[:p]
+        )
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", P_RANGE)
     def test_cross_matrix_across_block_edges(self, p):
         rng = np.random.default_rng(50 + p)
         m = 512
-        rows = gp_module._KERNEL_BLOCK_ELEMENTS // (m * p)
+        rows = self.BLOCK // m
         x2 = rng.uniform(0, 3, (m, p))
         for n in (1, 5, 2 * rows, 2 * rows + 1):
             x = rng.uniform(0, 3, (n, p))
@@ -135,28 +133,39 @@ class TestKernelMatrixBlocks:
         assert kernel_matrix(hp, np.empty((0, 2)), x).shape == (0, 4)
         assert kernel_matrix(hp, x, np.empty((0, 2))).shape == (4, 0)
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", P_RANGE)
     def test_training_matrix_across_block_edges(self, p):
         rng = np.random.default_rng(60 + p)
-        # 65 rows fit one block; 512 split evenly for p = 1, 2 and leave a
-        # short last block for p = 3; 700 leave one for every p
+        # a block holds BLOCK // n rows: 65 rows fit one block, 512 split
+        # into blocks of 128 evenly, and 700 into blocks of 93 and a short
+        # last one
+        assert 65 <= self.BLOCK // 65
+        assert 512 % (self.BLOCK // 512) == 0 and 700 % (self.BLOCK // 700) != 0
         for n in (1, 65, 512, 700):
             x = rng.uniform(0, 3, (n, p))
             np.testing.assert_array_equal(
                 kernel_matrix(self.hp(p), x), unblocked_kernel_matrix(self.hp(p), x)
             )
 
-    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("p", P_RANGE)
     def test_single_row_blocks(self, p):
         rng = np.random.default_rng(70 + p)
-        m = gp_module._KERNEL_BLOCK_ELEMENTS // p + 1  # one row exceeds a block
+        m = self.BLOCK + 1  # one row exceeds a block
         x = rng.uniform(0, 3, (3, p))
         x2 = rng.uniform(0, 3, (m, p))
         np.testing.assert_array_equal(
             kernel_matrix(self.hp(p), x, x2), unblocked_kernel_matrix(self.hp(p), x, x2)
         )
 
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_training_matrix_is_symmetric_with_v_on_the_diagonal(self, p):
+        x = np.random.default_rng(75 + p).uniform(0, 3, (300, p))
+        mat = kernel_matrix(self.hp(p), x)
+        np.testing.assert_array_equal(mat, mat.T)
+        assert np.all(np.diag(mat) == self.hp(p).v)
+
     def test_peak_memory_below_two_result_matrices(self):
+        # tighter than the name: the result plus two (rows, m) blocks
         n = 1000
         x = np.random.default_rng(80).uniform(0, 3, (n, 3))
         tracemalloc.start()
@@ -165,7 +174,7 @@ class TestKernelMatrixBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * n * 8
+        assert peak < n * n * 8 + 2 * self.BLOCK * 8
 
 
 class TestFit:

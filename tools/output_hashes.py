@@ -7,13 +7,20 @@ fresh temporary directory (the reports record their relative output paths,
 so the directory name never reaches the bytes). Run from the repo root:
 
     PYTHONPATH=src python tools/output_hashes.py
+    PYTHONPATH=src python tools/output_hashes.py --check tools/output_hashes.txt
 
 Output: one ``<sha256>  <file>`` line per output file, sorted by name. The
-commands' own summary lines go to stderr.
+commands' own summary lines go to stderr. With ``--check FILE`` it prints
+nothing on a match and exits 0; otherwise it names, on stdout, every file
+whose hash differs from FILE's line for it, is missing from FILE, or is
+listed in FILE but no longer written, and exits 1. ``output_hashes.txt``
+next to this script holds the hashes of the current package; a change that
+alters output bytes on purpose updates it in the same commit.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import os
@@ -65,12 +72,48 @@ def run_command_set(workdir: Path) -> None:
         os.chdir(previous)
 
 
-def main() -> None:
+def output_hashes() -> dict[str, str]:
+    """SHA-256 of each file the command set writes, by file name."""
     with tempfile.TemporaryDirectory(prefix="pabfit-hashes-") as tmp:
         run_command_set(Path(tmp))
-        for path in sorted(Path(tmp).iterdir()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        return {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(tmp).iterdir())
+        }
+
+
+def mismatches(hashes: dict[str, str], listing: str) -> list[str]:
+    """One line per file whose hash is not the one ``listing`` gives for it."""
+    expected = {}
+    for line in listing.splitlines():
+        if line.strip():
+            digest, name = line.split(maxsplit=1)
+            expected[name] = digest
+    problems = []
+    for name in sorted(hashes.keys() | expected.keys()):
+        if name not in expected:
+            problems.append(f"{name}: not in the list")
+        elif name not in hashes:
+            problems.append(f"{name}: listed but not written")
+        elif hashes[name] != expected[name]:
+            problems.append(f"{name}: hash {hashes[name]} differs from the listed {expected[name]}")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE", help="compare with a saved list")
+    args = parser.parse_args(argv)
+    hashes = output_hashes()
+    if args.check is None:
+        for name, digest in hashes.items():
+            print(f"{digest}  {name}")
+        return 0
+    problems = mismatches(hashes, Path(args.check).read_text())
+    for line in problems:
+        print(line)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
