@@ -419,19 +419,6 @@ class TestPhBound:
         err = check_rejected(tmp_path, capsys, "load", command, "--input", str(bad))
         assert "row 5" in err
 
-    def test_csv_cell_without_numpy_warnings(self, tmp_path, cli_env):
-        bad = corrupted_fixture(tmp_path, "ph", "1e200")
-        out = tmp_path / "o.json"
-        r = subprocess.run(
-            [sys.executable, "-m", "pabfit", "fit-gp", "--input", str(bad), "--output", str(out)],
-            capture_output=True, text=True, env=cli_env, cwd=tmp_path,
-        )
-        assert r.returncode == 3
-        assert r.stderr.startswith("error: stage=load code=3")
-        assert len(r.stderr.strip().splitlines()) == 1
-        assert "RuntimeWarning" not in r.stderr
-        assert not out.exists()
-
     @pytest.mark.parametrize("value", ["1e200", "-3", "nan", "inf", "14.5"])
     @pytest.mark.parametrize("ph_column", [True, False])
     def test_default_ph(self, tmp_path, capsys, value, ph_column):

@@ -6,24 +6,28 @@ hyperparameters, it times each layer of a fit and a prediction at m = n
 query points: ``kernel_matrix`` on the training set and on the cross set,
 ``cholesky``, ``solve`` (one right-hand side), ``solve_lower`` (m
 right-hand sides), ``triangular_inverse``, and the whole ``gp_predict`` and
-``gp_loo_sse``. Each entry is the best of N repetitions, in milliseconds;
-the best rather than the median, because the layers are deterministic and
-the slower repetitions measure the host. Only public functions are called,
+``gp_loo_sse``. Each entry is the best of REPEATS repetitions, in
+milliseconds; the best rather than the median, because the layers are
+deterministic and the slower repetitions measure the host. Only public functions are called,
 so the same script compares any two versions of the package. Run from the
 repo root:
 
-    PYTHONPATH=src python tools/gp_layers.py [--repeats N] [--sizes 65,500,2000]
+    PYTHONPATH=src python tools/gp_layers.py
+
+Edit SIZES or REPEATS below for another sweep.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 
 import numpy as np
 
 from pabfit import gp, numeric
 from pabfit.domain import Contaminant
+
+SIZES = (65, 500, 2000)
+REPEATS = 40
 
 
 def inputs(n: int, seed: int) -> np.ndarray:
@@ -63,19 +67,14 @@ def layer_times(n: int, repeats: int) -> dict[str, float]:
     return {name: best_ms(fn, repeats) for name, fn in layers.items()}
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=40, help="repetitions per entry")
-    parser.add_argument("--sizes", default="65,500,2000", help="comma-separated n")
-    args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    table = {n: layer_times(n, args.repeats) for n in sizes}
-    names = list(table[sizes[0]])
+def main() -> None:
+    table = {n: layer_times(n, REPEATS) for n in SIZES}
+    names = list(table[SIZES[0]])
     width = max(map(len, names))
-    print(f"best of {args.repeats}, ms")
-    print(f"{'layer':<{width}}" + "".join(f"{f'n={n}':>12}" for n in sizes))
+    print(f"best of {REPEATS}, ms")
+    print(f"{'layer':<{width}}" + "".join(f"{f'n={n}':>12}" for n in SIZES))
     for name in names:
-        print(f"{name:<{width}}" + "".join(f"{table[n][name]:>12.3f}" for n in sizes))
+        print(f"{name:<{width}}" + "".join(f"{table[n][name]:>12.3f}" for n in SIZES))
 
 
 if __name__ == "__main__":
