@@ -6,7 +6,10 @@ produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 3 validation errors, 4 numeric failures, 5 I/O failures.
 
 ``predict`` and ``_rebuild_model`` are the only code here that tells the
-model families apart; every grid option is read through ``_grid``.
+model families apart, and ``_ph`` the only code that picks a query's pH;
+every grid option is read through ``_grid``. ``_rows`` builds the
+prediction rows of every report, and ``_write_fit`` writes the report of
+each fit command.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +26,6 @@ import numpy as np
 from . import __version__
 from .dataio import (
     DEFAULT_SCHEDULE,
-    DatasetFile,
     Generator,
     SyntheticSpec,
     generate_synthetic,
@@ -42,7 +45,6 @@ from .domain import (
     ObservationSeries,
     PredictionRow,
     to_removal_series,
-    transform_time,
 )
 from .errors import InvalidInput, PabfitError, ParseError, ValidationError
 from .expmodel import ExpModelParams, ExponentForm, exp_model_eval, fit_exp_model
@@ -141,33 +143,65 @@ def _parse_hyper(text: str) -> tuple[float | None, list[float], float | None]:
     return v, w, eps
 
 
-def _load(args, contaminant: Contaminant) -> ObservationSeries:
-    path = resolve_input(args.input)
-    return load_series(
-        DatasetFile(
-            path=path,
-            contaminant=contaminant,
-            c0=args.c0,
-            default_thickness_cm=args.thickness,
-        )
-    )
+def _load(args) -> ObservationSeries:
+    contaminant = _CONTAMINANTS[args.contaminant]
+    return load_series(resolve_input(args.input), contaminant, args.c0, args.thickness)
 
 
-def _provenance(args, command: str, extra: dict | None = None) -> dict:
+def _provenance(args, **extra) -> dict:
     options = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("command", "func") and v is not None
     }
-    prov = {
+    return {
         "tool": "pabfit",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "options": options,
+        **extra,
     }
-    if extra:
-        prov.update(extra)
-    return prov
+
+
+def _rows(inputs: dict, predicted, observed=None, variance=None) -> list[PredictionRow]:
+    """One prediction row per point of the broadcast columns.
+
+    ``inputs`` maps report input names to arrays or scalars; they broadcast
+    with ``predicted`` and the optional ``observed`` and ``variance`` as
+    numpy arrays do, and rows follow that shape in C order.
+    """
+    columns = {**inputs, "predicted": predicted, "observed": observed, "variance": variance}
+    given = {k: np.asarray(v, dtype=float) for k, v in columns.items() if v is not None}
+    flat = dict(zip(given, (a.ravel().tolist() for a in np.broadcast_arrays(*given.values()))))
+    absent = [None] * len(flat["predicted"])
+    return [
+        PredictionRow(
+            inputs={name: flat[name][i] for name in inputs},
+            predicted=flat["predicted"][i],
+            observed=flat.get("observed", absent)[i],
+            variance=flat.get("variance", absent)[i],
+        )
+        for i in range(len(absent))
+    ]
+
+
+def _write_fit(args, series, kind, parameters, metrics, rows, summary: str) -> int:
+    """Write a fit command's report and print its one-line summary.
+
+    The run's ``c0`` and contaminant join the model's ``parameters``, and
+    its label joins the provenance.
+    """
+    report = FitReport(
+        model_kind=kind,
+        parameters={**parameters, "c0": series.c0, "contaminant": series.contaminant.value},
+        metrics=metrics,
+        predictions=rows,
+        provenance=_provenance(args, run_label=series.run_label),
+    )
+    with _stage("write"):
+        write_report(report, args.output)
+    print(f"{args.command}: {summary} -> {args.output}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,104 +210,60 @@ def _provenance(args, command: str, extra: dict | None = None) -> dict:
 
 
 def _cmd_fit_kinetics(args) -> int:
-    contaminant = _CONTAMINANTS[args.contaminant]
     with _stage("load"):
-        series = _load(args, contaminant)
+        series = _load(args)
     with _stage("fit"):
         fit = fit_first_order(series)
         t = series.times()
-        log_obs = np.log(series.concentrations())
-        log_pred = fit.k * t + fit.ln_c0_fit
-        metrics = compute_metrics(log_obs, log_pred)
-    rows = [
-        PredictionRow(
-            inputs={"time_min": float(ti)},
-            predicted=float(ci_hat),
-            observed=float(ci),
-        )
-        for ti, ci, ci_hat in zip(t, series.concentrations(), predict_first_order(fit, t))
-    ]
-    report = FitReport(
-        model_kind=ModelKind.FIRST_ORDER,
-        parameters={
-            "k": fit.k,
-            "ln_c0_fit": fit.ln_c0_fit,
-            "n_points": fit.n_points,
-            "degenerate": fit.degenerate,
-            "c0": series.c0,
-            "contaminant": contaminant.value,
-        },
-        metrics=metrics,
-        predictions=rows,
-        provenance=_provenance(args, "fit-kinetics", {"run_label": series.run_label}),
-    )
+        observed = series.concentrations()
+        metrics = compute_metrics(np.log(observed), fit.k * t + fit.ln_c0_fit)
+    parameters = {
+        "k": fit.k,
+        "ln_c0_fit": fit.ln_c0_fit,
+        "n_points": fit.n_points,
+        "degenerate": fit.degenerate,
+    }
+    rows = _rows({"time_min": t}, predict_first_order(fit, t), observed)
     final_removal = to_removal_series(series)[-1].removal_fraction
-    with _stage("write"):
-        write_report(report, args.output)
-    print(
-        f"fit-kinetics: k={fit.k:.6g} 1/min, R^2={fit.r2:.4f}, "
-        f"final removal {100.0 * final_removal:.2f}% -> {args.output}"
-    )
-    return 0
+    summary = f"k={fit.k:.6g} 1/min, R^2={fit.r2:.4f}, final removal {100.0 * final_removal:.2f}%"
+    return _write_fit(args, series, ModelKind.FIRST_ORDER, parameters, metrics, rows, summary)
 
 
 def _cmd_fit_exp(args) -> int:
-    contaminant = _CONTAMINANTS[args.contaminant]
     with _stage("load"):
-        series = _load(args, contaminant)
-    with _stage("fit"):
-        removal = to_removal_series(series)
-        t_norm = transform_time(series)
-        w = np.array([r.thickness_w for r in removal])
-        observed = np.array([r.removal_fraction for r in removal])
         x0 = _floats(args.x0, "--x0")
         if len(x0) != 2:
             raise ValidationError(f"--x0 needs exactly two values, got {len(x0)}")
+        series = _load(args)
+    with _stage("fit"):
+        x, observed, _, times = training_set(series)  # the pH column, if any, goes unused
+        columns = dict(zip(input_names(x.shape[1]), x.T))
+        t_norm, w = columns["t_norm"], columns["thickness_cm"]
         params = fit_exp_model(
-            list(zip(t_norm.t_norm, w, observed)),
+            list(zip(t_norm, w, observed)),
             x0=x0,
             exponent_form=ExponentForm(args.exponent_form),
             max_iters=args.max_iters,
         )
-        predicted, _ = predict(params, t_norm.t_norm, w)
+        predicted, _ = predict(params, t_norm, w)
         metrics = compute_metrics(observed, predicted)
-    rows = [
-        PredictionRow(
-            inputs={
-                "time_min": r.t_raw,
-                "t_norm": float(tn),
-                "thickness_cm": r.thickness_w,
-            },
-            predicted=float(p),
-            observed=float(o),
-        )
-        for tn, r, p, o in zip(t_norm.t_norm, removal, predicted, observed)
-    ]
-    report = FitReport(
-        model_kind=ModelKind.EXPONENTIAL,
-        parameters={
-            "a": params.a,
-            "b": params.b,
-            "sse": params.sse,
-            "converged": params.converged,
-            "negative_parameters": bool(params.a < 0 or params.b < 0),
-            "identifiable": params.identifiable,
-            "exponent_form": params.exponent_form.value,
-            "time_denominator": t_norm.denominator,
-            "c0": series.c0,
-            "contaminant": contaminant.value,
-        },
-        metrics=metrics,
-        predictions=rows,
-        provenance=_provenance(args, "fit-exp", {"run_label": series.run_label}),
+    parameters = {
+        "a": params.a,
+        "b": params.b,
+        "sse": params.sse,
+        "converged": params.converged,
+        "negative_parameters": bool(params.a < 0 or params.b < 0),
+        "identifiable": params.identifiable,
+        "exponent_form": params.exponent_form.value,
+        "time_denominator": times.denominator,
+    }
+    inputs = {"time_min": times.t_raw, "t_norm": t_norm, "thickness_cm": w}
+    rows = _rows(inputs, predicted, observed)
+    summary = (
+        f"a={params.a:.6g}, b={params.b:.6g}, sse={params.sse:.3g}, "
+        f"final removal {100.0 * float(observed[-1]):.2f}%"
     )
-    with _stage("write"):
-        write_report(report, args.output)
-    print(
-        f"fit-exp: a={params.a:.6g}, b={params.b:.6g}, sse={params.sse:.3g}, "
-        f"final removal {100.0 * float(observed[-1]):.2f}% -> {args.output}"
-    )
-    return 0
+    return _write_fit(args, series, ModelKind.EXPONENTIAL, parameters, metrics, rows, summary)
 
 
 def _resolve_hyper(args, contaminant: Contaminant) -> GpHyperParams:
@@ -289,63 +279,38 @@ def _resolve_hyper(args, contaminant: Contaminant) -> GpHyperParams:
 
 
 def _cmd_fit_gp(args) -> int:
-    contaminant = _CONTAMINANTS[args.contaminant]
     with _stage("load"):
         default_ph = _grid(args.default_ph, "--default-ph")[0]
-        series = _load(args, contaminant)
+        series = _load(args)
     with _stage("fit"):
-        hp = _resolve_hyper(args, contaminant)
+        hp = _resolve_hyper(args, series.contaminant)
         x, y, ph_assumed, times = training_set(series, default_ph=default_ph)
         if x.shape[1] != hp.p:
             raise ValidationError(
-                f"{hp.p} kernel weights but the {contaminant.value} design matrix has "
+                f"{hp.p} kernel weights but the {series.contaminant.value} design matrix has "
                 f"{x.shape[1]} columns"
             )
         if args.optimize:
             hp = gp_optimize_hyperparams(x, y, hp, objective=args.objective)
         model = gp_fit(hp, x, y)
-        names = input_names(x.shape[1])
-        columns = dict(zip(names, x.T))
-        mean, variance = predict(
-            model, columns["t_norm"], columns["thickness_cm"], columns.get("ph")
-        )
-        metrics = compute_metrics(y, mean)
-    rows = [
-        PredictionRow(
-            inputs={"time_min": float(t), **dict(zip(names, map(float, xi)))},
-            predicted=float(m),
-            observed=float(yi),
-            variance=float(v),
-        )
-        for t, xi, m, yi, v in zip(times.t_raw, x, mean, y, variance)
-    ]
-    report = FitReport(
-        model_kind=ModelKind.GAUSSIAN_PROCESS,
-        parameters={
-            "v": hp.v,
-            "w": list(hp.w),
-            "epsilon": hp.epsilon,
-            "p": hp.p,
-            "time_denominator": times.denominator,
-            "jitter_used": model.factor.jitter_used,
-            "default_ph": default_ph if contaminant is Contaminant.PB else None,
-            "ph_assumed": ph_assumed,
-            "optimized": bool(args.optimize),
-            "objective": args.objective if args.optimize else None,
-            "c0": series.c0,
-            "contaminant": contaminant.value,
-        },
-        metrics=metrics,
-        predictions=rows,
-        provenance=_provenance(args, "fit-gp", {"run_label": series.run_label}),
-    )
-    with _stage("write"):
-        write_report(report, args.output)
-    print(
-        f"fit-gp: v={hp.v:.6g}, R^2={metrics.r2:.4f}, "
-        f"slope={metrics.obs_pred_slope:.4f} -> {args.output}"
-    )
-    return 0
+        pred = gp_predict(model, x)
+        metrics = compute_metrics(y, pred.mean)
+    parameters = {
+        "v": hp.v,
+        "w": list(hp.w),
+        "epsilon": hp.epsilon,
+        "p": hp.p,
+        "time_denominator": times.denominator,
+        "jitter_used": model.factor.jitter_used,
+        "default_ph": default_ph if series.contaminant is Contaminant.PB else None,
+        "ph_assumed": ph_assumed,
+        "optimized": bool(args.optimize),
+        "objective": args.objective if args.optimize else None,
+    }
+    inputs = {"time_min": times.t_raw, **dict(zip(input_names(hp.p), x.T))}
+    rows = _rows(inputs, pred.mean, y, pred.variance)
+    summary = f"v={hp.v:.6g}, R^2={metrics.r2:.4f}, slope={metrics.obs_pred_slope:.4f}"
+    return _write_fit(args, series, ModelKind.GAUSSIAN_PROCESS, parameters, metrics, rows, summary)
 
 
 def _rebuild_model(report: FitReport):
@@ -384,6 +349,16 @@ def _rebuild_model(report: FitReport):
     return gp_fit(hp, x, y), names
 
 
+def _ph(model, ph: float | None) -> float | None:
+    """The pH a query of ``model`` reads: ``ph``, by default the model's mean
+    training pH, for a GP with a pH input; None for every other model."""
+    if not (isinstance(model, GpModel) and model.hp.p == len(INPUT_NAMES)):
+        return None
+    if ph is None:
+        return float(np.mean(model.x_train[:, INPUT_NAMES.index("ph")]))
+    return ph
+
+
 def predict(model, t_norm, w, ph=None):
     """``(mean, variance)`` of a fitted model, in the inputs' broadcast shape.
 
@@ -402,10 +377,7 @@ def predict(model, t_norm, w, ph=None):
         return exp_model_eval(model, t_norm, w), None
     if not isinstance(model, GpModel):
         raise InvalidInput(f"cannot predict with a {type(model).__name__}")
-    if model.hp.p != len(INPUT_NAMES):
-        ph = None
-    elif ph is None:
-        ph = float(np.mean(model.x_train[:, INPUT_NAMES.index("ph")]))
+    ph = _ph(model, ph)
     shape = np.broadcast_shapes(np.shape(t_norm), np.shape(w), np.shape(ph))
     pred = gp_predict(model, design_matrix(t_norm, w, ph))
     return pred.mean.reshape(shape), pred.variance.reshape(shape)
@@ -432,11 +404,7 @@ def _cmd_predict(args) -> int:
     with _stage("predict"):
         minutes = np.array(_grid(args.t_grid, "--t-grid"))[:, None]
         w = None if args.w_grid is None else np.array(_grid(args.w_grid, "--w-grid"))[None, :]
-        ph = report.parameters.get("default_ph")
-        if args.ph is not None:
-            ph = _grid(args.ph, "--ph")[0]
-        elif ph is None:
-            ph = 7.0
+        ph = _ph(model, None if args.ph is None else _grid(args.ph, "--ph")[0])
         t = minutes
         if "t_norm" in inputs:  # minutes -> ln(t) / ln(t_max) of the training series
             denom = report.parameters.get("time_denominator")
@@ -452,20 +420,10 @@ def _cmd_predict(args) -> int:
             t = np.log(minutes) / denom
         mean, variance = predict(model, t, w, ph)
         values = {"time_min": minutes, "t_norm": t, "thickness_cm": w, "ph": ph}
-        names = ("time_min", *inputs)
-        grid = [a.ravel().tolist() for a in np.broadcast_arrays(*(values[n] for n in names))]
-        variances = [None] * mean.size if variance is None else variance.ravel().tolist()
-        rows = [
-            PredictionRow(inputs=dict(zip(names, point)), predicted=m, variance=v)
-            for *point, m, v in zip(*grid, mean.ravel().tolist(), variances)
-        ]
-    out = FitReport(
-        model_kind=report.model_kind,
-        parameters=report.parameters,
-        metrics=None,
-        predictions=rows,
-        provenance=_provenance(args, "predict", {"model_report": str(args.model)}),
-    )
+        rows = _rows({n: values[n] for n in ("time_min", *inputs)}, mean, variance=variance)
+    # the model's report, its rows replaced by the predictions
+    provenance = _provenance(args, model_report=str(args.model))
+    out = replace(report, metrics=None, predictions=rows, provenance=provenance)
     with _stage("write"):
         write_report(out, args.output)
     print(f"predict: {len(rows)} rows -> {args.output}")
@@ -473,17 +431,19 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    generator = Generator(args.generator.replace("-", "_"))
     params: dict[str, float] = {"c0": args.c0, "thickness_cm": args.thickness}
     for key in ("ph", "k", "a", "b", "v", "mean", "epsilon"):
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
     if args.w is not None:
-        for i, wi in enumerate(_floats(args.w, "--w"), start=1):
+        weights = _floats(args.w, "--w")
+        if len(weights) > len(INPUT_NAMES):  # one weight per GP input
+            raise ValidationError(f"--w takes at most {len(INPUT_NAMES)} values, got {args.w!r}")
+        for i, wi in enumerate(weights, start=1):
             params[f"w{i}"] = wi
     schedule = DEFAULT_SCHEDULE if args.schedule is None else _floats(args.schedule, "--schedule")
     spec = SyntheticSpec(
-        generator=generator,
+        generator=Generator(args.generator.replace("-", "_")),
         parameters=params,
         time_schedule=schedule,
         noise_sd=args.noise_sd,
@@ -521,7 +481,7 @@ def _cmd_report(args) -> int:
                     }
             entries.append((Path(path).name, report, scan))
     with _stage("write"):
-        write_comparison(entries, _provenance(args, "report"), args.output)
+        write_comparison(entries, _provenance(args), args.output)
     for source, _, scan in entries:
         if scan is not None:
             print(
@@ -537,7 +497,7 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_series_options(sub, thickness_default: float) -> None:
+def _add_series_options(sub) -> None:
     sub.add_argument("--input", required=True, help="input CSV (path or bundled fixture name)")
     sub.add_argument("--c0", type=float, default=50.0, help="influent concentration, mg/L")
     sub.add_argument(
@@ -546,7 +506,7 @@ def _add_series_options(sub, thickness_default: float) -> None:
     sub.add_argument(
         "--thickness",
         type=float,
-        default=thickness_default,
+        default=3.0,
         help="barrier thickness (cm) used when the file has no thickness column",
     )
     sub.add_argument("--output", required=True, help="output report JSON path")
@@ -561,11 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit-kinetics", help="first-order log-linear kinetic fit")
-    _add_series_options(p, 3.0)
+    _add_series_options(p)
     p.set_defaults(func=_cmd_fit_kinetics)
 
     p = sub.add_parser("fit-exp", help="exponential removal model fit")
-    _add_series_options(p, 3.0)
+    _add_series_options(p)
     p.add_argument("--x0", default="1,1", help="initial a,b for the fit")
     p.add_argument(
         "--exponent-form",
@@ -579,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_exp)
 
     p = sub.add_parser("fit-gp", help="Gaussian Process regression fit")
-    _add_series_options(p, 3.0)
+    _add_series_options(p)
     p.add_argument(
         "--hyper",
         default=None,

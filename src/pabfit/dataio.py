@@ -54,16 +54,6 @@ FIXTURE_DIR_ENV = "PABFIT_FIXTURE_DIR"
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-@dataclass
-class DatasetFile:
-    """A CSV file plus the run-level facts the file itself does not carry."""
-
-    path: str | Path
-    contaminant: Contaminant
-    c0: float
-    default_thickness_cm: float | None = None
-
-
 def _parse_cell(row: dict, i: int, column: str) -> float | None:
     raw = row.get(column)
     if raw is None or raw.strip() == "":
@@ -74,14 +64,21 @@ def _parse_cell(row: dict, i: int, column: str) -> float | None:
         raise ParseError(f"row {i}, column {column}: cannot parse {raw!r} as a number") from None
 
 
-def load_series(f: DatasetFile) -> ObservationSeries:
+def load_series(
+    path: str | Path,
+    contaminant: Contaminant,
+    c0: float,
+    default_thickness_cm: float | None = None,
+) -> ObservationSeries:
     """Read a CSV file into an :class:`ObservationSeries`.
 
+    ``contaminant``, ``c0`` and ``default_thickness_cm`` (for rows without a
+    thickness cell) are the run-level facts the file itself does not carry.
     Row numbers in error messages count data rows from 1 (the header is
     row 0), here and in the constructor, which checks the values. Unknown
     columns raise; ``removal_pct`` is divided by 100 on the way in.
     """
-    path = Path(f.path)
+    path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as e:
@@ -113,7 +110,7 @@ def load_series(f: DatasetFile) -> ObservationSeries:
         pct = _parse_cell(row, i, "removal_pct")
         thickness = _parse_cell(row, i, "thickness_cm")
         if thickness is None:
-            thickness = f.default_thickness_cm
+            thickness = default_thickness_cm
         samples.append(
             Sample(
                 t_raw=t,
@@ -125,11 +122,11 @@ def load_series(f: DatasetFile) -> ObservationSeries:
         )
 
     return ObservationSeries(
-        contaminant=f.contaminant,
+        contaminant=contaminant,
         run_label=path.stem,
-        c0=f.c0,
+        c0=c0,
         samples=tuple(samples),
-        barrier_thickness_cm=f.default_thickness_cm,
+        barrier_thickness_cm=default_thickness_cm,
     )
 
 
@@ -495,11 +492,4 @@ def load_fixture(name: str) -> ObservationSeries:
     if name not in FIXTURES:
         raise InvalidSpec(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
     info = FIXTURES[name]
-    return load_series(
-        DatasetFile(
-            path=fixture_dir() / name,
-            contaminant=info.contaminant,
-            c0=info.c0,
-            default_thickness_cm=info.default_thickness_cm,
-        )
-    )
+    return load_series(fixture_dir() / name, info.contaminant, info.c0, info.default_thickness_cm)

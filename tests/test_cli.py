@@ -138,6 +138,7 @@ class TestFitExp:
             str(tmp_path / "o.json"),
         )
         assert code == 3
+        assert "stage=load code=3" in capsys.readouterr().err
 
 
 class TestFitGp:
@@ -463,6 +464,30 @@ class TestPhBound:
                            "--w-grid", "1", "--ph", "14", "--output", str(out)) == 0
             assert json.loads(out.read_text())["predictions"][0]["inputs"]["ph"] == 14.0
 
+    def test_predict_and_report_share_the_default_ph(self, tmp_path):
+        # pcbc_run1 with pH cells alternating 7.0 / 7.3: without --ph both
+        # commands query the GP at its mean training pH
+        lines = (fixture_dir() / "pcbc_run1.csv").read_text().splitlines()
+        column = lines[0].split(",").index("ph")
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[column] = "7.3" if i % 2 == 0 else "7.0"
+            lines[i] = ",".join(cells)
+        csv = tmp_path / "ph_mixed.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        model, pred, summary = (tmp_path / n for n in ("gp.json", "pred.json", "summary.json"))
+        assert run_cli("fit-gp", "--input", str(csv), "--output", str(model)) == 0
+        t_max = lines[-1].split(",")[0]
+        assert run_cli("predict", "--model", str(model), "--t-grid", t_max, "--w-grid", "1",
+                       "--output", str(pred)) == 0
+        assert run_cli("report", "--inputs", str(model), "--scan-w", "1", "--scan-t", "1",
+                       "--output", str(summary)) == 0
+        (row,) = json.loads(pred.read_text())["predictions"]
+        assert row["inputs"]["t_norm"] == pytest.approx(1.0, rel=1e-12)
+        scan = json.loads(summary.read_text())["comparison"][0]["thickness_scan"]
+        assert row["predicted"] == pytest.approx(scan["removal_at_optimum"], rel=1e-9)
+        assert row["inputs"]["ph"] == pytest.approx(7.15, abs=0.01)
+
 
 FIT_EXP = ["fit-exp", "--input", "mb_run1.csv", "--contaminant", "mb"]
 FIT_GP = ["fit-gp", "--input", "pcbc_run1.csv"]
@@ -687,6 +712,14 @@ class TestSynth:
         r = subprocess.run([*args, "--output", str(b)], capture_output=True, env=cli_env)
         assert r.returncode == 0, r.stderr
         assert a.read_bytes() == b.read_bytes()
+
+    def test_more_than_three_weights_rejected(self, tmp_path, capsys):
+        # a GP draw has at most three inputs (t_norm, pH, W); a fourth
+        # weight must not be dropped in silence
+        check_rejected(
+            tmp_path, capsys, "synth",
+            "synth", "--generator", "gp-draw", "--v", "0.3", "--w", "1,2,3,4",
+        )
 
     def test_missing_parameter_is_validation_error(self, tmp_path, capsys):
         code = run_cli(

@@ -7,7 +7,6 @@ import pytest
 from pabfit.dataio import (
     DEFAULT_SCHEDULE,
     FIXTURES,
-    DatasetFile,
     Generator,
     SyntheticSpec,
     fixture_dir,
@@ -55,7 +54,7 @@ GOOD = """time_min,concentration_mg_l,thickness_cm,ph
 class TestLoadSeries:
     def test_happy_path(self, tmp_path):
         path = write_csv(tmp_path, GOOD)
-        s = load_series(DatasetFile(path, Contaminant.PB, 50.0))
+        s = load_series(path, Contaminant.PB, 50.0)
         assert len(s.samples) == 3
         removal = to_removal_series(s)
         assert removal[-1].removal_fraction == pytest.approx(0.8694)
@@ -64,42 +63,42 @@ class TestLoadSeries:
     def test_time_zero_names_row(self, tmp_path):
         path = write_csv(tmp_path, "time_min,concentration_mg_l\n0,40.0\n60,30.0\n")
         with pytest.raises(ValidationError, match="row 1"):
-            load_series(DatasetFile(path, Contaminant.PB, 50.0, default_thickness_cm=3.0))
+            load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
 
     def test_unsorted_rejected(self, tmp_path):
         path = write_csv(tmp_path, "time_min,concentration_mg_l\n60,40.0\n30,41.0\n90,39.0\n")
         with pytest.raises(ValidationError, match="row 2"):
-            load_series(DatasetFile(path, Contaminant.PB, 50.0, default_thickness_cm=3.0))
+            load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
 
     def test_bad_cell_is_parse_error(self, tmp_path):
         path = write_csv(tmp_path, "time_min,concentration_mg_l\n10,forty\n")
         with pytest.raises(ParseError, match="concentration_mg_l"):
-            load_series(DatasetFile(path, Contaminant.PB, 50.0, default_thickness_cm=3.0))
+            load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
 
     def test_concentration_above_c0_rejected(self, tmp_path):
         path = write_csv(tmp_path, "time_min,concentration_mg_l\n10,51.0\n60,30.0\n90,20.0\n")
         with pytest.raises(ValidationError, match="row 1"):
-            load_series(DatasetFile(path, Contaminant.PB, 50.0, default_thickness_cm=3.0))
+            load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
 
     def test_unknown_column_rejected(self, tmp_path):
         text = "time_min,concentration_mg_l,operator\n10,40.0,bob\n60,30.0,bob\n90,20.0,bob\n"
         path = write_csv(tmp_path, text)
         with pytest.raises(ValidationError, match="operator"):
-            load_series(DatasetFile(path, Contaminant.PB, 50.0, default_thickness_cm=3.0))
+            load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
 
     def test_removal_pct_divided_by_100(self, tmp_path):
         path = write_csv(tmp_path, "time_min,removal_pct,thickness_cm\n10,10.0,1.0\n60,50.0,1.0\n90,86.94,1.0\n")
-        s = load_series(DatasetFile(path, Contaminant.METHYLENE_BLUE, 50.0))
+        s = load_series(path, Contaminant.METHYLENE_BLUE, 50.0)
         assert [x.removal_fraction for x in s.samples] == [0.1, 0.5, 0.8694]
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(FileIOError):
-            load_series(DatasetFile(tmp_path / "nope.csv", Contaminant.PB, 50.0))
+            load_series(tmp_path / "nope.csv", Contaminant.PB, 50.0)
 
     def test_needs_response_column(self, tmp_path):
         path = write_csv(tmp_path, "time_min,thickness_cm\n10,1\n")
         with pytest.raises(ValidationError):
-            load_series(DatasetFile(path, Contaminant.PB, 50.0))
+            load_series(path, Contaminant.PB, 50.0)
 
 
 class TestFixtures:
@@ -237,7 +236,7 @@ class TestSeriesRoundTrip:
             out1 = tmp_path / f"one_{name}"
             write_series(s1, out1)
             s2 = load_series(
-                DatasetFile(out1, info.contaminant, info.c0, default_thickness_cm=info.default_thickness_cm)
+                out1, info.contaminant, info.c0, default_thickness_cm=info.default_thickness_cm
             )
             out2 = tmp_path / f"two_{name}"
             write_series(s2, out2)
