@@ -10,6 +10,11 @@ model families apart, and ``_ph`` the only code that picks a query's pH;
 every grid option is read through ``_grid``. ``_rows`` builds the
 prediction rows of every report, and ``_write_fit`` writes the report of
 each fit command.
+
+``_COMMANDS`` maps each subcommand to its help, its options builder and its
+handler. ``main`` parses with the invoked command's parser alone and falls
+back to the full parser on any parse error, so every message is the full
+parser's.
 """
 
 from __future__ import annotations
@@ -497,7 +502,7 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_series_options(sub) -> None:
+def _series_options(sub) -> None:
     sub.add_argument("--input", required=True, help="input CSV (path or bundled fixture name)")
     sub.add_argument("--c0", type=float, default=50.0, help="influent concentration, mg/L")
     sub.add_argument(
@@ -512,20 +517,8 @@ def _add_series_options(sub) -> None:
     sub.add_argument("--output", required=True, help="output report JSON path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pabfit",
-        description="Fit and evaluate contaminant-removal models for permeable adsorptive barriers.",
-    )
-    parser.add_argument("--version", action="version", version=f"pabfit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit-kinetics", help="first-order log-linear kinetic fit")
-    _add_series_options(p)
-    p.set_defaults(func=_cmd_fit_kinetics)
-
-    p = sub.add_parser("fit-exp", help="exponential removal model fit")
-    _add_series_options(p)
+def _fit_exp_options(p) -> None:
+    _series_options(p)
     p.add_argument("--x0", default="1,1", help="initial a,b for the fit")
     p.add_argument(
         "--exponent-form",
@@ -536,10 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-iters", type=int, default=20000, help="Levenberg-Marquardt iteration cap per start"
     )
-    p.set_defaults(func=_cmd_fit_exp)
 
-    p = sub.add_parser("fit-gp", help="Gaussian Process regression fit")
-    _add_series_options(p)
+
+def _fit_gp_options(p) -> None:
+    _series_options(p)
     p.add_argument(
         "--hyper",
         default=None,
@@ -560,17 +553,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=7.0,
         help="pH used for lead when the file has no ph column (flagged in the report)",
     )
-    p.set_defaults(func=_cmd_fit_gp)
 
-    p = sub.add_parser("predict", help="evaluate a saved model on a grid")
+
+def _predict_options(p) -> None:
     p.add_argument("--model", required=True, help="fit report JSON to load")
     p.add_argument("--t-grid", required=True, help="times in raw minutes, comma-separated")
     p.add_argument("--w-grid", default=None, help="thicknesses in cm, comma-separated")
     p.add_argument("--ph", type=float, default=None, help="pH for 3-input GP queries")
     p.add_argument("--output", required=True, help="output report JSON path")
-    p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("synth", help="generate a deterministic synthetic series")
+
+def _synth_options(p) -> None:
     p.add_argument(
         "--generator",
         choices=["first-order", "exp-model", "gp-draw"],
@@ -593,22 +586,70 @@ def build_parser() -> argparse.ArgumentParser:
         "--contaminant", choices=sorted(_CONTAMINANTS), default="pb"
     )
     p.add_argument("--output", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("report", help="merge fit reports into a comparison table")
+
+def _report_options(p) -> None:
     p.add_argument("--inputs", nargs="+", required=True, help="fit report JSON files")
     p.add_argument("--scan-w", default=None, help="thickness grid for the optimum scan")
     p.add_argument("--scan-t", type=float, default=1.0, help="normalized time for the scan")
     p.add_argument("--ph", type=float, default=None, help="pH for 3-input GP scans")
     p.add_argument("--output", required=True, help="output JSON path")
-    p.set_defaults(func=_cmd_report)
 
+
+# name -> (help, options builder, handler), in the order usage lists them
+_COMMANDS = {
+    "fit-kinetics": ("first-order log-linear kinetic fit", _series_options, _cmd_fit_kinetics),
+    "fit-exp": ("exponential removal model fit", _fit_exp_options, _cmd_fit_exp),
+    "fit-gp": ("Gaussian Process regression fit", _fit_gp_options, _cmd_fit_gp),
+    "predict": ("evaluate a saved model on a grid", _predict_options, _cmd_predict),
+    "synth": ("generate a deterministic synthetic series", _synth_options, _cmd_synth),
+    "report": ("merge fit reports into a comparison table", _report_options, _cmd_report),
+}
+
+
+class _ParseFailed(Exception):
+    """A one-command parser met an error it cannot word as the full parser would."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ParseFailed(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only ``command``'s.
+
+    A one-command parser parses that command's argv to the same namespace
+    and prints the same help, but its usage would list one command, so it
+    raises ``_ParseFailed`` where the full parser prints an error.
+    """
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="pabfit",
+        description="Fit and evaluate contaminant-removal models for permeable adsorptive barriers.",
+    )
+    parser.add_argument("--version", action="version", version=f"pabfit {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_options(p)
+            p.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the invoked command's parser alone; on any error, with the
+    full parser, so usage and error text are the full parser's."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _ParseFailed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except PabfitError as e:

@@ -7,8 +7,9 @@ identical bytes) plus a flat CSV of prediction rows for external plotting.
 All writes are write-to-temp + atomic rename: a failing run leaves no
 partial output behind.
 
-The loader checks only the CSV (header, columns, time cells present and
-> 1); the ``ObservationSeries`` constructor checks the values.
+The loader checks only the CSV (header, columns each named once, no row
+longer than the header, time cells present and > 1); the
+``ObservationSeries`` constructor checks the values.
 
 Synthetic series are seeded through numpy's default PCG64 generator, which
 is stable across platforms and releases; the seed alone reproduces a file.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -90,6 +92,9 @@ def load_series(
     unknown = [h for h in reader.fieldnames if h not in CANONICAL_COLUMNS]
     if unknown:
         raise ValidationError(f"{path}: unknown columns {unknown}")
+    repeated = sorted({h for h in reader.fieldnames if reader.fieldnames.count(h) > 1})
+    if repeated:
+        raise ValidationError(f"{path}: repeated columns {repeated}")
     if "time_min" not in reader.fieldnames:
         raise ValidationError(f"{path}: required column 'time_min' is missing")
     if "concentration_mg_l" not in reader.fieldnames and "removal_pct" not in reader.fieldnames:
@@ -99,6 +104,11 @@ def load_series(
 
     samples = []
     for i, row in enumerate(reader, start=1):
+        if None in row:  # DictReader's key for the cells beyond the header's
+            raise ValidationError(
+                f"row {i}: {len(reader.fieldnames) + len(row[None])} cells, "
+                f"the header has {len(reader.fieldnames)}"
+            )
         t = _parse_cell(row, i, "time_min")
         if t is None:
             raise ValidationError(f"row {i}: missing time")
@@ -165,8 +175,10 @@ def generate_synthetic(spec: SyntheticSpec) -> ObservationSeries:
     t = np.asarray(spec.time_schedule, dtype=float)
     if t.size == 0 or np.any(np.diff(t) <= 0) or np.any(t <= 1.0):
         raise InvalidSpec("time schedule must be strictly increasing with all times > 1")
-    if spec.noise_sd < 0:
-        raise InvalidSpec(f"noise_sd must be >= 0, got {spec.noise_sd}")
+    if not (math.isfinite(spec.noise_sd) and spec.noise_sd >= 0):
+        raise InvalidSpec(f"noise_sd must be finite and >= 0, got {spec.noise_sd}")
+    if spec.seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     p = dict(spec.parameters)
     c0 = float(p.get("c0", 50.0))
@@ -175,7 +187,10 @@ def generate_synthetic(spec: SyntheticSpec) -> ObservationSeries:
 
     if spec.generator is Generator.FIRST_ORDER:
         (k,) = _require(p, ["k"], "first_order")
-        conc = np.exp(k * t + np.log(c0))
+        # an exponent that overflows puts the concentration above c0, where
+        # the clip below sets it to c0 all the same
+        with np.errstate(over="ignore"):
+            conc = np.exp(k * t + np.log(c0))
         if spec.noise_sd > 0:
             conc = conc + spec.noise_sd * rng.standard_normal(t.size)
         conc = np.clip(conc, 0.0, c0)

@@ -401,6 +401,32 @@ def check_rejected(tmp_path, capsys, stage, *argv):
     return err
 
 
+class TestCsvShape:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the last of two same-named columns used to win in silence
+            ("time_min,concentration_mg_l,concentration_mg_l\n10,40,41\n60,30,31\n90,20,21\n",
+             "repeated columns ['concentration_mg_l']"),
+            # the extra cell used to be dropped in silence
+            ("time_min,concentration_mg_l\n10,40\n20,30,5\n90,20\n",
+             "row 2: 3 cells, the header has 2"),
+        ],
+        ids=["repeated-column", "long-row"],
+    )
+    def test_rejected_at_load(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "shape.csv"
+        csv.write_text(text)
+        err = check_rejected(tmp_path, capsys, "load", "fit-kinetics", "--input", str(csv))
+        assert message in err
+
+    def test_short_row_reads_as_empty_cells(self, tmp_path):
+        csv = tmp_path / "short.csv"
+        csv.write_text("time_min,concentration_mg_l,ph\n10,40,7\n60,30\n90,20,7\n")
+        out = tmp_path / "o.json"
+        assert run_cli("fit-kinetics", "--input", str(csv), "--output", str(out)) == 0
+
+
 def no_ph_csv(tmp_path):
     """A three-row lead series with no ph column."""
     path = tmp_path / "no_ph.csv"
@@ -720,6 +746,28 @@ class TestSynth:
             tmp_path, capsys, "synth",
             "synth", "--generator", "gp-draw", "--v", "0.3", "--w", "1,2,3,4",
         )
+
+    @pytest.mark.parametrize(
+        "option,value", [("--seed", "-1"), ("--noise-sd", "nan"), ("--noise-sd", "inf")]
+    )
+    def test_bad_seed_or_noise_rejected(self, tmp_path, capsys, option, value):
+        err = check_rejected(
+            tmp_path, capsys, "generate",
+            "synth", "--generator", "first-order", "--k", "-0.0006", option, value,
+        )
+        assert "InvalidSpec" in err
+
+    def test_first_order_overflow_clips_to_c0(self, tmp_path):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(
+                "synth", "--generator", "first-order", "--k", "1e300", "--output", str(out)
+            )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        column = rows[0].index("concentration_mg_l")
+        assert {float(row[column]) for row in rows[1:]} == {50.0}
 
     def test_missing_parameter_is_validation_error(self, tmp_path, capsys):
         code = run_cli(

@@ -1,0 +1,136 @@
+"""Seeded property tests: CSV and report JSON round trips.
+
+``derandomize=True`` draws the same examples on every run, so these tests
+pass or fail the same way each time.
+"""
+
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pabfit.dataio import load_series, read_report, write_report, write_series
+from pabfit.domain import (
+    MAX_PH,
+    MAX_THICKNESS_CM,
+    Contaminant,
+    FitReport,
+    ModelKind,
+    ObservationSeries,
+    PredictionRow,
+    Sample,
+)
+from pabfit.metrics import FitMetrics
+
+SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+fraction = st.floats(0.0, 1.0)
+
+
+@st.composite
+def series(draw):
+    c0 = draw(st.floats(1e-3, 1e6))
+    n = draw(st.integers(3, 12))
+    times = sorted(draw(st.sets(st.floats(1.0, 1e6, exclude_min=True), min_size=n, max_size=n)))
+    # which response column(s) the file carries, and which optional ones
+    has_conc, has_removal = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    has_ph = draw(st.booleans())
+    samples = []
+    for t in times:
+        removal = draw(fraction)
+        samples.append(
+            Sample(
+                t_raw=t,
+                concentration=c0 * (1.0 - removal) if has_conc else None,
+                removal_fraction=removal if has_removal else None,
+                thickness_w=draw(st.floats(0.0, MAX_THICKNESS_CM)),
+                ph=draw(st.floats(0.0, MAX_PH)) if has_ph else None,
+            )
+        )
+    contaminant = draw(st.sampled_from(Contaminant))
+    return ObservationSeries(contaminant, "run", c0, tuple(samples))
+
+
+def without_removal(s: ObservationSeries) -> tuple:
+    samples = [replace(x, removal_fraction=None) for x in s.samples]
+    return s.contaminant, s.run_label, s.c0, s.barrier_thickness_cm, samples
+
+
+@SEEDED
+@given(series())
+def test_series_round_trips_through_csv(s):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{s.run_label}.csv"
+        write_series(s, path)
+        back = load_series(path, s.contaminant, s.c0)
+    assert without_removal(back) == without_removal(s)
+    # the file holds removal in percent: x * 100 is written and read back
+    # / 100, which can move x by an ulp or two
+    for a, b in zip(s.samples, back.samples):
+        assert (a.removal_fraction is None) == (b.removal_fraction is None)
+        if a.removal_fraction is not None:
+            assert math.isclose(a.removal_fraction, b.removal_fraction, rel_tol=2**-50, abs_tol=0)
+
+
+names = st.text(min_size=1, max_size=8)
+json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**53), 2**53), finite, st.text(max_size=8)
+)
+
+
+def parameters(kind: ModelKind):
+    required = {
+        ModelKind.FIRST_ORDER: {"k": finite, "ln_c0_fit": finite},
+        ModelKind.EXPONENTIAL: {
+            "a": finite,
+            "b": finite,
+            "exponent_form": st.sampled_from(["literal", "product"]),
+            "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
+        },
+        ModelKind.GAUSSIAN_PROCESS: {
+            "v": finite,
+            "w": st.lists(finite, min_size=1, max_size=3),
+            "epsilon": finite,
+            "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
+            "default_ph": st.none() | st.floats(0.0, MAX_PH),
+        },
+    }[kind]
+    extra = st.dictionaries(names.filter(lambda k: k not in required), json_scalar, max_size=3)
+    return st.tuples(st.fixed_dictionaries(required), extra).map(lambda d: {**d[1], **d[0]})
+
+
+rows = st.builds(
+    PredictionRow,
+    inputs=st.dictionaries(names, finite, max_size=3),
+    predicted=finite,
+    observed=st.none() | finite,
+    variance=st.none() | finite,
+)
+metrics = st.none() | st.builds(
+    FitMetrics, r2=finite, rmse=finite, obs_pred_slope=finite, n=st.integers(0, 10**6)
+)
+
+
+@st.composite
+def reports(draw):
+    kind = draw(st.sampled_from(ModelKind))
+    return FitReport(
+        model_kind=kind,
+        parameters=draw(parameters(kind)),
+        metrics=draw(metrics),
+        predictions=draw(st.lists(rows, max_size=5)),
+        provenance=draw(st.dictionaries(names, json_scalar, max_size=4)),
+    )
+
+
+@SEEDED
+@given(reports())
+def test_report_round_trips_through_json(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        write_report(report, path)
+        assert read_report(path) == report
