@@ -31,8 +31,7 @@ import numpy as np
 from . import __version__
 from .dataio import (
     DEFAULT_SCHEDULE,
-    Generator,
-    SyntheticSpec,
+    GENERATORS,
     generate_synthetic,
     load_series,
     read_report,
@@ -230,7 +229,7 @@ def _cmd_fit_kinetics(args) -> int:
     }
     rows = _rows({"time_min": t}, predict_first_order(fit, t), observed)
     final_removal = to_removal_series(series)[-1].removal_fraction
-    summary = f"k={fit.k:.6g} 1/min, R^2={fit.r2:.4f}, final removal {100.0 * final_removal:.2f}%"
+    summary = f"k={fit.k:.6g} 1/min, R^2={metrics.r2:.4f}, final removal {100.0 * final_removal:.2f}%"
     return _write_fit(args, series, ModelKind.FIRST_ORDER, parameters, metrics, rows, summary)
 
 
@@ -330,7 +329,6 @@ def _rebuild_model(report: FitReport):
         return KineticFitResult(
             k=params["k"],
             ln_c0_fit=params["ln_c0_fit"],
-            r2=report.metrics.r2 if report.metrics else 0.0,
             n_points=params.get("n_points", 3),
             degenerate=params.get("degenerate", False),
         ), ()
@@ -436,28 +434,29 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    params: dict[str, float] = {"c0": args.c0, "thickness_cm": args.thickness}
-    for key in ("ph", "k", "a", "b", "v", "mean", "epsilon"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    if args.w is not None:
-        weights = _floats(args.w, "--w")
-        if len(weights) > len(INPUT_NAMES):  # one weight per GP input
-            raise ValidationError(f"--w takes at most {len(INPUT_NAMES)} values, got {args.w!r}")
-        for i, wi in enumerate(weights, start=1):
-            params[f"w{i}"] = wi
+    w = () if args.w is None else _floats(args.w, "--w")
+    if len(w) > len(INPUT_NAMES):  # one weight per GP input
+        raise ValidationError(f"--w takes at most {len(INPUT_NAMES)} values, got {args.w!r}")
     schedule = DEFAULT_SCHEDULE if args.schedule is None else _floats(args.schedule, "--schedule")
-    spec = SyntheticSpec(
-        generator=Generator(args.generator.replace("-", "_")),
-        parameters=params,
-        time_schedule=schedule,
-        noise_sd=args.noise_sd,
-        seed=args.seed,
-        contaminant=_CONTAMINANTS[args.contaminant],
-        run_label=Path(args.output).stem,
-    )
     with _stage("generate"):
-        series = generate_synthetic(spec)
+        series = generate_synthetic(
+            args.generator,
+            k=args.k,
+            a=args.a,
+            b=args.b,
+            v=args.v,
+            w=w,
+            mean=args.mean,
+            epsilon=args.epsilon,
+            c0=args.c0,
+            thickness=args.thickness,
+            ph=args.ph,
+            schedule=schedule,
+            noise_sd=args.noise_sd,
+            seed=args.seed,
+            contaminant=_CONTAMINANTS[args.contaminant],
+            run_label=Path(args.output).stem,
+        )
     with _stage("write"):
         write_series(series, args.output)
     print(f"synth: {len(series.samples)} samples -> {args.output}")
@@ -564,18 +563,14 @@ def _predict_options(p) -> None:
 
 
 def _synth_options(p) -> None:
-    p.add_argument(
-        "--generator",
-        choices=["first-order", "exp-model", "gp-draw"],
-        required=True,
-    )
+    p.add_argument("--generator", choices=GENERATORS, required=True)
     p.add_argument("--k", type=float, default=None, help="first-order rate constant, 1/min")
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--v", type=float, default=None, help="GP signal variance")
     p.add_argument("--w", default=None, help="GP weights w1[,w2[,w3]]")
-    p.add_argument("--mean", type=float, default=None, help="GP draw mean removal")
-    p.add_argument("--epsilon", type=float, default=None, help="GP draw jitter")
+    p.add_argument("--mean", type=float, default=0.5, help="GP draw mean removal")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="GP draw jitter")
     p.add_argument("--c0", type=float, default=50.0)
     p.add_argument("--thickness", type=float, default=3.0)
     p.add_argument("--ph", type=float, default=None)

@@ -7,12 +7,16 @@ identical bytes) plus a flat CSV of prediction rows for external plotting.
 All writes are write-to-temp + atomic rename: a failing run leaves no
 partial output behind.
 
+Every input file is read as UTF-8 text; other bytes are a ``ParseError``.
 The loader checks only the CSV (header, columns each named once, no row
 longer than the header, time cells present and > 1); the
 ``ObservationSeries`` constructor checks the values.
 
-Synthetic series are seeded through numpy's default PCG64 generator, which
-is stable across platforms and releases; the seed alone reproduces a file.
+``generate_synthetic`` takes the generator by its ``synth`` name and each
+option as a typed keyword; the GP draw factors its covariance with
+``gp.covariance_factor``, as ``gp_fit`` does. Synthetic series are seeded
+through numpy's default PCG64 generator, which is stable across platforms
+and releases; the seed alone reproduces a file.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -42,9 +45,8 @@ from .domain import (
 )
 from .errors import FileIOError, InvalidSpec, ParseError, ValidationError
 from .expmodel import ExpModelParams, ExponentForm, exp_model_eval
-from .gp import DEFAULT_EPSILON, GpHyperParams, design_matrix, kernel_matrix
+from .gp import GpHyperParams, covariance_factor, design_matrix
 from .metrics import FitMetrics
-from .numeric import cholesky
 
 CANONICAL_COLUMNS = ("time_min", "concentration_mg_l", "removal_pct", "thickness_cm", "ph")
 
@@ -54,6 +56,16 @@ DEFAULT_SCHEDULE = tuple(float(t) for t in list(range(10, 61, 10)) + list(range(
 FIXTURE_DIR_ENV = "PABFIT_FIXTURE_DIR"
 
 _FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _read_text(path: Path) -> str:
+    """An input file's text: FileIOError if unreadable, ParseError if not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise FileIOError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not valid UTF-8 ({e})") from None
 
 
 def _parse_cell(row: dict, i: int, column: str) -> float | None:
@@ -81,12 +93,11 @@ def load_series(
     columns raise; ``removal_pct`` is divided by 100 on the way in.
     """
     path = Path(path)
+    reader = csv.DictReader(_read_text(path).splitlines())
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise FileIOError(f"cannot read {path}: {e}") from e
-
-    reader = csv.DictReader(raw.splitlines())
+        records = list(reader)
+    except csv.Error as e:  # a cell past csv's field size limit
+        raise ParseError(f"{path}: {e}") from None
     if reader.fieldnames is None:
         raise ParseError(f"{path}: empty file, expected a CSV header row")
     unknown = [h for h in reader.fieldnames if h not in CANONICAL_COLUMNS]
@@ -103,7 +114,7 @@ def load_series(
         )
 
     samples = []
-    for i, row in enumerate(reader, start=1):
+    for i, row in enumerate(records, start=1):
         if None in row:  # DictReader's key for the cells beyond the header's
             raise ValidationError(
                 f"row {i}: {len(reader.fieldnames) + len(row[None])} cells, "
@@ -116,17 +127,13 @@ def load_series(
             raise ValidationError(
                 f"row {i}: time {t} min is <= 1; the log-time transform is undefined there"
             )
-        conc = _parse_cell(row, i, "concentration_mg_l")
         pct = _parse_cell(row, i, "removal_pct")
-        thickness = _parse_cell(row, i, "thickness_cm")
-        if thickness is None:
-            thickness = default_thickness_cm
         samples.append(
             Sample(
                 t_raw=t,
-                concentration=conc,
+                concentration=_parse_cell(row, i, "concentration_mg_l"),
                 removal_fraction=None if pct is None else pct / 100.0,
-                thickness_w=thickness,
+                thickness_w=_parse_cell(row, i, "thickness_cm"),
                 ph=_parse_cell(row, i, "ph"),
             )
         )
@@ -140,107 +147,86 @@ def load_series(
     )
 
 
-class Generator(Enum):
-    FIRST_ORDER = "first_order"
-    EXP_MODEL = "exp_model"
-    GP_DRAW = "gp_draw"
+# the generators, as ``synth --generator`` spells them
+GENERATORS = ("first-order", "exp-model", "gp-draw")
 
 
-@dataclass
-class SyntheticSpec:
-    generator: Generator
-    parameters: dict[str, float]
-    time_schedule: Sequence[float] = DEFAULT_SCHEDULE
-    noise_sd: float = 0.0
-    seed: int = 0
-    contaminant: Contaminant = Contaminant.PB
-    run_label: str = "synthetic"
+def generate_synthetic(
+    generator: str,
+    *,
+    k: float | None,
+    a: float | None,
+    b: float | None,
+    v: float | None,
+    w: Sequence[float],
+    mean: float,
+    epsilon: float,
+    c0: float,
+    thickness: float,
+    ph: float | None,
+    schedule: Sequence[float],
+    noise_sd: float,
+    seed: int,
+    contaminant: Contaminant,
+    run_label: str,
+) -> ObservationSeries:
+    """Deterministic synthetic series: identical arguments give identical
+    samples.
 
-
-def _require(params: dict, keys: Sequence[str], generator: str) -> list[float]:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise InvalidSpec(f"{generator} generator needs parameters {missing}")
-    return [float(params[k]) for k in keys]
-
-
-def generate_synthetic(spec: SyntheticSpec) -> ObservationSeries:
-    """Deterministic synthetic series: identical spec objects give
-    identical samples.
-
-    Noise is additive Gaussian (sd = ``noise_sd``) applied on the
-    generator's natural scale and clamped so concentrations stay within
-    [0, c0].
+    Each generator reads its own parameters and ignores the rest:
+    ``first-order`` k, ``exp-model`` a and b, ``gp-draw`` v, w (one weight
+    per input; one weight sees t_norm alone), epsilon and mean. Noise is
+    additive Gaussian (sd = ``noise_sd``) applied on the generator's natural
+    scale and clamped so concentrations stay within [0, c0].
     """
-    t = np.asarray(spec.time_schedule, dtype=float)
+    t = np.asarray(schedule, dtype=float)
     if t.size == 0 or np.any(np.diff(t) <= 0) or np.any(t <= 1.0):
         raise InvalidSpec("time schedule must be strictly increasing with all times > 1")
-    if not (math.isfinite(spec.noise_sd) and spec.noise_sd >= 0):
-        raise InvalidSpec(f"noise_sd must be finite and >= 0, got {spec.noise_sd}")
-    if spec.seed < 0:
-        raise InvalidSpec(f"seed must be >= 0, got {spec.seed}")
-    rng = np.random.default_rng(spec.seed)
-    p = dict(spec.parameters)
-    c0 = float(p.get("c0", 50.0))
-    thickness = float(p.get("thickness_cm", 3.0))
-    ph = p.get("ph")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise InvalidSpec(f"noise_sd must be finite and >= 0, got {noise_sd}")
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
+    needs = {  # the parameters each generator reads; no weights is a missing w
+        "first-order": {"k": k},
+        "exp-model": {"a": a, "b": b},
+        "gp-draw": {"v": v, "w": w or None},
+    }
+    if generator not in needs:
+        raise InvalidSpec(f"unknown generator {generator!r}; have {list(GENERATORS)}")
+    missing = [name for name, value in needs[generator].items() if value is None]
+    if missing:
+        raise InvalidSpec(f"{generator} generator needs parameters {missing}")
+    rng = np.random.default_rng(seed)
 
-    if spec.generator is Generator.FIRST_ORDER:
-        (k,) = _require(p, ["k"], "first_order")
+    if generator == "first-order":
         # an exponent that overflows puts the concentration above c0, where
         # the clip below sets it to c0 all the same
         with np.errstate(over="ignore"):
             conc = np.exp(k * t + np.log(c0))
-        if spec.noise_sd > 0:
-            conc = conc + spec.noise_sd * rng.standard_normal(t.size)
+        if noise_sd > 0:
+            conc = conc + noise_sd * rng.standard_normal(t.size)
         conc = np.clip(conc, 0.0, c0)
-        samples = tuple(
-            Sample(t_raw=ti, concentration=ci, thickness_w=thickness, ph=ph)
-            for ti, ci in zip(t, conc)
-        )
-        return ObservationSeries(spec.contaminant, spec.run_label, c0, samples)
-
-    t_norm = log_time_norm(t).t_norm
-    if spec.generator is Generator.EXP_MODEL:
-        a, b = _require(p, ["a", "b"], "exp_model")
-        removal = np.asarray(
-            exp_model_eval(ExpModelParams(a=a, b=b), t_norm, thickness), dtype=float
-        )
-    elif spec.generator is Generator.GP_DRAW:
-        (v,) = _require(p, ["v"], "gp_draw")
-        weights = [float(p[k]) for k in ("w1", "w2", "w3") if k in p]
-        if not weights:
-            raise InvalidSpec("gp_draw generator needs at least w1")
-        mean = float(p.get("mean", 0.5))
-        hp = GpHyperParams(
-            v=v, w=tuple(weights), epsilon=float(p.get("epsilon", DEFAULT_EPSILON))
-        )
-        # the fitting layout, with pH for three weights; a single weight
-        # sees the first column, t_norm, alone
-        ph_column = 7.0 if ph is None else float(ph)
-        x = design_matrix(t_norm, thickness, ph_column if hp.p == 3 else None)[:, : hp.p]
-        cov = kernel_matrix(hp, x)
-        cov[np.diag_indices_from(cov)] += hp.epsilon
-        factor = cholesky(cov)
-        removal = mean + factor.lower @ rng.standard_normal(t.size)
+        removal = [None] * t.size
     else:
-        raise InvalidSpec(f"unknown generator {spec.generator}")
-
-    if spec.noise_sd > 0:
-        removal = removal + spec.noise_sd * rng.standard_normal(t.size)
-    removal = np.clip(removal, 0.0, 1.0)
-    conc = c0 * (1.0 - removal)
+        t_norm = log_time_norm(t).t_norm
+        if generator == "exp-model":
+            removal = exp_model_eval(ExpModelParams(a=a, b=b), t_norm, thickness)
+        else:
+            hp = GpHyperParams(v=v, w=w, epsilon=epsilon)
+            # the fitting layout, with pH for three weights; a single weight
+            # sees the first column, t_norm, alone
+            ph_column = 7.0 if ph is None else ph
+            x = design_matrix(t_norm, thickness, ph_column if hp.p == 3 else None)[:, : hp.p]
+            removal = mean + covariance_factor(hp, x).lower @ rng.standard_normal(t.size)
+        if noise_sd > 0:
+            removal = removal + noise_sd * rng.standard_normal(t.size)
+        removal = np.clip(removal, 0.0, 1.0)
+        conc = c0 * (1.0 - removal)
     samples = tuple(
-        Sample(
-            t_raw=ti,
-            concentration=ci,
-            removal_fraction=ri,
-            thickness_w=thickness,
-            ph=ph,
-        )
+        Sample(t_raw=ti, concentration=ci, removal_fraction=ri, thickness_w=thickness, ph=ph)
         for ti, ci, ri in zip(t, conc, removal)
     )
-    return ObservationSeries(spec.contaminant, spec.run_label, c0, samples)
+    return ObservationSeries(contaminant, run_label, c0, samples)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -375,12 +361,14 @@ _PARAMETER_CHECKS = {
     ModelKind.EXPONENTIAL: {
         "a": _finite_number,
         "b": _finite_number,
-        "exponent_form": lambda f: f is None or f in {form.value for form in ExponentForm},
+        # membership in a list, which needs no hash: the value may be a JSON list or object
+        "exponent_form": lambda f: f is None or f in [form.value for form in ExponentForm],
         "time_denominator": _absent_or_positive,
     },
     ModelKind.GAUSSIAN_PROCESS: {
         "v": _finite_number,
-        "w": lambda w: isinstance(w, list) and len(w) > 0 and all(map(_finite_number, w)),
+        # one weight per design-matrix column: (t_norm, W) or (t_norm, pH, W)
+        "w": lambda w: isinstance(w, list) and len(w) in (2, 3) and all(map(_finite_number, w)),
         "epsilon": _finite_number,
         "time_denominator": _absent_or_positive,
         "default_ph": lambda ph: ph is None or (_finite_number(ph) and 0 <= ph <= MAX_PH),
@@ -404,7 +392,7 @@ def read_report(path: str | Path) -> FitReport:
 
     Every check a report needs before a model is rebuilt from it runs
     here, in one pass: a known model kind; each parameter the kind requires
-    (a finite number; the GP's ``w`` a non-empty list of them), and, where
+    (a finite number; the GP's ``w`` a list of two or three), and, where
     present, ``exponent_form`` one of the forms, ``time_denominator``
     positive and ``default_ph`` in [0, ``MAX_PH``]; the four metrics,
     unless null, finite; and in each prediction row ``inputs`` an object of
@@ -413,12 +401,8 @@ def read_report(path: str | Path) -> FitReport:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise FileIOError(f"cannot read {path}: {e}") from e
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
+        payload = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as e:  # an int past 4300 digits or deep nesting, too
         raise ParseError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: a report must be a JSON object")

@@ -70,8 +70,8 @@ class ObservationSeries:
     barrier_thickness_cm: float | None = None
 
     def __post_init__(self):
-        if not (self.c0 > 0):
-            raise InvalidInput(f"c0 must be positive, got {self.c0}")
+        if not (self.c0 > 0 and math.isfinite(self.c0)):
+            raise InvalidInput(f"c0 must be finite and positive, got {self.c0}")
         samples = tuple(self.samples)
         if len(samples) < 3:
             raise InvalidInput(f"a series needs at least 3 samples, got {len(samples)}")

@@ -194,6 +194,13 @@ class GpModel:
     alpha: np.ndarray
 
 
+def covariance_factor(hp: GpHyperParams, x) -> CholeskyFactor:
+    """Cholesky factor of K(X, X) + eps*I, as a fit and a prior draw use it."""
+    cov = kernel_matrix(hp, x)
+    cov[np.diag_indices_from(cov)] += hp.epsilon
+    return cholesky(cov)
+
+
 def gp_fit(hp: GpHyperParams, x_train, y_train) -> GpModel:
     """Build K(X, X) + eps*I, factorize it, and precompute (K+eps*I)^-1 y.
 
@@ -210,9 +217,7 @@ def gp_fit(hp: GpHyperParams, x_train, y_train) -> GpModel:
         raise InvalidInput("need at least one training point")
     if not np.all(np.isfinite(y)):
         raise InvalidInput("targets must be finite")
-    cov = kernel_matrix(hp, x)
-    cov[np.diag_indices_from(cov)] += hp.epsilon
-    factor = cholesky(cov)
+    factor = covariance_factor(hp, x)
     alpha = solve(factor, y)
     return GpModel(hp=hp, x_train=x.copy(), y_train=y.copy(), factor=factor, alpha=alpha)
 

@@ -7,21 +7,18 @@ negative k.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import ObservationSeries
 from .errors import DegenerateFit, NonPositiveConcentration
-from .metrics import DegenerateFitWarning
 
 
 @dataclass(frozen=True)
 class KineticFitResult:
     k: float  # slope, 1/min
     ln_c0_fit: float  # intercept, ln(mg/L)
-    r2: float
     n_points: int
     degenerate: bool = False
 
@@ -31,7 +28,8 @@ def fit_first_order(series: ObservationSeries) -> KineticFitResult:
 
     Raises :class:`NonPositiveConcentration` if any concentration is <= 0
     and :class:`DegenerateFit` if all sample times coincide. A constant
-    concentration series yields k = 0 and r2 = 0 (flagged degenerate).
+    concentration series yields k = 0 (flagged degenerate). The fit's R^2
+    is ``compute_metrics`` on the log-concentrations.
     """
     c = series.concentrations()
     if np.any(c <= 0):
@@ -45,25 +43,13 @@ def fit_first_order(series: ObservationSeries) -> KineticFitResult:
     if stt == 0.0:
         raise DegenerateFit("all sample times are identical")
     yc = y - y.mean()
-    ss_tot = float(np.dot(yc, yc))
-    if ss_tot == 0.0:
-        warnings.warn(
-            "constant concentrations: rate is 0 and R^2 is 0 by convention",
-            DegenerateFitWarning,
-            stacklevel=2,
-        )
+    if float(np.dot(yc, yc)) == 0.0:
         return KineticFitResult(
-            k=0.0,
-            ln_c0_fit=float(y.mean()),
-            r2=0.0,
-            n_points=int(t.size),
-            degenerate=True,
+            k=0.0, ln_c0_fit=float(y.mean()), n_points=int(t.size), degenerate=True
         )
     k = float(np.dot(tc, y) / stt)
     intercept = float(y.mean() - k * t.mean())
-    resid = y - (k * t + intercept)
-    r2 = 1.0 - float(np.dot(resid, resid)) / ss_tot
-    return KineticFitResult(k=k, ln_c0_fit=intercept, r2=r2, n_points=int(t.size))
+    return KineticFitResult(k=k, ln_c0_fit=intercept, n_points=int(t.size))
 
 
 def predict_first_order(fit: KineticFitResult, t) -> np.ndarray:

@@ -5,6 +5,7 @@ checks each closed-form gradient and Jacobian, the scalar kernel checks
 every entry of the blocked ``kernel_matrix`` and the one-broadcast einsum
 kernel matrix checks its every bit, and the two parameter pairs are
 reference exponential-model fits the model tests are pinned to.
+``kinetic_r2`` is the R^2 ``fit-kinetics`` reports for a first-order fit.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from pabfit.errors import DimensionMismatch, NonFiniteObjective
+from pabfit.metrics import compute_metrics
 
 # reference (a, b) of the exponential removal model for lead and
 # methylene blue
@@ -22,6 +24,12 @@ MB_EXP_PARAMS = (2.068, 3.486)
 # the objective's rounding divided by h, and 1e-3 balances the two for
 # objectives accurate to ~1e-8 relative, as the GP ones are
 FD_STEP = 1e-3
+
+
+def kinetic_r2(series, fit) -> float:
+    """R^2 of ln(c) against the fitted line k*t + ln_c0_fit."""
+    t = series.times()
+    return compute_metrics(np.log(series.concentrations()), fit.k * t + fit.ln_c0_fit).r2
 
 
 def finite_difference_gradient(objective, x) -> np.ndarray:

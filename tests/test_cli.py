@@ -49,11 +49,31 @@ class TestFitKinetics:
         assert not out.exists()
         assert "stage=load" in capsys.readouterr().err
 
-    def test_parse_error_in_cell(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"time_min,concentration_mg_l\n10,forty\n",
+            b"time_min,concentration_mg_l\n10,40\n60,30\xff\n90,20\n",
+        ],
+        ids=["cell", "not_utf8"],
+    )
+    def test_parse_error_in_cell(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.csv"
-        bad.write_text("time_min,concentration_mg_l\n10,forty\n")
+        bad.write_bytes(data)
         code = run_cli("fit-kinetics", "--input", str(bad), "--output", str(tmp_path / "o.json"))
         assert code == 2
+        err = capsys.readouterr().err
+        assert "stage=load code=2 kind=ParseError" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_constant_series_warns_once(self, tmp_path):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("time_min,concentration_mg_l\n10,30\n60,30\n90,30\n")
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("fit-kinetics", "--input", str(flat), "--output", str(out)) == 0
+        assert [type(w.message).__name__ for w in caught] == ["DegenerateFitWarning"]
 
 
 class TestFitExp:
@@ -349,6 +369,15 @@ def corrupted_fixture(tmp_path, column, value):
     return path
 
 
+class TestInfiniteC0:
+    @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
+    def test_rejected_at_load(self, tmp_path, capsys, command):
+        err = check_rejected(
+            tmp_path, capsys, "load", command, "--input", "pcbc_run1.csv", "--c0", "inf"
+        )
+        assert "c0 must be finite" in err
+
+
 class TestNonFiniteSampleValues:
     @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
     @pytest.mark.parametrize("column,value", [("thickness_cm", "nan"), ("ph", "inf")])
@@ -568,12 +597,17 @@ class TestMalformedReportParameters:
             (FIT_GP, lambda p: p["parameters"].update(default_ph="x")),
             (FIT_GP, lambda p: p["parameters"].update(default_ph=1e200)),
             (FIT_GP, lambda p: p["parameters"].update(default_ph=-3.0)),
+            (FIT_EXP, lambda p: p["parameters"].update(exponent_form=["literal"])),
+            (FIT_EXP, lambda p: p["parameters"].update(exponent_form={})),
+            (FIT_GP, lambda p: p["parameters"].update(w=[0.7839])),
+            (FIT_GP, lambda p: p["parameters"].update(w=[0.7839, 2.8869, 2.859e-9, 1.0])),
         ],
         ids=[
             "empty_metrics", "row_without_inputs", "time_denominator_text",
             "time_denominator_zero", "gp_t_norm_text", "gp_observed_text",
             "gp_variance_list", "gp_default_ph_text", "gp_default_ph_huge",
-            "gp_default_ph_negative",
+            "gp_default_ph_negative", "exponent_form_list", "exponent_form_object",
+            "gp_one_weight", "gp_four_weights",
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "report"])
@@ -701,7 +735,7 @@ class TestPredictDispatch:
     def test_thickness_required_or_refused(self):
         with pytest.raises(ValidationError, match="thickness grid"):
             predict(ExpModelParams(a=1.0, b=1.0), self.t, None)
-        kinetics = KineticFitResult(k=-0.0006, ln_c0_fit=3.9, r2=1.0, n_points=3)
+        kinetics = KineticFitResult(k=-0.0006, ln_c0_fit=3.9, n_points=3)
         with pytest.raises(ValidationError, match="no thickness input"):
             predict(kinetics, self.t, self.w)
         mean, variance = predict(kinetics, np.array([0.0, 3600.0]), None)

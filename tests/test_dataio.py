@@ -7,8 +7,6 @@ import pytest
 from pabfit.dataio import (
     DEFAULT_SCHEDULE,
     FIXTURES,
-    Generator,
-    SyntheticSpec,
     fixture_dir,
     generate_synthetic,
     load_fixture,
@@ -34,8 +32,11 @@ from pabfit.errors import (
     ValidationError,
 )
 from pabfit.expmodel import fit_exp_model
+from pabfit.gp import DEFAULT_EPSILON
 from pabfit.kinetics import fit_first_order
 from pabfit.metrics import FitMetrics
+
+from oracles import kinetic_r2
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -70,9 +71,19 @@ class TestLoadSeries:
         with pytest.raises(ValidationError, match="row 2"):
             load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
 
-    def test_bad_cell_is_parse_error(self, tmp_path):
-        path = write_csv(tmp_path, "time_min,concentration_mg_l\n10,forty\n")
-        with pytest.raises(ParseError, match="concentration_mg_l"):
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"time_min,concentration_mg_l\n10,forty\n", "concentration_mg_l"),
+            (b"time_min,concentration_mg_l\n10,40\n60,30\xff\n90,20\n", "not valid UTF-8"),
+            (b"time_min,concentration_mg_l\n10," + b"4" * 200_000 + b"\n", "field limit"),
+        ],
+        ids=["cell", "not_utf8", "cell_past_the_csv_field_limit"],
+    )
+    def test_bad_cell_is_parse_error(self, tmp_path, data, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=message):
             load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
 
     def test_concentration_above_c0_rejected(self, tmp_path):
@@ -100,6 +111,13 @@ class TestLoadSeries:
         with pytest.raises(ValidationError):
             load_series(path, Contaminant.PB, 50.0)
 
+    def test_missing_thickness_cell_takes_the_default(self, tmp_path):
+        text = "time_min,concentration_mg_l,thickness_cm\n10,40,1.5\n60,30,\n90,20,\n"
+        path = write_csv(tmp_path, text)
+        s = load_series(path, Contaminant.PB, 50.0, default_thickness_cm=3.0)
+        assert [x.thickness_w for x in s.samples] == [1.5, 3.0, 3.0]
+
+
 
 class TestFixtures:
     def test_all_fixture_anchors(self):
@@ -124,12 +142,13 @@ class TestFixtures:
             "pcbc_run2.csv": (-0.0005, 0.94),
         }
         for name, (k_ref, r2_min) in reference.items():
-            fit = fit_first_order(load_fixture(name))
+            series = load_fixture(name)
+            fit = fit_first_order(series)
             assert fit.k < 0, name
             assert math.floor(math.log10(abs(fit.k))) == math.floor(
                 math.log10(abs(k_ref))
             ), name
-            assert fit.r2 >= r2_min, name
+            assert kinetic_r2(series, fit) >= r2_min, name
 
     def test_fixture_dir_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PABFIT_FIXTURE_DIR", str(tmp_path))
@@ -142,21 +161,25 @@ class TestFixtures:
             load_fixture("nonexistent.csv")
 
 
+def synth(generator, **options):
+    """``generate_synthetic`` with the synth command's defaults for the
+    options not given."""
+    defaults = dict(
+        k=None, a=None, b=None, v=None, w=(), mean=0.5, epsilon=DEFAULT_EPSILON,
+        c0=50.0, thickness=3.0, ph=None, schedule=DEFAULT_SCHEDULE, noise_sd=0.0,
+        seed=0, contaminant=Contaminant.PB, run_label="synthetic",
+    )
+    return generate_synthetic(generator, **{**defaults, **options})
+
+
 class TestGenerateSynthetic:
     def test_first_order_roundtrip(self):
-        spec = SyntheticSpec(
-            generator=Generator.FIRST_ORDER, parameters={"k": -0.0006, "c0": 50.0}
-        )
-        series = generate_synthetic(spec)
+        series = synth("first-order", k=-0.0006, c0=50.0)
         fit = fit_first_order(series)
         assert fit.k == pytest.approx(-0.0006, abs=1e-10)
 
     def test_exp_model_roundtrip(self):
-        spec = SyntheticSpec(
-            generator=Generator.EXP_MODEL,
-            parameters={"a": 3.315, "b": 0.829, "thickness_cm": 0.5, "c0": 50.0},
-        )
-        series = generate_synthetic(spec)
+        series = synth("exp-model", a=3.315, b=0.829, thickness=0.5, c0=50.0)
         tr = transform_time(series)
         data = [
             (tn, r.thickness_w, r.removal_fraction)
@@ -172,14 +195,9 @@ class TestGenerateSynthetic:
         assert got == pytest.approx(want, abs=1e-3)
 
     def test_same_seed_identical(self, tmp_path):
-        spec = dict(
-            generator=Generator.GP_DRAW,
-            parameters={"v": 0.3852, "w1": 5.0, "c0": 50.0, "mean": 0.5},
-            noise_sd=0.01,
-            seed=7,
-        )
-        a = generate_synthetic(SyntheticSpec(**spec))
-        b = generate_synthetic(SyntheticSpec(**spec))
+        spec = dict(v=0.3852, w=[5.0], c0=50.0, mean=0.5, noise_sd=0.01, seed=7)
+        a = synth("gp-draw", **spec)
+        b = synth("gp-draw", **spec)
         assert a == b
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_series(a, pa)
@@ -187,46 +205,23 @@ class TestGenerateSynthetic:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seed_differs(self):
-        base = dict(
-            generator=Generator.GP_DRAW,
-            parameters={"v": 0.3852, "w1": 5.0},
-        )
-        a = generate_synthetic(SyntheticSpec(seed=1, **base))
-        b = generate_synthetic(SyntheticSpec(seed=2, **base))
+        base = dict(v=0.3852, w=[5.0])
+        a = synth("gp-draw", seed=1, **base)
+        b = synth("gp-draw", seed=2, **base)
         assert a != b
 
     def test_noise_clamped_to_physical_range(self):
-        spec = SyntheticSpec(
-            generator=Generator.FIRST_ORDER,
-            parameters={"k": -0.002, "c0": 50.0},
-            noise_sd=40.0,
-            seed=3,
-        )
-        series = generate_synthetic(spec)
+        series = synth("first-order", k=-0.002, c0=50.0, noise_sd=40.0, seed=3)
         c = series.concentrations()
         assert np.all((c >= 0.0) & (c <= 50.0))
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
-            generate_synthetic(
-                SyntheticSpec(generator=Generator.FIRST_ORDER, parameters={})
-            )
+            synth("first-order")
         with pytest.raises(InvalidSpec):
-            generate_synthetic(
-                SyntheticSpec(
-                    generator=Generator.FIRST_ORDER,
-                    parameters={"k": -0.001},
-                    time_schedule=[10.0, 5.0, 60.0],
-                )
-            )
+            synth("first-order", k=-0.001, schedule=[10.0, 5.0, 60.0])
         with pytest.raises(InvalidSpec):
-            generate_synthetic(
-                SyntheticSpec(
-                    generator=Generator.FIRST_ORDER,
-                    parameters={"k": -0.001},
-                    noise_sd=-1.0,
-                )
-            )
+            synth("first-order", k=-0.001, noise_sd=-1.0)
 
 
 class TestSeriesRoundTrip:
@@ -300,9 +295,14 @@ class TestReports:
         assert payload["parameters"]["v"] == 0.3852
         assert payload["parameters"]["w"] == [0.7839, 2.8869, 2.859e-9]
 
-    def test_malformed_json_is_parse_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [b"{not json", b'{"model_kind": "exponential\xff"}', b"[" * 100_000, b"1" * 5000],
+        ids=["not_json", "not_utf8", "deep_nesting", "int_past_4300_digits"],
+    )
+    def test_malformed_json_is_parse_error(self, tmp_path, data):
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
+        path.write_bytes(data)
         with pytest.raises(ParseError):
             read_report(path)
 
@@ -312,13 +312,17 @@ class TestReports:
             {"model_kind": "comparison"},
             {"parameters": []},
             {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": []}},
-            {"parameters": {"v": "0.3852", "epsilon": 1.490116e-08, "w": [1.0]}},
-            {"parameters": {"v": True, "epsilon": 1.490116e-08, "w": [1.0]}},
-            {"parameters": {"v": 10**400, "epsilon": 1.490116e-08, "w": [1.0]}},
-            {"parameters": {"v": 0.3852, "epsilon": float("nan"), "w": [1.0]}},
+            {"parameters": {"v": "0.3852", "epsilon": 1.490116e-08, "w": [1.0, 1.0]}},
+            {"parameters": {"v": True, "epsilon": 1.490116e-08, "w": [1.0, 1.0]}},
+            {"parameters": {"v": 10**400, "epsilon": 1.490116e-08, "w": [1.0, 1.0]}},
+            {"parameters": {"v": 0.3852, "epsilon": float("nan"), "w": [1.0, 1.0]}},
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": "x"}},
+            {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": []}},
+            {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": {}}},
+            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0]}},
+            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0] * 4}},
             {"model_kind": "first_order", "parameters": {"k": -0.1}},
-            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0], "time_denominator": -1.0}},
+            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0, 1.0], "time_denominator": -1.0}},
             {"metrics": {}},
             {"metrics": {"r2": 1.0, "rmse": 0.0, "obs_pred_slope": 1.0, "n": "2"}},
             {"predictions": {}},

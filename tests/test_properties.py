@@ -1,9 +1,11 @@
-"""Seeded property tests: CSV and report JSON round trips.
+"""Seeded property tests: CSV and report JSON round trips, and the loaders
+on malformed input.
 
 ``derandomize=True`` draws the same examples on every run, so these tests
 pass or fail the same way each time.
 """
 
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -12,7 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pabfit.dataio import load_series, read_report, write_report, write_series
+from pabfit.dataio import CANONICAL_COLUMNS, load_series, read_report, write_report, write_series
 from pabfit.domain import (
     MAX_PH,
     MAX_THICKNESS_CM,
@@ -23,6 +25,7 @@ from pabfit.domain import (
     PredictionRow,
     Sample,
 )
+from pabfit.errors import PabfitError
 from pabfit.metrics import FitMetrics
 
 SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -93,7 +96,7 @@ def parameters(kind: ModelKind):
         },
         ModelKind.GAUSSIAN_PROCESS: {
             "v": finite,
-            "w": st.lists(finite, min_size=1, max_size=3),
+            "w": st.lists(finite, min_size=2, max_size=3),
             "epsilon": finite,
             "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
             "default_ph": st.none() | st.floats(0.0, MAX_PH),
@@ -134,3 +137,59 @@ def test_report_round_trips_through_json(report):
         path = Path(tmp) / "report.json"
         write_report(report, path)
         assert read_report(path) == report
+
+
+def load_or_refuse(read, data: bytes, name: str):
+    """``read`` on a file holding ``data``: its result, or the PabfitError
+    it raised; any other exception fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        try:
+            return read(path)
+        except PabfitError as e:
+            return e
+
+
+# cells and headers near the CSV a loader expects, so that rows get past
+# the header checks and reach the value checks
+cell = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-1", "0", "1e999", "x", '"']), finite.map(repr)
+)
+csv_text = st.builds(
+    lambda header, rows: "\n".join(",".join(r) for r in [header, *rows]),
+    st.lists(st.sampled_from(CANONICAL_COLUMNS), min_size=1, max_size=6),
+    st.lists(st.lists(cell, max_size=7), max_size=8),
+)
+
+
+@SEEDED
+@given(st.one_of(st.binary(), st.text().map(str.encode), csv_text.map(str.encode)))
+def test_load_series_returns_a_series_or_refuses(data):
+    result = load_or_refuse(lambda p: load_series(p, Contaminant.PB, 50.0, 3.0), data, "run.csv")
+    assert isinstance(result, (ObservationSeries, PabfitError))
+
+
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(names, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@SEEDED
+@given(st.binary())
+def test_read_report_on_arbitrary_bytes_returns_a_report_or_refuses(data):
+    assert isinstance(load_or_refuse(read_report, data, "report.json"), (FitReport, PabfitError))
+
+
+@SEEDED
+@given(st.data())
+def test_read_report_on_any_parameter_value_returns_a_report_or_refuses(data):
+    kind = data.draw(st.sampled_from(ModelKind))
+    params = data.draw(parameters(kind))
+    params[data.draw(st.sampled_from(sorted(params)))] = data.draw(json_value)
+    payload = {"model_kind": kind.value, "parameters": params, "metrics": None,
+               "predictions": [], "provenance": {}}
+    result = load_or_refuse(read_report, json.dumps(payload).encode(), "report.json")
+    assert isinstance(result, (FitReport, PabfitError))
