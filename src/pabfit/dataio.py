@@ -8,9 +8,10 @@ All writes are write-to-temp + atomic rename: a failing run leaves no
 partial output behind.
 
 Every input file is read as UTF-8 text; other bytes are a ``ParseError``.
-The loader checks only the CSV (header, columns each named once, no row
-longer than the header, time cells present and > 1); the
-``ObservationSeries`` constructor checks the values.
+``load_series`` and ``write_series`` both read ``_COLUMNS``, the one table
+of the CSV columns. The loader checks only the CSV (a header of known
+columns, each named once; no row longer than it; a time cell in every row);
+the ``ObservationSeries`` constructor checks the values, times included.
 
 ``generate_synthetic`` takes the generator by its ``synth`` name and each
 option as a typed keyword; the GP draw factors its covariance with
@@ -28,6 +29,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -43,12 +45,21 @@ from .domain import (
     Sample,
     log_time_norm,
 )
-from .errors import FileIOError, InvalidSpec, ParseError, ValidationError
+from .errors import FileIOError, InvalidInput, InvalidSpec, ParseError, ValidationError
 from .expmodel import ExpModelParams, ExponentForm, exp_model_eval
 from .gp import GpHyperParams, covariance_factor, design_matrix
 from .metrics import FitMetrics
 
-CANONICAL_COLUMNS = ("time_min", "concentration_mg_l", "removal_pct", "thickness_cm", "ph")
+# each CSV column: the Sample field it holds, in field order, and the file's
+# unit as a multiple of the field's (removal is a fraction, the file's a percent)
+_COLUMNS = {
+    "time_min": ("t_raw", 1.0),
+    "concentration_mg_l": ("concentration", 1.0),
+    "removal_pct": ("removal_fraction", 100.0),
+    "thickness_cm": ("thickness_w", 1.0),
+    "ph": ("ph", 1.0),
+}
+CANONICAL_COLUMNS = tuple(_COLUMNS)
 
 # effluent sampling schedule: every 10 min over the first hour, then hourly
 DEFAULT_SCHEDULE = tuple(float(t) for t in list(range(10, 61, 10)) + list(range(120, 3601, 60)))
@@ -68,14 +79,17 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path}: not valid UTF-8 ({e})") from None
 
 
-def _parse_cell(row: dict, i: int, column: str) -> float | None:
-    raw = row.get(column)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"row {i}, column {column}: cannot parse {raw!r} as a number") from None
+def _parse_row(row: dict, i: int) -> Sample:
+    """Data row ``i`` as a Sample, each cell in its field's unit; an empty
+    or absent cell is None."""
+    values = []
+    for column, (_, unit) in _COLUMNS.items():
+        raw = row.get(column)
+        try:
+            values.append(None if raw is None or raw.strip() == "" else float(raw) / unit)
+        except ValueError:
+            raise ParseError(f"row {i}, column {column}: cannot parse {raw!r} as a number") from None
+    return Sample(*values)
 
 
 def load_series(
@@ -90,7 +104,7 @@ def load_series(
     thickness cell) are the run-level facts the file itself does not carry.
     Row numbers in error messages count data rows from 1 (the header is
     row 0), here and in the constructor, which checks the values. Unknown
-    columns raise; ``removal_pct`` is divided by 100 on the way in.
+    columns raise; each cell is read in its field's unit (``_COLUMNS``).
     """
     path = Path(path)
     reader = csv.DictReader(_read_text(path).splitlines())
@@ -106,12 +120,6 @@ def load_series(
     repeated = sorted({h for h in reader.fieldnames if reader.fieldnames.count(h) > 1})
     if repeated:
         raise ValidationError(f"{path}: repeated columns {repeated}")
-    if "time_min" not in reader.fieldnames:
-        raise ValidationError(f"{path}: required column 'time_min' is missing")
-    if "concentration_mg_l" not in reader.fieldnames and "removal_pct" not in reader.fieldnames:
-        raise ValidationError(
-            f"{path}: need a concentration or removal column"
-        )
 
     samples = []
     for i, row in enumerate(records, start=1):
@@ -120,23 +128,10 @@ def load_series(
                 f"row {i}: {len(reader.fieldnames) + len(row[None])} cells, "
                 f"the header has {len(reader.fieldnames)}"
             )
-        t = _parse_cell(row, i, "time_min")
-        if t is None:
+        sample = _parse_row(row, i)
+        if sample.t_raw is None:
             raise ValidationError(f"row {i}: missing time")
-        if t <= 1.0:
-            raise ValidationError(
-                f"row {i}: time {t} min is <= 1; the log-time transform is undefined there"
-            )
-        pct = _parse_cell(row, i, "removal_pct")
-        samples.append(
-            Sample(
-                t_raw=t,
-                concentration=_parse_cell(row, i, "concentration_mg_l"),
-                removal_fraction=None if pct is None else pct / 100.0,
-                thickness_w=_parse_cell(row, i, "thickness_cm"),
-                ph=_parse_cell(row, i, "ph"),
-            )
-        )
+        samples.append(sample)
 
     return ObservationSeries(
         contaminant=contaminant,
@@ -179,9 +174,7 @@ def generate_synthetic(
     additive Gaussian (sd = ``noise_sd``) applied on the generator's natural
     scale and clamped so concentrations stay within [0, c0].
     """
-    t = np.asarray(schedule, dtype=float)
-    if t.size == 0 or np.any(np.diff(t) <= 0) or np.any(t <= 1.0):
-        raise InvalidSpec("time schedule must be strictly increasing with all times > 1")
+    t = np.asarray(schedule, dtype=float)  # the series checks its times
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise InvalidSpec(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if seed < 0:
@@ -200,8 +193,9 @@ def generate_synthetic(
 
     if generator == "first-order":
         # an exponent that overflows puts the concentration above c0, where
-        # the clip below sets it to c0 all the same
-        with np.errstate(over="ignore"):
+        # the clip below sets it to c0 all the same; a c0 <= 0 and an inf or
+        # nan time give values the series rejects
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             conc = np.exp(k * t + np.log(c0))
         if noise_sd > 0:
             conc = conc + noise_sd * rng.standard_normal(t.size)
@@ -246,33 +240,18 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_series(series: ObservationSeries, path: str | Path) -> None:
-    """Write a series back to canonical CSV (floats as shortest round-trip repr)."""
-    has_conc = any(s.concentration is not None for s in series.samples)
-    has_removal = any(s.removal_fraction is not None for s in series.samples)
-    has_ph = any(s.ph is not None for s in series.samples)
-    header = ["time_min"]
-    if has_conc:
-        header.append("concentration_mg_l")
-    if has_removal:
-        header.append("removal_pct")
-    header.append("thickness_cm")
-    if has_ph:
-        header.append("ph")
-
-    def fmt(x: float | None) -> str:
-        return "" if x is None else repr(float(x))
-
-    lines = [",".join(header)]
-    for s in series.samples:
-        row = [fmt(s.t_raw)]
-        if has_conc:
-            row.append(fmt(s.concentration))
-        if has_removal:
-            row.append(fmt(None if s.removal_fraction is None else 100.0 * s.removal_fraction))
-        row.append(fmt(s.thickness_w))
-        if has_ph:
-            row.append(fmt(s.ph))
-        lines.append(",".join(row))
+    """Write each column some sample holds as canonical CSV (floats as
+    shortest round-trip repr); time and thickness always are."""
+    columns = [
+        (name, field, unit)
+        for name, (field, unit) in _COLUMNS.items()
+        if any(getattr(s, field) is not None for s in series.samples)
+    ]
+    cells = [  # a float multiply, cheaper than a numpy scalar's, and the same bits
+        ["" if x is None else repr(unit * float(x)) for x in map(attrgetter(field), series.samples)]
+        for _, field, unit in columns
+    ]
+    lines = [",".join(name for name, _, _ in columns), *map(",".join, zip(*cells))]
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
@@ -392,7 +371,8 @@ def read_report(path: str | Path) -> FitReport:
 
     Every check a report needs before a model is rebuilt from it runs
     here, in one pass: a known model kind; each parameter the kind requires
-    (a finite number; the GP's ``w`` a list of two or three), and, where
+    (a finite number; the GP's ``w`` a list of two or three, and its
+    ``v``, ``w`` and ``epsilon`` within ``GpHyperParams``'s domain), and, where
     present, ``exponent_form`` one of the forms, ``time_denominator``
     positive and ``default_ph`` in [0, ``MAX_PH``]; the four metrics,
     unless null, finite; and in each prediction row ``inputs`` an object of
@@ -419,6 +399,11 @@ def read_report(path: str | Path) -> FitReport:
     bad = [k for k, ok in _PARAMETER_CHECKS[kind].items() if not ok(params.get(k))]
     if bad:
         raise ValidationError(f"{path}: {kind.value} report has missing or invalid parameters {bad}")
+    if kind is ModelKind.GAUSSIAN_PROCESS:
+        try:  # the model's own domain: v > 0, w >= 0, epsilon > 0
+            GpHyperParams(v=params["v"], w=params["w"], epsilon=params["epsilon"])
+        except InvalidInput as e:
+            raise InvalidInput(f"{path}: {e}") from None
     m = payload["metrics"]
     if m is not None and not (isinstance(m, dict) and all(_finite_number(m.get(k)) for k in _METRIC_KEYS)):
         raise ValidationError(f"{path}: metrics must be null or hold finite numbers {list(_METRIC_KEYS)}")

@@ -6,6 +6,8 @@ fraction in [0, 1]; percent is a display concern only.
 
 Every check on the values of a series runs once, in the ``ObservationSeries``
 constructor, whoever builds it; its messages name the 1-based data row.
+Each time is finite, > 1 minute and later than the one before; the same
+rule on times alone, before a series exists, is ``log_time_norm``'s.
 Thickness is bounded above by ``MAX_THICKNESS_CM`` and pH lies in
 [0, ``MAX_PH``], so no value the models see can overflow.
 """
@@ -72,15 +74,15 @@ class ObservationSeries:
     def __post_init__(self):
         if not (self.c0 > 0 and math.isfinite(self.c0)):
             raise InvalidInput(f"c0 must be finite and positive, got {self.c0}")
-        samples = tuple(self.samples)
-        if len(samples) < 3:
-            raise InvalidInput(f"a series needs at least 3 samples, got {len(samples)}")
         filled = []
         prev_t = -math.inf
         c_max = self.c0 * (1.0 + CONSISTENCY_TOL)
-        for i, s in enumerate(samples, start=1):
-            if not (s.t_raw > 0) or not math.isfinite(s.t_raw):
-                raise InvalidTime(f"row {i}: time must be positive, got {s.t_raw}")
+        for i, s in enumerate(self.samples, start=1):
+            if not (1.0 < s.t_raw < math.inf):  # every model reads ln(t) / ln(t_max)
+                raise InvalidTime(
+                    f"row {i}: time {s.t_raw} min is {'<= 1' if s.t_raw <= 1 else 'not finite'}; "
+                    "the log-time transform is undefined there"
+                )
             if s.t_raw <= prev_t:
                 raise InvalidInput(
                     f"row {i}: times must be strictly increasing ({s.t_raw} after {prev_t})"
@@ -121,6 +123,9 @@ class ObservationSeries:
                     f"row {i}: thickness must lie in [0, {MAX_THICKNESS_CM:g}] cm, got {thickness}"
                 )
             filled.append(s if thickness == s.thickness_w else replace(s, thickness_w=thickness))
+        # counted after the rows, so a short series still names its first bad row
+        if len(filled) < 3:
+            raise InvalidInput(f"a series needs at least 3 samples, got {len(filled)}")
         object.__setattr__(self, "samples", tuple(filled))
 
     def times(self) -> np.ndarray:
@@ -172,10 +177,8 @@ class TransformedInputs:
 
 def log_time_norm(t_raw: Sequence[float] | np.ndarray) -> TransformedInputs:
     t = np.asarray(t_raw, dtype=float)
-    if t.size == 0:
-        raise InvalidInput("no times to transform")
-    if np.any(t <= 1.0):
-        raise InvalidTime("log-time normalization needs all times > 1 minute")
+    if t.size == 0 or not np.all((t > 1.0) & (t < np.inf)):
+        raise InvalidTime("log-time normalization needs one or more times, all finite and > 1 minute")
     logs = np.log(t)
     denominator = float(logs.max())
     return TransformedInputs(t_raw=t, t_norm=logs / denominator, denominator=denominator)

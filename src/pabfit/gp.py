@@ -273,22 +273,18 @@ def gp_loo_sse(model: GpModel) -> float:
 def _log_hyper_gradient(model: GpModel, weight: np.ndarray) -> np.ndarray:
     """sum(weight * dC/dtheta_j) for theta = (log v, log w_1, ..., log w_p).
 
-    C = K + eps*I with K = v * exp(-sum_p w_p * D_p) and the squared
-    differences D_p[i, j] = (x[i, p] - x[j, p])^2, so dC/dlog v = K and
+    C = K + eps*I with K = ``kernel_matrix`` and the squared differences
+    D_p[i, j] = (x[i, p] - x[j, p])^2, so dC/dlog v = K and
     dC/dlog w_p = -w_p * D_p * K (elementwise). A constant column's D_p is
     zero, so its entry is exactly zero and D_p is never formed.
     """
     hp = model.hp
-    varying = [
-        (k, np.subtract.outer(col, col) ** 2)
-        for k, col in enumerate(model.x_train.T)
-        if np.any(col != col[0])
-    ]
-    wk = weight * (hp.v * np.exp(-sum(hp.w[k] * d for k, d in varying)))
+    wk = weight * kernel_matrix(hp, model.x_train)
     grad = np.zeros(hp.p + 1)
     grad[0] = wk.sum()
-    for k, d in varying:
-        grad[k + 1] = -hp.w[k] * np.vdot(wk, d)
+    for k, col in enumerate(model.x_train.T):
+        if np.any(col != col[0]):
+            grad[k + 1] = -hp.w[k] * np.vdot(wk, np.subtract.outer(col, col) ** 2)
     return grad
 
 

@@ -42,8 +42,7 @@ def fit_first_order(series: ObservationSeries) -> KineticFitResult:
     stt = float(np.dot(tc, tc))
     if stt == 0.0:
         raise DegenerateFit("all sample times are identical")
-    yc = y - y.mean()
-    if float(np.dot(yc, yc)) == 0.0:
+    if np.all(y == y[0]):  # equal values, whose mean can round off them
         return KineticFitResult(
             k=0.0, ln_c0_fit=float(y.mean()), n_points=int(t.size), degenerate=True
         )

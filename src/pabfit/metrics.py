@@ -11,7 +11,7 @@ from .errors import DegenerateFit, DimensionMismatch
 
 
 class DegenerateFitWarning(UserWarning):
-    """Signals the SS_tot == 0 convention (R^2 reported as 0)."""
+    """Signals the constant-observations convention (R^2 reported as 0)."""
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,17 @@ def r_squared(observed, predicted) -> float:
     than the mean.
     """
     o, p = _paired(observed, predicted, 2)
-    ss_res = float(np.sum((o - p) ** 2))
-    ss_tot = float(np.sum((o - o.mean()) ** 2))
-    if ss_tot == 0.0:
+    # equal values, not a zero SS_tot: the mean of equal values can round
+    # off them and leave an SS_tot of order 1e-32
+    if np.all(o == o[0]):
         warnings.warn(
             "constant observations: R^2 reported as 0 by convention",
             DegenerateFitWarning,
             stacklevel=2,
         )
         return 0.0
+    ss_res = float(np.sum((o - p) ** 2))
+    ss_tot = float(np.sum((o - o.mean()) ** 2))
     return 1.0 - ss_res / ss_tot
 
 

@@ -6,6 +6,7 @@ every entry of the blocked ``kernel_matrix`` and the one-broadcast einsum
 kernel matrix checks its every bit, and the two parameter pairs are
 reference exponential-model fits the model tests are pinned to.
 ``kinetic_r2`` is the R^2 ``fit-kinetics`` reports for a first-order fit.
+``gp_posterior`` is the GP posterior through an explicit matrix inverse.
 """
 
 import math
@@ -78,3 +79,18 @@ def unblocked_kernel_matrix(hp, x, x2=None) -> np.ndarray:
     x2 = x if x2 is None else np.atleast_2d(np.asarray(x2, dtype=float))
     d = x[:, None, :] - x2[None, :, :]
     return hp.v * np.exp(-np.einsum("ijp,p->ij", d * d, np.asarray(hp.w)))
+
+
+def gp_posterior(hp, x, y, xq, jitter_used=0.0):
+    """GP posterior mean and clamped variance at ``xq`` through the explicit
+    inverse of K + (epsilon + jitter_used) * I, the matrix ``gp_fit``
+    factors once the factorization has added ``jitter_used``."""
+    x = np.atleast_2d(x)
+    xq = np.atleast_2d(xq)
+    k_inv = np.linalg.inv(
+        unblocked_kernel_matrix(hp, x) + (hp.epsilon + jitter_used) * np.eye(len(y))
+    )
+    k_cross = unblocked_kernel_matrix(hp, xq, x)
+    mean = k_cross @ k_inv @ np.asarray(y)
+    var = hp.v - np.einsum("ij,ij->i", k_cross @ k_inv, k_cross)
+    return mean, np.maximum(var, 0.0)

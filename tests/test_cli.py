@@ -49,6 +49,13 @@ class TestFitKinetics:
         assert not out.exists()
         assert "stage=load" in capsys.readouterr().err
 
+    def test_time_at_one_is_invalid_time_at_load(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time_min,concentration_mg_l\n10,40\n1,30\n90,20\n")
+        code = run_cli("fit-kinetics", "--input", str(bad), "--output", str(tmp_path / "o.json"))
+        assert code == 3
+        assert "stage=load code=3 kind=InvalidTime: row 2: time 1.0 min is <= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -74,6 +81,20 @@ class TestFitKinetics:
             warnings.simplefilter("always")
             assert run_cli("fit-kinetics", "--input", str(flat), "--output", str(out)) == 0
         assert [type(w.message).__name__ for w in caught] == ["DegenerateFitWarning"]
+
+
+@pytest.mark.parametrize("command", ["fit-exp", "fit-gp"])
+def test_constant_removal_reports_r2_zero(tmp_path, command):
+    # removal 0.4 three times: their mean rounds to 0.4000000000000001, so
+    # SS_tot is 9.2e-33, not 0, and dividing by it gives an R^2 near -1e30
+    flat = tmp_path / "flat.csv"
+    flat.write_text("time_min,concentration_mg_l\n10,30\n60,30\n90,30\n")
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--input", str(flat), "--output", str(out)) == 0
+    assert [type(w.message).__name__ for w in caught] == ["DegenerateFitWarning"]
+    assert json.loads(out.read_text())["metrics"]["r2"] == 0.0
 
 
 class TestFitExp:
@@ -551,7 +572,7 @@ FIT_GP = ["fit-gp", "--input", "pcbc_run1.csv"]
 class TestMalformedReportParameters:
     """A malformed report fails at load, with code 3 and one error line."""
 
-    def rejected(self, tmp_path, capsys, argv, change, command):
+    def rejected(self, tmp_path, capsys, argv, change, command, scan_w="0,1"):
         model = tmp_path / "model.json"
         assert run_cli(*argv, "--output", str(model)) == 0
         payload = json.loads(model.read_text())
@@ -562,7 +583,7 @@ class TestMalformedReportParameters:
         if command == "predict":
             rest = ["--model", str(model), "--t-grid", "60,3600", "--w-grid", "1"]
         else:
-            rest = ["--inputs", str(model), "--scan-w", "0,1"]
+            rest = ["--inputs", str(model)] + ([] if scan_w is None else ["--scan-w", scan_w])
         assert run_cli(command, *rest, "--output", str(out)) == 3
         err = capsys.readouterr().err
         assert "stage=load code=3" in err
@@ -601,18 +622,29 @@ class TestMalformedReportParameters:
             (FIT_EXP, lambda p: p["parameters"].update(exponent_form={})),
             (FIT_GP, lambda p: p["parameters"].update(w=[0.7839])),
             (FIT_GP, lambda p: p["parameters"].update(w=[0.7839, 2.8869, 2.859e-9, 1.0])),
+            (FIT_GP, lambda p: p["parameters"].update(v=-1.0)),
+            (FIT_GP, lambda p: p["parameters"].update(epsilon=0.0)),
+            (FIT_GP, lambda p: p["parameters"].update(w=[-1.0, 2.0])),
         ],
         ids=[
             "empty_metrics", "row_without_inputs", "time_denominator_text",
             "time_denominator_zero", "gp_t_norm_text", "gp_observed_text",
             "gp_variance_list", "gp_default_ph_text", "gp_default_ph_huge",
             "gp_default_ph_negative", "exponent_form_list", "exponent_form_object",
-            "gp_one_weight", "gp_four_weights",
+            "gp_one_weight", "gp_four_weights", "gp_negative_v", "gp_zero_epsilon",
+            "gp_negative_weight",
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "report"])
     def test_malformed_report(self, tmp_path, capsys, argv, change, command):
         self.rejected(tmp_path, capsys, argv, change, command)
+
+    def test_report_without_scan_checks_the_gp_domain(self, tmp_path, capsys):
+        # a merge without --scan-w rebuilds no model, so the check runs at load
+        err = self.rejected(
+            tmp_path, capsys, FIT_GP, lambda p: p["parameters"].update(v=-1.0), "report", scan_w=None
+        )
+        assert "signal variance must be positive" in err
 
 
 class TestBadGrids:
@@ -802,6 +834,30 @@ class TestSynth:
         rows = [line.split(",") for line in out.read_text().splitlines()]
         column = rows[0].index("concentration_mg_l")
         assert {float(row[column]) for row in rows[1:]} == {50.0}
+
+    @pytest.mark.parametrize(
+        "generator,option,value,kind",
+        [
+            ("first-order", "--c0", "0", "InvalidInput"),
+            ("first-order", "--c0", "-1", "InvalidInput"),
+            ("first-order", "--schedule", "10,20,inf", "InvalidTime"),
+            ("first-order", "--schedule", "10,20,nan", "InvalidTime"),
+            ("exp-model", "--schedule", "10,20,inf", "InvalidTime"),
+            ("exp-model", "--schedule", "10,20,nan", "InvalidTime"),
+        ],
+    )
+    def test_value_the_series_rejects_warns_nothing(
+        self, tmp_path, capsys, generator, option, value, kind
+    ):
+        # no numpy warning (the log of a c0 <= 0, inf / inf) precedes the
+        # error line, and a nan time is named as the time, not as the
+        # concentration it gives
+        parameters = {"first-order": ["--k", "-0.001"], "exp-model": ["--a", "3.3", "--b", "0.8"]}
+        err = check_rejected(
+            tmp_path, capsys, "generate",
+            "synth", "--generator", generator, *parameters[generator], option, value,
+        )
+        assert f"kind={kind}" in err
 
     def test_missing_parameter_is_validation_error(self, tmp_path, capsys):
         code = run_cli(

@@ -27,6 +27,7 @@ from pabfit.domain import (
 )
 from pabfit.errors import (
     FileIOError,
+    InvalidInput,
     InvalidSpec,
     ParseError,
     ValidationError,
@@ -218,7 +219,7 @@ class TestGenerateSynthetic:
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             synth("first-order")
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="strictly increasing"):
             synth("first-order", k=-0.001, schedule=[10.0, 5.0, 60.0])
         with pytest.raises(InvalidSpec):
             synth("first-order", k=-0.001, noise_sd=-1.0)

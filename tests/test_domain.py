@@ -35,6 +35,15 @@ class TestSeriesValidation:
         with pytest.raises(InvalidTime):
             series_from_concentrations([0, 10, 20], [40, 30, 20])
 
+    @pytest.mark.parametrize("t", [1.0, math.nan, math.inf])
+    def test_rejects_time_not_above_one_or_not_finite(self, t):
+        with pytest.raises(InvalidTime, match="row 2: time"):
+            series_from_concentrations([10, t, 30], [40, 30, 20])
+
+    def test_short_series_names_its_first_bad_row(self):
+        with pytest.raises(InvalidTime, match="row 1"):
+            series_from_concentrations([0.5, 10], [40, 30])
+
     def test_rejects_negative_concentration(self):
         with pytest.raises(InvalidInput):
             series_from_concentrations([10, 20, 30], [40, -1.0, 20])
@@ -141,6 +150,11 @@ class TestTransformTime:
     def test_rejects_time_at_or_below_one(self):
         with pytest.raises(InvalidTime):
             log_time_norm([1.0, 10.0])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_time_not_finite(self, t):
+        with pytest.raises(InvalidTime):
+            log_time_norm([10.0, t])
 
     def test_series_transform_monotone(self):
         rng = np.random.default_rng(9)

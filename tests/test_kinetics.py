@@ -39,6 +39,14 @@ class TestFitFirstOrder:
             assert kinetic_r2(s, fit) == 0.0
         assert fit.degenerate
 
+    def test_constant_series_whose_log_mean_rounds_off_is_degenerate(self):
+        # five equal ln(45.0) values have a mean one ulp off them, so their
+        # centred sum of squares is not 0
+        samples = tuple(Sample(t, concentration=45.0, thickness_w=3.0) for t in (10, 20, 30, 40, 50))
+        fit = fit_first_order(ObservationSeries(Contaminant.PB, "flat", 50.0, samples))
+        assert fit.k == 0.0
+        assert fit.degenerate
+
     def test_bundled_pcbc_run1(self):
         s = load_fixture("pcbc_run1.csv")
         fit = fit_first_order(s)

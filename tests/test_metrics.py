@@ -27,6 +27,11 @@ class TestRSquared:
         with pytest.warns(DegenerateFitWarning):
             assert r_squared([2.0, 2.0], [1.0, 3.0]) == 0.0
 
+    def test_equal_observations_whose_mean_rounds_off_them_warn(self):
+        # the mean of three 0.4s is 0.4000000000000001, so SS_tot is 9.2e-33
+        with pytest.warns(DegenerateFitWarning):
+            assert r_squared([0.4, 0.4, 0.4], [0.3, 0.4, 0.5]) == 0.0
+
     def test_can_be_negative(self):
         assert r_squared([1.0, 2.0, 3.0], [10.0, -10.0, 10.0]) < 0.0
 

@@ -1,5 +1,5 @@
-"""Seeded property tests: CSV and report JSON round trips, and the loaders
-on malformed input.
+"""Seeded property tests: CSV and report JSON round trips, the loaders on
+malformed input, and the GP posterior on near-singular kernels.
 
 ``derandomize=True`` draws the same examples on every run, so these tests
 pass or fail the same way each time.
@@ -11,7 +11,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pabfit.dataio import CANONICAL_COLUMNS, load_series, read_report, write_report, write_series
@@ -26,12 +27,16 @@ from pabfit.domain import (
     Sample,
 )
 from pabfit.errors import PabfitError
+from pabfit.gp import GpHyperParams, gp_fit, gp_predict
 from pabfit.metrics import FitMetrics
+
+from oracles import gp_posterior
 
 SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 fraction = st.floats(0.0, 1.0)
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -94,10 +99,10 @@ def parameters(kind: ModelKind):
             "exponent_form": st.sampled_from(["literal", "product"]),
             "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
         },
-        ModelKind.GAUSSIAN_PROCESS: {
-            "v": finite,
-            "w": st.lists(finite, min_size=2, max_size=3),
-            "epsilon": finite,
+        ModelKind.GAUSSIAN_PROCESS: {  # within GpHyperParams's domain
+            "v": positive,
+            "w": st.lists(st.floats(0.0, allow_infinity=False), min_size=2, max_size=3),
+            "epsilon": positive,
             "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
             "default_ph": st.none() | st.floats(0.0, MAX_PH),
         },
@@ -193,3 +198,54 @@ def test_read_report_on_any_parameter_value_returns_a_report_or_refuses(data):
                "predictions": [], "provenance": {}}
     result = load_or_refuse(read_report, json.dumps(payload).encode(), "report.json")
     assert isinstance(result, (FitReport, PabfitError))
+
+
+@st.composite
+def near_singular_gps(draw):
+    """``(hp, x, y, queries, ladder)``: a GP whose inputs repeat a few centres.
+
+    With ``ladder`` the centres repeat exactly and epsilon lies far below
+    v * 2^-52, so the kernel matrix plus epsilon is singular in floating
+    point and the factorization has to climb the jitter ladder. Otherwise
+    each input is offset from its centre by up to 1e-8 to 1e-2 and epsilon
+    lies in [1e-8, 1e-5]: K is near singular, K + epsilon * I is not.
+    The queries are the inputs and three more points.
+    """
+    p, n = draw(st.integers(1, 3)), draw(st.integers(2, 8))
+    unit = st.floats(0.0, 1.0)
+    points = lambda k: np.array(draw(st.lists(unit, min_size=k * p, max_size=k * p))).reshape(k, p)
+    centres = points(draw(st.integers(1, n - 1)))
+    x = centres[np.arange(n) % len(centres)]
+    ladder = draw(st.booleans())
+    if ladder:
+        epsilon = 10.0 ** draw(st.floats(-300.0, -17.0))
+    else:
+        x = x + 10.0 ** draw(st.floats(-8.0, -2.0)) * (2.0 * points(n) - 1.0)
+        epsilon = 10.0 ** draw(st.floats(-8.0, -5.0))
+    v = 10.0 ** draw(st.floats(-2.0, 0.0))
+    w = draw(st.lists(st.floats(0.0, 10.0), min_size=p, max_size=p))
+    y = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    return GpHyperParams(v=v, w=w, epsilon=epsilon), x, y, np.vstack([x, points(3)]), ladder
+
+
+# three equal inputs with v = 1: the factorization meets a zero pivot and
+# has to add jitter
+@example((GpHyperParams(v=1.0, w=(1.0,), epsilon=1e-300), np.zeros((3, 1)),
+          np.array([0.2, 0.5, 0.9]), np.array([[0.0], [0.5]]), True))
+@SEEDED
+@given(near_singular_gps())
+def test_gp_predict_matches_the_explicit_inverse_on_near_singular_kernels(case):
+    hp, x, y, queries, ladder = case
+    model = gp_fit(hp, x, y)
+    jitter = model.factor.jitter_used
+    # rounding can leave a repeated input's pivot just above zero, and a
+    # matrix that factors without jitter but that no inverse can check
+    assume(jitter > 0 or not ladder)
+    pred = gp_predict(model, queries)
+    mean, variance = gp_posterior(hp, x, y, queries, jitter)
+    # K's eigenvalues lie in [0, v n], so this bounds the condition number
+    # of K + s * I, which bounds the rounding of both computations
+    s = hp.epsilon + jitter
+    rounding = np.finfo(float).eps * (hp.v * len(y) + s) / s
+    np.testing.assert_allclose(pred.mean, mean, rtol=0, atol=1e3 * rounding)
+    np.testing.assert_allclose(pred.variance, variance, rtol=0, atol=10.0 * rounding * hp.v)
