@@ -49,6 +49,7 @@ from .domain import (
     ObservationSeries,
     PredictionRow,
     to_removal_series,
+    transform_time,
 )
 from .errors import InvalidInput, PabfitError, ParseError, ValidationError
 from .expmodel import ExpModelParams, ExponentForm, exp_model_eval, fit_exp_model
@@ -115,10 +116,9 @@ def _grid(text: str | float, flag: str) -> list[float]:
     return values
 
 
-def _parse_hyper(text: str) -> tuple[float | None, list[float], float | None]:
-    """Parse 'v=0.3852,w=0.7839,2.8869,2.859e-9[,eps=1.5e-8]'."""
+def _parse_hyper(text: str) -> tuple[float | None, list[float]]:
+    """Parse 'v=0.3852,w=0.7839,2.8869,2.859e-9' into ``(v, w)``."""
     v = None
-    eps = None
     w: list[float] = []
     current = None
     for tok in text.split(","):
@@ -128,7 +128,7 @@ def _parse_hyper(text: str) -> tuple[float | None, list[float], float | None]:
         if "=" in tok:
             key, _, val = tok.partition("=")
             key = key.strip().lower()
-            if key not in ("v", "w", "eps", "epsilon"):
+            if key not in ("v", "w"):
                 raise ParseError(f"--hyper: unknown key {key!r}")
             current = key
             tok = val
@@ -140,11 +140,9 @@ def _parse_hyper(text: str) -> tuple[float | None, list[float], float | None]:
             raise ParseError(f"--hyper: cannot parse {tok!r} as a number") from None
         if current == "v":
             v = num
-        elif current in ("eps", "epsilon"):
-            eps = num
         else:
             w.append(num)
-    return v, w, eps
+    return v, w
 
 
 def _load(args) -> ObservationSeries:
@@ -240,11 +238,12 @@ def _cmd_fit_exp(args) -> int:
             raise ValidationError(f"--x0 needs exactly two values, got {len(x0)}")
         series = _load(args)
     with _stage("fit"):
-        x, observed, _, times = training_set(series)  # the pH column, if any, goes unused
-        columns = dict(zip(input_names(x.shape[1]), x.T))
-        t_norm, w = columns["t_norm"], columns["thickness_cm"]
+        times = transform_time(series)
+        points = [(r.thickness_w, r.removal_fraction) for r in to_removal_series(series)]
+        data = np.column_stack([times.t_norm, points])  # (t_norm, W, removal) rows
+        t_norm, w, observed = data.T
         params = fit_exp_model(
-            list(zip(t_norm, w, observed)),
+            data,
             x0=x0,
             exponent_form=ExponentForm(args.exponent_form),
             max_iters=args.max_iters,
@@ -274,12 +273,8 @@ def _resolve_hyper(args, contaminant: Contaminant) -> GpHyperParams:
     base = default_hyperparams(contaminant, epsilon=args.epsilon)
     if args.hyper is None:
         return base
-    v, w, eps = _parse_hyper(args.hyper)
-    return GpHyperParams(
-        v=base.v if v is None else v,
-        w=tuple(w) if w else base.w,
-        epsilon=base.epsilon if eps is None else eps,
-    )
+    v, w = _parse_hyper(args.hyper)
+    return replace(base, v=base.v if v is None else v, w=w or base.w)
 
 
 def _cmd_fit_gp(args) -> int:
@@ -435,8 +430,6 @@ def _cmd_predict(args) -> int:
 
 def _cmd_synth(args) -> int:
     w = () if args.w is None else _floats(args.w, "--w")
-    if len(w) > len(INPUT_NAMES):  # one weight per GP input
-        raise ValidationError(f"--w takes at most {len(INPUT_NAMES)} values, got {args.w!r}")
     schedule = DEFAULT_SCHEDULE if args.schedule is None else _floats(args.schedule, "--schedule")
     with _stage("generate"):
         series = generate_synthetic(
@@ -535,8 +528,8 @@ def _fit_gp_options(p) -> None:
     p.add_argument(
         "--hyper",
         default=None,
-        help="hyperparameters, e.g. v=0.3852,w=0.7839,2.8869,2.859e-9[,eps=1.5e-8]; "
-        "defaults to the per-contaminant reference values",
+        help="hyperparameters v and w, e.g. v=0.3852,w=0.7839,2.8869,2.859e-9; either "
+        "defaults to the per-contaminant reference value (--epsilon sets the jitter)",
     )
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="diagonal jitter")
     p.add_argument("--optimize", action="store_true", help="refine hyperparameters by descent")

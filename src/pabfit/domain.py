@@ -179,6 +179,10 @@ def log_time_norm(t_raw: Sequence[float] | np.ndarray) -> TransformedInputs:
     t = np.asarray(t_raw, dtype=float)
     if t.size == 0 or not np.all((t > 1.0) & (t < np.inf)):
         raise InvalidTime("log-time normalization needs one or more times, all finite and > 1 minute")
+    late = np.flatnonzero(t[1:] <= t[:-1])
+    if late.size:
+        i = int(late[0]) + 1
+        raise InvalidInput(f"row {i + 1}: times must be strictly increasing ({t[i]} after {t[i - 1]})")
     logs = np.log(t)
     denominator = float(logs.max())
     return TransformedInputs(t_raw=t, t_norm=logs / denominator, denominator=denominator)

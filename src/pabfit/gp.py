@@ -6,10 +6,12 @@ The covariance between inputs x and x' is
 
 with one inverse-length weight per input dimension, so each regressor
 (normalized log-time, pH, thickness) carries its own relevance.
-``kernel_matrix`` builds it one input column at a time on row blocks of
-2^16 entries, a 512 KiB temporary, and sums the exponent in a pinned
-order, the even-indexed columns plus the odd-indexed ones: numpy's einsum
-order for up to 7 columns, so it equals v * exp(-einsum(...)) bit for bit.
+A GP has one to three inputs, the columns ``INPUT_NAMES`` names, and
+``GpHyperParams`` holds one weight per input. ``kernel_matrix`` builds the
+covariance one input column at a time on row blocks of 2^16 entries, a
+512 KiB temporary, and sums the exponent in the fixed column order
+(0, 2, 1): numpy's einsum order for up to three columns, so it equals
+v * exp(-einsum(...)) bit for bit.
 
 The training covariance gets a jitter ``epsilon`` on its diagonal and is
 factorized once, K + eps*I = L L^T; prediction, the marginal-likelihood
@@ -75,7 +77,7 @@ _KERNEL_BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class GpHyperParams:
-    """Signal variance, per-dimension weights, and diagonal jitter."""
+    """Signal variance, one weight per input (one to three), and jitter."""
 
     v: float
     w: tuple[float, ...]
@@ -85,8 +87,10 @@ class GpHyperParams:
         object.__setattr__(self, "w", tuple(float(x) for x in self.w))
         if not (self.v > 0) or not math.isfinite(self.v):
             raise InvalidInput(f"signal variance must be positive, got {self.v}")
-        if len(self.w) == 0:
-            raise InvalidInput("need at least one input-dimension weight")
+        if not 1 <= len(self.w) <= len(INPUT_NAMES):
+            raise InvalidInput(
+                f"need 1 to {len(INPUT_NAMES)} weights, one per input, got {len(self.w)}"
+            )
         if any(not (x >= 0) or not math.isfinite(x) for x in self.w):
             raise InvalidInput(f"weights w must be finite and >= 0, got {self.w}")
         if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
@@ -129,55 +133,39 @@ def _as_input_matrix(x, p: int) -> np.ndarray:
     return arr
 
 
-def _term_sum(ca, cb, neg_w, columns, acc, scratch) -> np.ndarray:
-    """acc = sum of -w_k * (ca[k] - cb[k])^2 over ``columns``, left to right.
-
-    ``ca`` holds the block's rows and ``cb`` the other inputs, one input
-    column per row; ``scratch`` holds each term after the first.
-    """
-    for i, k in enumerate(columns):
-        term = acc if i == 0 else scratch
-        np.subtract(ca[k, :, None], cb[k, None, :], out=term)
-        term *= term
-        term *= neg_w[k]
-        if i:
-            acc += term
-    return acc
-
-
 def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
     """Cross-covariance matrix K[i, j] = k(x[i], x2[j]), without jitter.
 
     Rows are computed in blocks of at most ``_KERNEL_BLOCK_ELEMENTS``
     entries, one input column at a time: each column's term -w_k * d_k^2
     is a contiguous (rows, m) array, and the block is exponentiated while
-    it is still in cache. The exponent sums its terms in a fixed order,
-    the even-indexed columns left to right plus the odd-indexed ones left
-    to right, the order numpy's ``einsum("ijp,p->ij", d * d, w)`` uses for
-    p <= 7; the negation folded into each weight is exact. So the result
-    is bit-identical to v * exp(-einsum(...)) for every p the package uses,
-    and the temporary is one block (two for p > 3, whose odd-indexed sum
-    needs its own), whatever n and m are.
+    it is still in cache. The exponent sums its terms into the block in
+    the column order (0, 2, 1), the order numpy's
+    ``einsum("ijp,p->ij", d * d, w)`` uses for p <= 3; the negation folded
+    into each weight is exact. So the result is bit-identical to
+    v * exp(-einsum(...)), and the temporary is one block whatever n and
+    m are.
     """
     xa = _as_input_matrix(x, hp.p)
     xb = xa if x2 is None else _as_input_matrix(x2, hp.p)
-    n, m, p = xa.shape[0], xb.shape[0], hp.p
+    n, m = xa.shape[0], xb.shape[0]
     # one contiguous row per input column, so each subtraction streams
     ca = xa.T.copy()
     cb = ca if x2 is None else xb.T.copy()
     neg_w = [-wk for wk in hp.w]
+    order = [k for k in (0, 2, 1) if k < hp.p]
     out = np.empty((n, m))
     rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, m)))
-    blocks = np.empty((1 if p <= 3 else 2, rows, m))
+    scratch = np.empty((rows, m))
     for start in range(0, n, rows):
         acc = out[start : start + rows]
-        block_ca = ca[:, start : start + rows]
-        scratch = blocks[0, : len(acc)]
-        _term_sum(block_ca, cb, neg_w, range(0, p, 2), acc, scratch)
-        if p > 1:
-            # a single odd-indexed term is its own sum and needs no second block
-            odd = blocks[-1, : len(acc)]
-            acc += _term_sum(block_ca, cb, neg_w, range(1, p, 2), odd, scratch)
+        for i, k in enumerate(order):
+            term = scratch[: len(acc)] if i else acc
+            np.subtract(ca[k, start : start + rows, None], cb[k, None, :], out=term)
+            term *= term
+            term *= neg_w[k]
+            if i:
+                acc += term
         np.exp(acc, out=acc)
     out *= hp.v
     return out

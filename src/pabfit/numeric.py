@@ -36,6 +36,7 @@ from .errors import (
 # near-singular one.
 DEFAULT_JITTER = float(np.sqrt(np.finfo(float).eps))
 JITTER_CAP = 1e-4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,10 @@ class CholeskyFactor:
 def cholesky(m: np.ndarray) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
-    The first attempt adds no jitter. On failure the jitter enters the
+    The first attempt adds no jitter. An attempt fails when LAPACK finds a
+    non-positive pivot, or when the smallest pivot squared is at most
+    n * eps * max(diag M), the size rounding alone can leave on a zero
+    pivot of the matrix M factored. On failure the jitter enters the
     ladder at ``DEFAULT_JITTER`` and grows tenfold per attempt, capped at
     ``JITTER_CAP``.
 
@@ -76,22 +80,23 @@ def cholesky(m: np.ndarray) -> CholeskyFactor:
 
     jitter = 0.0
     while True:
+        shifted = m
+        if jitter > 0.0:
+            # the jitter touches only the diagonal of a copy, so no n x n
+            # identity is built; m[i, j] + jitter * 0 adds nothing off it
+            shifted = m.copy()
+            shifted[np.diag_indices_from(shifted)] += jitter
         try:
-            if jitter == 0.0:
-                lower = np.linalg.cholesky(m)
-            else:
-                # the jitter touches only the diagonal of a copy, so no n x n
-                # identity is built; m[i, j] + jitter * 0 adds nothing off it
-                shifted = m.copy()
-                shifted[np.diag_indices_from(shifted)] += jitter
-                lower = np.linalg.cholesky(shifted)
-            return CholeskyFactor(lower=lower, jitter_used=jitter)
+            lower = np.linalg.cholesky(shifted)
+            pivots = np.diag(lower)
+            floor = pivots.size * _EPS * np.diag(shifted).max(initial=0.0)
+            if pivots.min(initial=math.inf) ** 2 > floor:
+                return CholeskyFactor(lower=lower, jitter_used=jitter)
         except np.linalg.LinAlgError:
-            if jitter >= JITTER_CAP:
-                raise NotPositiveDefinite(
-                    f"matrix not positive definite even with jitter {JITTER_CAP:g}"
-                ) from None
-            jitter = min(JITTER_CAP, jitter * 10.0 if jitter > 0.0 else DEFAULT_JITTER)
+            pass
+        if jitter >= JITTER_CAP:
+            raise NotPositiveDefinite(f"matrix not positive definite even with jitter {JITTER_CAP:g}")
+        jitter = min(JITTER_CAP, jitter * 10.0 if jitter > 0.0 else DEFAULT_JITTER)
 
 
 def solve_lower(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
@@ -153,7 +158,6 @@ class DescentConfig:
     step: float = 0.1
     tolerance: float = 1e-10
     max_iters: int = 1000
-    max_move: float = 1.0  # per-iteration cap on the largest coordinate move
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,7 @@ class DescentResult:
 
 
 _MIN_STEP = 1e-18
+_MAX_MOVE = 1.0  # per-iteration cap on the largest coordinate move
 _MAX_STEP_GROWTH = 1024.0  # keeps the doubled step bounded on flat objectives
 
 
@@ -181,7 +186,7 @@ def gradient_descent(
     the last point the objective was evaluated at.
 
     Each iteration takes a step ``-step * grad`` (rescaled so no coordinate
-    moves more than ``config.max_move``, which keeps a huge early gradient
+    moves more than ``_MAX_MOVE``, which keeps a huge early gradient
     from tunneling into a flat far-away region); the step halves until the
     objective strictly decreases and doubles after an accepted move.
     Terminates when an accepted decrease falls below ``config.tolerance``,
@@ -211,7 +216,7 @@ def gradient_descent(
         if not np.any(grad):
             converged = True
             break
-        cap = config.max_move / float(np.max(np.abs(grad)))
+        cap = _MAX_MOVE / float(np.max(np.abs(grad)))
         f_trial = f
         trial = x
         while step > _MIN_STEP:
@@ -244,7 +249,6 @@ _LM_DAMPING = 1.0
 _LM_FACTOR = 10.0
 _LM_MAX_DAMPING = 1e16
 _LM_XTOL = 1e-10  # relative step below which the fit has converged
-_EPS = float(np.finfo(float).eps)
 
 
 def levenberg_marquardt(

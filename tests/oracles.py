@@ -73,7 +73,7 @@ def unblocked_kernel_matrix(hp, x, x2=None) -> np.ndarray:
     """The kernel matrix as one einsum over an (n, m, p) temporary.
 
     ``kernel_matrix`` sums its exponent in the order this einsum uses for
-    p <= 7, so the two agree bit for bit there.
+    p <= 3, columns (0, 2, 1), so the two agree bit for bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x2 = x if x2 is None else np.atleast_2d(np.asarray(x2, dtype=float))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pabfit import dataio
 from pabfit.cli import main, optimum_thickness_scan, predict
 from pabfit.dataio import fixture_dir, load_fixture, report_csv_path
 from pabfit.errors import InvalidInput, ValidationError
@@ -245,13 +246,15 @@ class TestFitGp:
         ) == 0
         assert json.loads(tuned.read_text())["parameters"]["optimized"] is True
 
-    def test_bad_hyper_string(self, tmp_path, capsys):
+    # --epsilon alone sets the jitter, so eps is an unknown --hyper key
+    @pytest.mark.parametrize("hyper", ["q=3", "v=0.3,eps=1e-6"])
+    def test_bad_hyper_string(self, tmp_path, capsys, hyper):
         code = run_cli(
             "fit-gp",
             "--input",
             "pcbc_run1.csv",
             "--hyper",
-            "q=3",
+            hyper,
             "--output",
             str(tmp_path / "o.json"),
         )
@@ -807,11 +810,13 @@ class TestSynth:
 
     def test_more_than_three_weights_rejected(self, tmp_path, capsys):
         # a GP draw has at most three inputs (t_norm, pH, W); a fourth
-        # weight must not be dropped in silence
-        check_rejected(
-            tmp_path, capsys, "synth",
+        # weight must not be dropped in silence, and the weights' own type
+        # rejects it
+        err = check_rejected(
+            tmp_path, capsys, "generate",
             "synth", "--generator", "gp-draw", "--v", "0.3", "--w", "1,2,3,4",
         )
+        assert "kind=InvalidInput" in err
 
     @pytest.mark.parametrize(
         "option,value", [("--seed", "-1"), ("--noise-sd", "nan"), ("--noise-sd", "inf")]
@@ -844,15 +849,26 @@ class TestSynth:
             ("first-order", "--schedule", "10,20,nan", "InvalidTime"),
             ("exp-model", "--schedule", "10,20,inf", "InvalidTime"),
             ("exp-model", "--schedule", "10,20,nan", "InvalidTime"),
+            ("exp-model", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
+            ("gp-draw", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
         ],
     )
     def test_value_the_series_rejects_warns_nothing(
-        self, tmp_path, capsys, generator, option, value, kind
+        self, tmp_path, capsys, monkeypatch, generator, option, value, kind
     ):
         # no numpy warning (the log of a c0 <= 0, inf / inf) precedes the
-        # error line, and a nan time is named as the time, not as the
-        # concentration it gives
-        parameters = {"first-order": ["--k", "-0.001"], "exp-model": ["--a", "3.3", "--b", "0.8"]}
+        # error line, a nan time is named as the time, not as the
+        # concentration it gives, and log_time_norm rejects a schedule
+        # before the GP draw factors its covariance
+        def no_factor(*_):
+            raise AssertionError("covariance factored before the schedule was checked")
+
+        monkeypatch.setattr(dataio, "covariance_factor", no_factor)
+        parameters = {
+            "first-order": ["--k", "-0.001"],
+            "exp-model": ["--a", "3.3", "--b", "0.8"],
+            "gp-draw": ["--v", "0.3", "--w", "1"],
+        }
         err = check_rejected(
             tmp_path, capsys, "generate",
             "synth", "--generator", generator, *parameters[generator], option, value,

@@ -156,6 +156,11 @@ class TestTransformTime:
         with pytest.raises(InvalidTime):
             log_time_norm([10.0, t])
 
+    def test_rejects_time_not_increasing(self):
+        # the series constructor's rule and message
+        with pytest.raises(InvalidInput, match=r"row 2: .* strictly increasing \(5.0 after 10.0\)"):
+            log_time_norm([10.0, 5.0])
+
     def test_series_transform_monotone(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
