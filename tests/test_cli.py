@@ -247,7 +247,7 @@ class TestFitGp:
         assert json.loads(tuned.read_text())["parameters"]["optimized"] is True
 
     # --epsilon alone sets the jitter, so eps is an unknown --hyper key
-    @pytest.mark.parametrize("hyper", ["q=3", "v=0.3,eps=1e-6"])
+    @pytest.mark.parametrize("hyper", ["q=3", "v=0.3,eps=1e-6", "v=0.3,epsilon=1e-6"])
     def test_bad_hyper_string(self, tmp_path, capsys, hyper):
         code = run_cli(
             "fit-gp",
@@ -817,6 +817,20 @@ class TestSynth:
             "synth", "--generator", "gp-draw", "--v", "0.3", "--w", "1,2,3,4",
         )
         assert "kind=InvalidInput" in err
+
+    @pytest.mark.parametrize(
+        "generator,parameters",
+        [("first-order", ["--k", "-0.0006"]), ("exp-model", ["--a", "3.3", "--b", "-0.8"])],
+        ids=["first-order", "exp-model"],
+    )
+    def test_other_generators_ignore_w(self, tmp_path, generator, parameters):
+        # --w sets a GP draw's weights; the other generators ignore it, as
+        # they ignore --v, whatever its length
+        plain, weighted = tmp_path / "plain.csv", tmp_path / "weighted.csv"
+        argv = ["synth", "--generator", generator, *parameters, "--seed", "3"]
+        assert run_cli(*argv, "--output", str(plain)) == 0
+        assert run_cli(*argv, "--w", "1,2,3,4", "--output", str(weighted)) == 0
+        assert weighted.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize(
         "option,value", [("--seed", "-1"), ("--noise-sd", "nan"), ("--noise-sd", "inf")]

@@ -156,10 +156,19 @@ class TestTransformTime:
         with pytest.raises(InvalidTime):
             log_time_norm([10.0, t])
 
-    def test_rejects_time_not_increasing(self):
+    @pytest.mark.parametrize(
+        "times,message",
+        [
+            ([10.0, 5.0], r"row 2: .* strictly increasing \(5.0 after 10.0\)"),
+            ([10.0, 10.0], r"row 2: .* strictly increasing \(10.0 after 10.0\)"),
+            ([10.0, 60.0, 30.0], r"row 3: .* strictly increasing \(30.0 after 60.0\)"),
+        ],
+        ids=["decreasing", "repeated", "late-drop"],
+    )
+    def test_rejects_time_not_increasing(self, times, message):
         # the series constructor's rule and message
-        with pytest.raises(InvalidInput, match=r"row 2: .* strictly increasing \(5.0 after 10.0\)"):
-            log_time_norm([10.0, 5.0])
+        with pytest.raises(InvalidInput, match=message):
+            log_time_norm(times)
 
     def test_series_transform_monotone(self):
         rng = np.random.default_rng(9)

@@ -71,15 +71,22 @@ class TestKernel:
             GpHyperParams(v=1.0, w=(-0.1,))
         with pytest.raises(InvalidInput):
             GpHyperParams(v=1.0, w=(1.0,), epsilon=0.0)
-        # one weight per input, and a GP has one to three inputs
-        for w in ((), (1.0, 1.0, 1.0, 1.0)):
-            with pytest.raises(InvalidInput, match="1 to 3 weights"):
-                GpHyperParams(v=1.0, w=w)
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidInput, match="weights w"):
                 GpHyperParams(v=0.3, w=(bad, 1.0, 1.0))
             with pytest.raises(InvalidInput, match="jitter epsilon"):
                 GpHyperParams(v=0.3, w=(1.0,), epsilon=bad)
+
+    @pytest.mark.parametrize("count", range(8))
+    def test_one_weight_per_input_one_to_three_inputs(self, count):
+        # a GP has one to three inputs; a weight for a fourth is rejected,
+        # not dropped
+        w = (1.0,) * count
+        if 1 <= count <= 3:
+            assert GpHyperParams(v=1.0, w=w).p == count
+        else:
+            with pytest.raises(InvalidInput, match=f"1 to 3 weights, one per input, got {count}"):
+                GpHyperParams(v=1.0, w=w)
 
     def test_pb_thickness_insensitivity(self):
         # the tiny thickness weight makes +-1.5 cm perturbations invisible

@@ -43,6 +43,17 @@ class TestCholesky:
         rebuilt = f.lower @ f.lower.T - f.jitter_used * np.eye(2)
         np.testing.assert_allclose(rebuilt, [[1, 1], [1, 1]], atol=1e-7)
 
+    def test_zero_pivot_left_positive_by_rounding_climbs_the_ladder(self):
+        # inputs 0.13, 0.4, 0.13 repeat a row, so the last pivot is zero;
+        # rounding leaves it at ~1e-8, which LAPACK accepts, but no solve
+        # against that factor can be trusted
+        x = np.array([0.13, 0.4, 0.13])
+        m = 0.28 * np.exp(-((x[:, None] - x[None, :]) ** 2)) + 1e-20 * np.eye(3)
+        assert np.linalg.cholesky(m)[2, 2] > 0.0
+        f = cholesky(m)
+        assert f.jitter_used > 0.0
+        np.testing.assert_array_equal(f.lower, np.linalg.cholesky(m + f.jitter_used * np.eye(3)))
+
     def test_hopeless_matrix_raises(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
