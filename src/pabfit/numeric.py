@@ -6,8 +6,10 @@ computed once and reused through triangular solves. ``solve_lower`` is the
 forward half alone (L^-1 rhs), enough wherever only a quadratic form is
 needed; ``inverse_diagonal`` reads diag(M^-1) off the triangular inverse
 L^-1, which costs a third of the flops of solving against the identity.
-scipy.linalg supplies the triangular solves and LAPACK's ``dtrtri``; it is
-imported on first use, so commands that factor no matrix never load it.
+The triangular solves (``dtrtrs``) and the inverse (``dtrtri``) are calls
+into one LAPACK, scipy's compiled ``_flapack`` extension. ``_lapack`` loads
+that one file by path on first use, without running the ``scipy.linalg``
+package import, so commands that factor no matrix load nothing of scipy.
 ``gradient_descent`` is plain steepest descent on a caller-supplied
 gradient with a backtracking (halving) line search; the GP hyperparameter
 search uses it. ``levenberg_marquardt`` minimizes a sum of squares from
@@ -18,8 +20,12 @@ Both return a ``DescentResult``.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,31 +105,77 @@ def cholesky(m: np.ndarray) -> CholeskyFactor:
         jitter = min(JITTER_CAP, jitter * 10.0 if jitter > 0.0 else DEFAULT_JITTER)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``.
+
+    The module already imported, if any; otherwise its extension file, found
+    next to scipy's ``linalg`` package without importing scipy, loaded by path
+    and registered under its own name, so a later ``import scipy.linalg``
+    reuses it. A scipy whose layout hides the file is served by
+    ``scipy.linalg.lapack``, which exports the same functions.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg = Path(scipy_spec.submodule_search_locations[0]) / "linalg"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = linalg / f"_flapack{suffix}"
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_FLAPACK] = module
+                spec.loader.exec_module(module)
+                return module
+    return importlib.import_module("scipy.linalg.lapack")
+
+
+def _checked(routine: str, result: np.ndarray, info: int) -> np.ndarray:
+    """``result``, unless LAPACK's ``info`` reports a failure."""
+    if info != 0:
+        raise NotPositiveDefinite(f"the factor is singular (LAPACK {routine} info={info})")
+    return result
+
+
 def solve_lower(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     """Forward substitution: return ``L^-1 rhs`` for the factor's ``L``.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
     For a column k, ``||L^-1 k||^2 = k^T (M + jitter_used * I)^-1 k``.
-    """
-    from scipy.linalg import solve_triangular
 
+    Raises
+    ------
+    InvalidInput
+        If ``rhs`` has a non-finite entry.
+    NotPositiveDefinite
+        If LAPACK finds a zero on the factor's diagonal.
+    """
     rhs = np.asarray(rhs, dtype=float)
     n = factor.lower.shape[0]
     if rhs.shape[0] != n:
         raise DimensionMismatch(
             f"rhs has leading dimension {rhs.shape[0]}, factor is {n}x{n}"
         )
-    return solve_triangular(factor.lower, rhs, lower=True)
+    if not np.isfinite(rhs).all():
+        raise InvalidInput("right-hand side entries must be finite")
+    # L^T is the factor's Fortran-ordered view: LAPACK reads it in place,
+    # the layout scipy's solve_triangular hands it for a C-ordered L
+    x, info = _lapack().dtrtrs(factor.lower.T, rhs, lower=0, trans=1)
+    return _checked("dtrtrs", x, info)
 
 
 def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(M + jitter_used * I) x = rhs`` via two triangular solves.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
+    Raises as :func:`solve_lower` does.
     """
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(factor.lower.T, solve_lower(factor, rhs), lower=False)
+    x, info = _lapack().dtrtrs(factor.lower.T, solve_lower(factor, rhs), lower=0)
+    return _checked("dtrtrs", x, info)
 
 
 def triangular_inverse(factor: CholeskyFactor) -> np.ndarray:
@@ -136,12 +188,8 @@ def triangular_inverse(factor: CholeskyFactor) -> np.ndarray:
     NotPositiveDefinite
         If LAPACK reports the factor singular (a zero on its diagonal).
     """
-    from scipy.linalg.lapack import dtrtri
-
-    inv, info = dtrtri(factor.lower, lower=1)
-    if info != 0:
-        raise NotPositiveDefinite(f"triangular inverse failed (LAPACK dtrtri info={info})")
-    return inv
+    inv, info = _lapack().dtrtri(factor.lower, lower=1)
+    return _checked("dtrtri", inv, info)
 
 
 def inverse_diagonal(factor: CholeskyFactor) -> np.ndarray:
