@@ -8,6 +8,7 @@ so the directory name never reaches the bytes). Run from the repo root:
 
     PYTHONPATH=src python tools/output_hashes.py
     PYTHONPATH=src python tools/output_hashes.py --check tools/output_hashes.txt
+    PYTHONPATH=src python tools/output_hashes.py --keep /tmp/outputs
 
 Output: one ``<sha256>  <file>`` line per output file, sorted by name. The
 commands' own summary lines go to stderr. With ``--check FILE`` it prints
@@ -15,7 +16,10 @@ nothing on a match and exits 0; otherwise it names, on stdout, every file
 whose hash differs from FILE's line for it, is missing from FILE, or is
 listed in FILE but no longer written, and exits 1. ``output_hashes.txt``
 next to this script holds the hashes of the current package; a change that
-alters output bytes on purpose updates it in the same commit.
+alters output bytes on purpose updates it in the same commit. With
+``--keep DIR`` the outputs are written to DIR, which must be empty or not
+exist yet, and left there; ``tools/output_diff.py`` compares two such
+directories number by number.
 """
 
 from __future__ import annotations
@@ -72,14 +76,29 @@ def run_command_set(workdir: Path) -> None:
         os.chdir(previous)
 
 
-def output_hashes() -> dict[str, str]:
-    """SHA-256 of each file the command set writes, by file name."""
+def hashes_of(workdir: Path) -> dict[str, str]:
+    """SHA-256 of each file in ``workdir``, by file name."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(workdir.iterdir())
+    }
+
+
+def output_hashes(keep: Path | None = None) -> dict[str, str]:
+    """SHA-256 of each file the command set writes, by file name.
+
+    The command set runs in ``keep`` when given, and its outputs stay there;
+    otherwise in a temporary directory that is removed.
+    """
+    if keep is not None:
+        keep.mkdir(parents=True, exist_ok=True)
+        if any(keep.iterdir()):
+            raise SystemExit(f"--keep directory {keep} is not empty")
+        run_command_set(keep)
+        return hashes_of(keep)
     with tempfile.TemporaryDirectory(prefix="pabfit-hashes-") as tmp:
         run_command_set(Path(tmp))
-        return {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(Path(tmp).iterdir())
-        }
+        return hashes_of(Path(tmp))
 
 
 def mismatches(hashes: dict[str, str], listing: str) -> list[str]:
@@ -103,8 +122,9 @@ def mismatches(hashes: dict[str, str], listing: str) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE", help="compare with a saved list")
+    parser.add_argument("--keep", metavar="DIR", type=Path, help="leave the outputs in DIR")
     args = parser.parse_args(argv)
-    hashes = output_hashes()
+    hashes = output_hashes(args.keep)
     if args.check is None:
         for name, digest in hashes.items():
             print(f"{digest}  {name}")
