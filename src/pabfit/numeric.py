@@ -6,10 +6,12 @@ computed once and reused through triangular solves. ``solve_lower`` is the
 forward half alone (L^-1 rhs), enough wherever only a quadratic form is
 needed; ``inverse_diagonal`` reads diag(M^-1) off the triangular inverse
 L^-1, which costs a third of the flops of solving against the identity.
-The triangular solves (``dtrtrs``) and the inverse (``dtrtri``) are calls
-into one LAPACK, scipy's compiled ``_flapack`` extension. ``_lapack`` loads
-that one file by path on first use, without running the ``scipy.linalg``
-package import, so commands that factor no matrix load nothing of scipy.
+The factor (``dpotrf``), the triangular solves (``dtrtrs``) and the inverse
+(``dtrtri``) are calls into one LAPACK, scipy's compiled ``_flapack``
+extension, each handed the factor's Fortran-ordered transpose so none
+copies it. ``_lapack`` loads that one file by path on first use, without
+running the ``scipy.linalg`` package import, so commands that factor no
+matrix load nothing of scipy.
 ``gradient_descent`` is plain steepest descent on a caller-supplied
 gradient with a backtracking (halving) line search; the GP hyperparameter
 search uses it. ``levenberg_marquardt`` minimizes a sum of squares from
@@ -56,8 +58,8 @@ class CholeskyFactor:
 def cholesky(m: np.ndarray) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
-    The first attempt adds no jitter. An attempt fails when LAPACK finds a
-    non-positive pivot, or when the smallest pivot squared is at most
+    The first attempt adds no jitter. An attempt fails when LAPACK's
+    ``dpotrf`` finds a non-positive pivot, or when the smallest pivot squared is at most
     n * eps * max(diag M), the size rounding alone can leave on a zero
     pivot of the matrix M factored. On failure the jitter enters the
     ladder at ``DEFAULT_JITTER`` and grows tenfold per attempt, capped at
@@ -92,14 +94,13 @@ def cholesky(m: np.ndarray) -> CholeskyFactor:
             # identity is built; m[i, j] + jitter * 0 adds nothing off it
             shifted = m.copy()
             shifted[np.diag_indices_from(shifted)] += jitter
-        try:
-            lower = np.linalg.cholesky(shifted)
-            pivots = np.diag(lower)
-            floor = pivots.size * _EPS * np.diag(shifted).max(initial=0.0)
-            if pivots.min(initial=math.inf) ** 2 > floor:
-                return CholeskyFactor(lower=lower, jitter_used=jitter)
-        except np.linalg.LinAlgError:
-            pass
+        # the transpose of the symmetric matrix is its Fortran-ordered view:
+        # LAPACK factors it as U^T U with no transposing copy, and L = U^T
+        upper, info = _lapack().dpotrf(shifted.T, lower=0, clean=1)
+        pivots = np.diag(upper)
+        floor = pivots.size * _EPS * np.diag(shifted).max(initial=0.0)
+        if info == 0 and pivots.min(initial=math.inf) ** 2 > floor:
+            return CholeskyFactor(lower=upper.T, jitter_used=jitter)
         if jitter >= JITTER_CAP:
             raise NotPositiveDefinite(f"matrix not positive definite even with jitter {JITTER_CAP:g}")
         jitter = min(JITTER_CAP, jitter * 10.0 if jitter > 0.0 else DEFAULT_JITTER)
@@ -188,8 +189,10 @@ def triangular_inverse(factor: CholeskyFactor) -> np.ndarray:
     NotPositiveDefinite
         If LAPACK reports the factor singular (a zero on its diagonal).
     """
-    inv, info = _lapack().dtrtri(factor.lower, lower=1)
-    return _checked("dtrtri", inv, info)
+    # as in the solves, the factor's transpose is handed over in place;
+    # the inverse of U = L^T is U^-1 = (L^-1)^T
+    inv, info = _lapack().dtrtri(factor.lower.T, lower=0)
+    return _checked("dtrtri", inv, info).T
 
 
 def inverse_diagonal(factor: CholeskyFactor) -> np.ndarray:

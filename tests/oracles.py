@@ -7,11 +7,14 @@ kernel matrix checks its every bit, and the two parameter pairs are
 reference exponential-model fits the model tests are pinned to.
 ``kinetic_r2`` is the R^2 ``fit-kinetics`` reports for a first-order fit.
 ``gp_posterior`` is the GP posterior through an explicit matrix inverse.
+``lapack_cholesky`` is the factor ``numeric.cholesky`` computes, through
+scipy's public API.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from pabfit.errors import DimensionMismatch, NonFiniteObjective
 from pabfit.metrics import compute_metrics
@@ -31,6 +34,15 @@ def kinetic_r2(series, fit) -> float:
     """R^2 of ln(c) against the fitted line k*t + ln_c0_fit."""
     t = series.times()
     return compute_metrics(np.log(series.concentrations()), fit.k * t + fit.ln_c0_fit).r2
+
+
+def lapack_cholesky(m) -> np.ndarray:
+    """Lower factor of a symmetric ``m``, in ``numeric.cholesky``'s layout.
+
+    LAPACK factors the Fortran-ordered transpose of ``m`` as U^T U, and the
+    factor returned is L = U^T.
+    """
+    return scipy.linalg.cholesky(np.asarray(m, dtype=float).T, lower=False).T
 
 
 def finite_difference_gradient(objective, x) -> np.ndarray:
