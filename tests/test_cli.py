@@ -778,11 +778,27 @@ class TestPredictDispatch:
         assert np.array_equal(mean, np.exp(-0.0006 * np.array([0.0, 3600.0]) + 3.9))
 
 
-def test_cli_import_leaves_scipy_unloaded(cli_env):
-    code = "import sys, pabfit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("", []),
+        ("fit-kinetics --input pcbc_run1.csv --output o.json", []),
+        ("fit-gp --input pcbc_run1.csv --contaminant pb --output o.json", ["scipy.linalg._flapack"]),
+    ],
+    ids=["import", "fit-kinetics", "fit-gp"],
+)
+def test_cli_import_leaves_scipy_unloaded(cli_env, tmp_path, command, loaded):
+    # a GP command loads scipy's LAPACK extension alone, not the scipy package
+    run = f"assert pabfit.cli.main({command.split()!r}) == 0\n" if command else ""
+    code = (
+        f"import sys, pabfit.cli\n{run}"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, cwd=tmp_path
+    )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.strip().splitlines()[-1] == repr(loaded)
 
 
 class TestSynth:

@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import solve_triangular
 
 from pabfit.errors import (
@@ -11,6 +14,7 @@ from pabfit.errors import (
     NonFiniteObjective,
     NotPositiveDefinite,
 )
+from pabfit import numeric
 from pabfit.numeric import (
     CholeskyFactor,
     DescentConfig,
@@ -20,6 +24,7 @@ from pabfit.numeric import (
     levenberg_marquardt,
     solve,
     solve_lower,
+    triangular_inverse,
 )
 
 from oracles import finite_difference_gradient, lapack_cholesky
@@ -149,6 +154,71 @@ class TestSolve:
             np.testing.assert_allclose(f.lower @ forward, rhs, atol=1e-12)
             back = solve_triangular(f.lower.T, forward, lower=False)
             np.testing.assert_array_equal(back, solve(f, rhs))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_is_invalid_input(self, bad):
+        f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        for rhs in ([1.0, bad], [[1.0, 2.0], [bad, 0.0]]):
+            with pytest.raises(InvalidInput, match="right-hand side"):
+                solve_lower(f, rhs)
+            with pytest.raises(InvalidInput, match="right-hand side"):
+                solve(f, rhs)
+
+    def test_zero_on_the_factor_diagonal_is_not_positive_definite(self):
+        f = CholeskyFactor(lower=np.array([[1.0, 0.0], [2.0, 0.0]]), jitter_used=0.0)
+        for rhs in ([1.0, 1.0], np.ones((2, 3))):
+            with pytest.raises(NotPositiveDefinite, match="dtrtrs info=2"):
+                solve_lower(f, rhs)
+            with pytest.raises(NotPositiveDefinite, match="dtrtrs info=2"):
+                solve(f, rhs)
+
+
+class TestLapackLayouts:
+    """Every LAPACK call equals scipy's public call in the same layout, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 5, 65, 500])
+    def test_factor_solves_and_inverse(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        m = a @ a.T + n * np.eye(n)
+        f = cholesky(m)
+        assert f.jitter_used == 0.0
+        # C-ordered, so the transpose each call hands LAPACK is read in place
+        assert f.lower.flags.c_contiguous
+        np.testing.assert_array_equal(f.lower, lapack_cholesky(m))
+        for rhs in (
+            rng.standard_normal(n),
+            rng.standard_normal((n, 3)),
+            np.asfortranarray(rng.standard_normal((n, 3))),
+        ):
+            forward = solve_triangular(f.lower, rhs, lower=True)
+            np.testing.assert_array_equal(solve_lower(f, rhs), forward)
+            back = solve_triangular(f.lower.T, forward, lower=False)
+            np.testing.assert_array_equal(solve(f, rhs), back)
+        inverse_of_upper, info = scipy.linalg.lapack.dtrtri(f.lower.T, lower=0)
+        assert info == 0
+        np.testing.assert_array_equal(triangular_inverse(f), inverse_of_upper.T)
+
+    def test_one_module_with_scipy_linalg(self):
+        assert numeric._lapack() is sys.modules["scipy.linalg._flapack"]
+
+    def test_missing_extension_falls_back_to_scipy_linalg_lapack(self, cli_env):
+        # a scipy whose _flapack file cannot be found is served through its
+        # public module: same results, slower start
+        code = (
+            "import importlib.util, sys, numpy as np\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
+            "from pabfit import numeric\n"
+            "lapack = numeric._lapack()\n"
+            "f = numeric.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))\n"
+            "print(lapack.__name__, numeric.solve(f, [8.0, 7.0]).tolist())\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 0, r.stderr
+        x = solve(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])), [8.0, 7.0])
+        assert r.stdout == f"scipy.linalg.lapack {x.tolist()}\n"
 
 
 class TestInverseDiagonal:
