@@ -9,7 +9,8 @@ produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 model families apart, and ``_ph`` the only code that picks a query's pH;
 every grid option is read through ``_grid``. ``_rows`` builds the
 prediction rows of every report, and ``_write_fit`` writes the report of
-each fit command.
+each fit command. ``_stage`` tags an error with the stage it came from and
+prints a ``DegenerateFitWarning`` as one ``warning: stage=...`` line.
 
 ``_COMMANDS`` maps each subcommand to its help, its options builder and its
 handler. ``main`` parses with the invoked command's parser alone and falls
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -67,7 +69,7 @@ from .gp import (
     training_set,
 )
 from .kinetics import KineticFitResult, fit_first_order, predict_first_order
-from .metrics import compute_metrics
+from .metrics import DegenerateFitWarning, compute_metrics
 
 _CONTAMINANTS = {
     "pb": Contaminant.PB,
@@ -78,13 +80,24 @@ _CONTAMINANTS = {
 
 @contextmanager
 def _stage(name: str):
-    """Tag errors with the pipeline stage they came from."""
-    try:
-        yield
-    except PabfitError as e:
-        if not hasattr(e, "stage"):
-            e.stage = name
-        raise
+    """Tag errors with the pipeline stage they came from, and print each
+    ``DegenerateFitWarning`` raised there as one ``warning:`` line."""
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def show_warning(message, category, filename, lineno, file=None, line=None):
+            if issubclass(category, DegenerateFitWarning):
+                print(f"warning: stage={name} kind={category.__name__}: {message}", file=sys.stderr)
+            else:
+                show(message, category, filename, lineno, file, line)
+
+        warnings.showwarning = show_warning
+        try:
+            yield
+        except PabfitError as e:
+            if not hasattr(e, "stage"):
+                e.stage = name
+            raise
 
 
 def _floats(text: str, flag: str) -> list[float]:

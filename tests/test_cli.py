@@ -16,6 +16,12 @@ from pabfit.gp import GpHyperParams, default_hyperparams, gp_fit, gp_predict, tr
 from pabfit.kinetics import KineticFitResult
 
 
+DEGENERATE_LINE = (
+    "warning: stage=fit kind=DegenerateFitWarning: "
+    "constant observations: R^2 reported as 0 by convention\n"
+)
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -74,18 +80,19 @@ class TestFitKinetics:
         assert "stage=load code=2 kind=ParseError" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_constant_series_warns_once(self, tmp_path):
+    def test_constant_series_warns_once(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("time_min,concentration_mg_l\n10,30\n60,30\n90,30\n")
         out = tmp_path / "o.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli("fit-kinetics", "--input", str(flat), "--output", str(out)) == 0
-        assert [type(w.message).__name__ for w in caught] == ["DegenerateFitWarning"]
+        assert caught == []
+        assert capsys.readouterr().err == DEGENERATE_LINE
 
 
 @pytest.mark.parametrize("command", ["fit-exp", "fit-gp"])
-def test_constant_removal_reports_r2_zero(tmp_path, command):
+def test_constant_removal_reports_r2_zero(tmp_path, capsys, command):
     # removal 0.4 three times: their mean rounds to 0.4000000000000001, so
     # SS_tot is 9.2e-33, not 0, and dividing by it gives an R^2 near -1e30
     flat = tmp_path / "flat.csv"
@@ -94,8 +101,23 @@ def test_constant_removal_reports_r2_zero(tmp_path, command):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_cli(command, "--input", str(flat), "--output", str(out)) == 0
-    assert [type(w.message).__name__ for w in caught] == ["DegenerateFitWarning"]
+    assert caught == []
+    assert capsys.readouterr().err == DEGENERATE_LINE
     assert json.loads(out.read_text())["metrics"]["r2"] == 0.0
+
+
+def test_constant_series_prints_no_python_warning(tmp_path, cli_env):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("time_min,concentration_mg_l\n10,30\n60,30\n90,30\n")
+    r = subprocess.run(
+        [sys.executable, "-m", "pabfit", "fit-gp", "--input", str(flat), "--output", "o.json"],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+        cwd=tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == DEGENERATE_LINE
 
 
 class TestFitExp:
