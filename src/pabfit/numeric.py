@@ -8,8 +8,8 @@ needed; ``inverse_diagonal`` reads diag(M^-1) off the triangular inverse
 L^-1, which costs a third of the flops of solving against the identity.
 The factor (``dpotrf``), the triangular solves (``dtrtrs``) and the inverse
 (``dtrtri``) are calls into one LAPACK, scipy's compiled ``_flapack``
-extension, each handed the factor's Fortran-ordered transpose so none
-copies it. ``_lapack`` loads that one file by path on first use, without
+extension, each handed a Fortran-ordered transpose, so no call makes a
+transposing copy. ``_lapack`` loads that one file by path on first use, without
 running the ``scipy.linalg`` package import, so commands that factor no
 matrix load nothing of scipy.
 ``gradient_descent`` is plain steepest descent on a caller-supplied
@@ -95,7 +95,7 @@ def cholesky(m: np.ndarray) -> CholeskyFactor:
             shifted = m.copy()
             shifted[np.diag_indices_from(shifted)] += jitter
         # the transpose of the symmetric matrix is its Fortran-ordered view:
-        # LAPACK factors it as U^T U with no transposing copy, and L = U^T
+        # LAPACK factors a plain copy of it as U^T U, and L = U^T
         upper, info = _lapack().dpotrf(shifted.T, lower=0, clean=1)
         pivots = np.diag(upper)
         floor = pivots.size * _EPS * np.diag(shifted).max(initial=0.0)
@@ -112,9 +112,9 @@ _FLAPACK = "scipy.linalg._flapack"
 def _lapack():
     """scipy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``.
 
-    The module already imported, if any; otherwise its extension file, found
-    next to scipy's ``linalg`` package without importing scipy, loaded by path
-    and registered under its own name, so a later ``import scipy.linalg``
+    The module already imported, if any; otherwise its extension file in
+    scipy's ``linalg`` directory, found without importing scipy, loaded by
+    path and registered under its own name, so a later ``import scipy.linalg``
     reuses it. A scipy whose layout hides the file is served by
     ``scipy.linalg.lapack``, which exports the same functions.
     """
@@ -189,8 +189,8 @@ def triangular_inverse(factor: CholeskyFactor) -> np.ndarray:
     NotPositiveDefinite
         If LAPACK reports the factor singular (a zero on its diagonal).
     """
-    # as in the solves, the factor's transpose is handed over in place;
-    # the inverse of U = L^T is U^-1 = (L^-1)^T
+    # LAPACK inverts a plain copy of the Fortran-ordered U = L^T, and
+    # U^-1 = (L^-1)^T
     inv, info = _lapack().dtrtri(factor.lower.T, lower=0)
     return _checked("dtrtri", inv, info).T
 

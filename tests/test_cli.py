@@ -800,27 +800,33 @@ class TestPredictDispatch:
         assert np.array_equal(mean, np.exp(-0.0006 * np.array([0.0, 3600.0]) + 3.9))
 
 
-@pytest.mark.parametrize(
-    "command, loaded",
-    [
-        ("", []),
-        ("fit-kinetics --input pcbc_run1.csv --output o.json", []),
-        ("fit-gp --input pcbc_run1.csv --contaminant pb --output o.json", ["scipy.linalg._flapack"]),
-    ],
-    ids=["import", "fit-kinetics", "fit-gp"],
-)
-def test_cli_import_leaves_scipy_unloaded(cli_env, tmp_path, command, loaded):
-    # a GP command loads scipy's LAPACK extension alone, not the scipy package
-    run = f"assert pabfit.cli.main({command.split()!r}) == 0\n" if command else ""
+def scipy_modules_after(cli_env, cwd, argv=()):
+    """The scipy modules a child process holds after running ``pabfit argv`` in process."""
+    run = f"assert pabfit.cli.main({list(argv)!r}) == 0\n" if argv else ""
     code = (
         f"import sys, pabfit.cli\n{run}"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    r = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, cwd=tmp_path
-    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, cwd=cwd)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip().splitlines()[-1] == repr(loaded)
+    return r.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded(cli_env, tmp_path):
+    assert scipy_modules_after(cli_env, tmp_path) == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("fit-kinetics --input pcbc_run1.csv --output o.json", []),
+        ("fit-gp --input pcbc_run1.csv --contaminant pb --output o.json", ["scipy.linalg._flapack"]),
+    ],
+    ids=["fit-kinetics", "fit-gp"],
+)
+def test_command_loads_scipy_lapack_alone(cli_env, tmp_path, command, loaded):
+    # a GP command loads scipy's LAPACK extension, not the scipy package
+    assert scipy_modules_after(cli_env, tmp_path, command.split()) == repr(loaded)
 
 
 class TestSynth:
