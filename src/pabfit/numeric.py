@@ -9,9 +9,9 @@ L^-1, which costs a third of the flops of solving against the identity.
 The factor (``dpotrf``), the triangular solves (``dtrtrs``) and the inverse
 (``dtrtri``) are calls into one LAPACK, scipy's compiled ``_flapack``
 extension, each handed a Fortran-ordered transpose, so no call makes a
-transposing copy. ``_lapack`` loads that one file by path on first use, without
-running the ``scipy.linalg`` package import, so commands that factor no
-matrix load nothing of scipy.
+transposing copy. ``_lapack`` loads that one file by path on first use,
+without running the ``scipy.linalg`` package import, so commands that
+factor no matrix load nothing of scipy.
 ``gradient_descent`` is plain steepest descent on a caller-supplied
 gradient with a backtracking (halving) line search; the GP hyperparameter
 search uses it. ``levenberg_marquardt`` minimizes a sum of squares from
@@ -59,11 +59,11 @@ def cholesky(m: np.ndarray) -> CholeskyFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
     The first attempt adds no jitter. An attempt fails when LAPACK's
-    ``dpotrf`` finds a non-positive pivot, or when the smallest pivot squared is at most
-    n * eps * max(diag M), the size rounding alone can leave on a zero
-    pivot of the matrix M factored. On failure the jitter enters the
-    ladder at ``DEFAULT_JITTER`` and grows tenfold per attempt, capped at
-    ``JITTER_CAP``.
+    ``dpotrf`` finds a non-positive pivot, or when the smallest pivot
+    squared is at most n * eps * max(diag M), the size rounding alone can
+    leave on a zero pivot of the matrix M factored. On failure the jitter
+    enters the ladder at ``DEFAULT_JITTER`` and grows tenfold per attempt,
+    capped at ``JITTER_CAP``.
 
     Parameters
     ----------
