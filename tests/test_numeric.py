@@ -8,13 +8,13 @@ import pytest
 import scipy.linalg.lapack
 from scipy.linalg import solve_triangular
 
+from pabfit import numeric
 from pabfit.errors import (
     DimensionMismatch,
     InvalidInput,
     NonFiniteObjective,
     NotPositiveDefinite,
 )
-from pabfit import numeric
 from pabfit.numeric import (
     CholeskyFactor,
     DescentConfig,
@@ -155,7 +155,6 @@ class TestSolve:
             back = solve_triangular(f.lower.T, forward, lower=False)
             np.testing.assert_array_equal(back, solve(f, rhs))
 
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rhs_is_invalid_input(self, bad):
         f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
@@ -184,7 +183,7 @@ class TestLapackLayouts:
         m = a @ a.T + n * np.eye(n)
         f = cholesky(m)
         assert f.jitter_used == 0.0
-        # C-ordered, so the transpose each call hands LAPACK is read in place
+        # C-ordered, so each call hands LAPACK a Fortran-ordered transpose
         assert f.lower.flags.c_contiguous
         np.testing.assert_array_equal(f.lower, lapack_cholesky(m))
         for rhs in (
