@@ -13,9 +13,8 @@ each fit command. ``_stage`` tags an error with the stage it came from and
 prints a ``DegenerateFitWarning`` as one ``warning: stage=...`` line.
 
 ``_COMMANDS`` maps each subcommand to its help, its options builder and its
-handler. ``main`` parses with the invoked command's parser alone and falls
-back to the full parser on any parse error, so every message is the full
-parser's.
+handler. ``main`` parses once, with the invoked command's parser alone,
+whose usage lists every command, and dispatches through ``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -164,11 +163,7 @@ def _load(args) -> ObservationSeries:
 
 
 def _provenance(args, **extra) -> dict:
-    options = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("command", "func") and v is not None
-    }
+    options = {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None}
     return {
         "tool": "pabfit",
         "version": __version__,
@@ -249,6 +244,10 @@ def _cmd_fit_exp(args) -> int:
         x0 = _floats(args.x0, "--x0")
         if len(x0) != 2:
             raise ValidationError(f"--x0 needs exactly two values, got {len(x0)}")
+        if not all(map(math.isfinite, x0)):
+            raise ValidationError(f"--x0 needs finite values, got {args.x0!r}")
+        if args.max_iters < 1:
+            raise ValidationError(f"--max-iters needs a value >= 1, got {args.max_iters}")
         series = _load(args)
     with _stage("fit"):
         times = transform_time(series)
@@ -283,25 +282,27 @@ def _cmd_fit_exp(args) -> int:
 
 
 def _resolve_hyper(args, contaminant: Contaminant) -> GpHyperParams:
+    """``--hyper`` and ``--epsilon`` over the contaminant's reference values,
+    which hold one weight per column of its design matrix."""
     base = default_hyperparams(contaminant, epsilon=args.epsilon)
     if args.hyper is None:
         return base
     v, w = _parse_hyper(args.hyper)
-    return replace(base, v=base.v if v is None else v, w=w or base.w)
+    hp = replace(base, v=base.v if v is None else v, w=w or base.w)
+    if hp.p != base.p:
+        raise ValidationError(
+            f"{hp.p} kernel weights but the {contaminant.value} design matrix has {base.p} columns"
+        )
+    return hp
 
 
 def _cmd_fit_gp(args) -> int:
     with _stage("load"):
         default_ph = _grid(args.default_ph, "--default-ph")[0]
+        hp = _resolve_hyper(args, _CONTAMINANTS[args.contaminant])
         series = _load(args)
     with _stage("fit"):
-        hp = _resolve_hyper(args, series.contaminant)
         x, y, ph_assumed, times = training_set(series, default_ph=default_ph)
-        if x.shape[1] != hp.p:
-            raise ValidationError(
-                f"{hp.p} kernel weights but the {series.contaminant.value} design matrix has "
-                f"{x.shape[1]} columns"
-            )
         if args.optimize:
             hp = gp_optimize_hyperparams(x, y, hp, objective=args.objective)
         model = gp_fit(hp, x, y)
@@ -608,51 +609,32 @@ _COMMANDS = {
 }
 
 
-class _ParseFailed(Exception):
-    """A one-command parser met an error it cannot word as the full parser would."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ParseFailed(message)
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser: every subcommand, or only ``command``'s.
 
     A one-command parser parses that command's argv to the same namespace
-    and prints the same help, but its usage would list one command, so it
-    raises ``_ParseFailed`` where the full parser prints an error.
+    and prints what the full parser prints for it, since its usage names
+    every command. The full parser leaves the metavar unset, so that
+    argparse names the missing or unknown command ``command`` in its errors.
     """
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+    parser = argparse.ArgumentParser(
         prog="pabfit",
         description="Fit and evaluate contaminant-removal models for permeable adsorptive barriers.",
     )
     parser.add_argument("--version", action="version", version=f"pabfit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, handler) in _COMMANDS.items():
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_options, _) in _COMMANDS.items():
         if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_options(p)
-            p.set_defaults(func=handler)
+            add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the invoked command's parser alone; on any error, with the
-    full parser, so usage and error text are the full parser's."""
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _ParseFailed:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except PabfitError as e:
         stage = getattr(e, "stage", args.command)
         print(

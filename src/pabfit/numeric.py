@@ -175,7 +175,8 @@ def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
     Raises as :func:`solve_lower` does.
     """
-    x, info = _lapack().dtrtrs(factor.lower.T, solve_lower(factor, rhs), lower=0)
+    # the forward result is ours, so the back solve overwrites it in place
+    x, info = _lapack().dtrtrs(factor.lower.T, solve_lower(factor, rhs), lower=0, overwrite_b=1)
     return _checked("dtrtrs", x, info)
 
 

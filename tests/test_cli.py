@@ -204,6 +204,25 @@ class TestFitExp:
         assert code == 3
         assert "stage=load code=3" in capsys.readouterr().err
 
+    # "1,-inf": argparse reads a value that starts "-inf" as an option
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--x0", "nan,1", "--x0 needs finite values"),
+            ("--x0", "inf,1", "--x0 needs finite values"),
+            ("--x0", "1,-inf", "--x0 needs finite values"),
+            ("--max-iters", "0", "--max-iters needs a value >= 1"),
+        ],
+    )
+    def test_bad_option_rejected_at_load(self, tmp_path, capsys, option, value, message):
+        argv = ["fit-exp", "--input", "pcp_run1.csv", option, value]
+        assert message in check_rejected(tmp_path, capsys, "load", *argv)
+
+    def test_huge_finite_x0_is_a_numeric_failure(self, tmp_path, capsys):
+        argv = ["fit-exp", "--input", "pcp_run1.csv", "--x0", "1e308,1"]
+        assert run_cli(*argv, "--output", str(tmp_path / "o.json")) == 4
+        assert "stage=fit code=4 kind=NonFiniteObjective" in capsys.readouterr().err
+
 
 class TestFitGp:
     def test_reference_hyperparameters_on_fixture(self, tmp_path, capsys):
@@ -290,6 +309,25 @@ class TestFitGp:
         assert code == 3
         assert "weights w must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--hyper", "v=nan", "signal variance must be positive"),
+            ("--hyper", "v=0.3,w=inf,1,1", "weights w must be finite"),
+            ("--epsilon", "0", "jitter epsilon must be finite and positive"),
+            ("--epsilon", "inf", "jitter epsilon must be finite and positive"),
+            ("--hyper", "w=1,2", "2 kernel weights but the pb design matrix has 3 columns"),
+        ],
+    )
+    def test_bad_option_rejected_at_load(self, tmp_path, capsys, option, value, message):
+        argv = ["fit-gp", "--input", "pcp_run1.csv", option, value]
+        assert message in check_rejected(tmp_path, capsys, "load", *argv)
+
+    def test_weight_count_follows_the_contaminant(self, tmp_path, capsys):
+        argv = ["fit-gp", "--input", "mb_run1.csv", "--contaminant", "mb", "--hyper", "w=1,2,3"]
+        err = check_rejected(tmp_path, capsys, "load", *argv)
+        assert "3 kernel weights but the methylene_blue design matrix has 2 columns" in err
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(

@@ -155,6 +155,22 @@ class TestSolve:
             back = solve_triangular(f.lower.T, forward, lower=False)
             np.testing.assert_array_equal(back, solve(f, rhs))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_peak_memory_one_right_hand_side(self, order):
+        # the back solve overwrites the forward result in place of copying it
+        n = 300
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((n, n))
+        f = cholesky(a @ a.T + n * np.eye(n))
+        rhs = np.asarray(rng.standard_normal((n, n)), order=order)
+        tracemalloc.start()
+        try:
+            solve(f, rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rhs.nbytes
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rhs_is_invalid_input(self, bad):
         f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))

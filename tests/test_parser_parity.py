@@ -1,6 +1,7 @@
 """``main`` parses with the invoked command's parser alone; everything it
 prints, the exit code and the parsed options must be the full parser's."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -47,6 +48,9 @@ MISUSE = [
     ["report", "--inputs"],
     ["synth", "--generator", "nope", "--output", "z"],
     ["synth", "--generator", "first-order", "--seed", "1.5", "--output", "z"],
+    ["fit-gp", "--input", "a", "--output", "b", "report"],
+    ["synth", "--generator", "first-order", "--output", "z", "--version"],
+    ["fit-kinetics", "--input", "a", "--output", "b", "x", "y"],
     *([name, "-h"] for name in cli._COMMANDS),
 ]
 
@@ -78,13 +82,17 @@ def outcome(capsys, call):
     return out, err, code, result
 
 
-@pytest.mark.parametrize("columns", [None, "40"])
-@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-def test_main_parses_as_the_full_parser(argv, columns, recorded, capsys, monkeypatch):
+def set_columns(monkeypatch, columns):
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
+
+
+@pytest.mark.parametrize("columns", [None, "40", "15"])
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, columns, recorded, capsys, monkeypatch):
+    set_columns(monkeypatch, columns)
     out, err, code, result = outcome(capsys, lambda: cli.build_parser().parse_args(argv))
     expected = (out, err, code, None if result is None else vars(result))
     out, err, code, _ = outcome(capsys, lambda: cli.main(argv))
@@ -92,5 +100,32 @@ def test_main_parses_as_the_full_parser(argv, columns, recorded, capsys, monkeyp
 
 
 @pytest.mark.parametrize("command", cli._COMMANDS)
-def test_one_command_parser_holds_that_command_alone(command):
-    assert f"{{{command}}}" in cli.build_parser(command).format_usage()
+def test_one_command_parser_holds_that_command_alone(command, monkeypatch):
+    # its usage names every command, as the full parser's does, so the two
+    # print the same usage over the one command's argv
+    parser = cli.build_parser(command)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [command]
+    for columns in (None, "40"):
+        set_columns(monkeypatch, columns)
+        assert parser.format_usage() == cli.build_parser().format_usage()
+
+
+USAGE = """usage: pabfit [-h] [--version]
+              {fit-kinetics,fit-exp,fit-gp,predict,synth,report} ...
+"""
+
+
+def test_full_parser_names_the_command_argument(capsys, monkeypatch):
+    # the subcommands' metavar, if set, would replace "command" in both messages
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(capsys, lambda: cli.main([]))[1:3] == (
+        USAGE + "pabfit: error: the following arguments are required: command\n",
+        2,
+    )
+    _, err, code, _ = outcome(capsys, lambda: cli.main(["bogus"]))
+    assert code == 2
+    # the quoting of the choices list differs between Python versions
+    assert err.startswith(
+        USAGE + "pabfit: error: argument command: invalid choice: 'bogus' (choose from "
+    )
