@@ -7,10 +7,13 @@ produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 
 ``predict`` and ``_rebuild_model`` are the only code here that tells the
 model families apart, and ``_ph`` the only code that picks a query's pH;
-every grid option is read through ``_grid``. ``_rows`` builds the
-prediction rows of every report, and ``_write_fit`` writes the report of
-each fit command. ``_stage`` tags an error with the stage it came from and
-prints a ``DegenerateFitWarning`` as one ``warning: stage=...`` line.
+every grid option is read through ``_grid``. A GP reads the columns
+``gp.select_inputs`` picks, in ``fit-gp`` and ``_rebuild_model`` alike.
+``_rows`` builds the prediction rows of every report, and ``_write_fit``
+writes the report of each fit command. ``_stage`` tags an error with the
+stage it came from and prints a ``DegenerateFitWarning`` or a
+``FixedInputWarning`` (a GP query off a column's one training value,
+answered at that value) as one ``warning: stage=...`` line.
 
 ``_COMMANDS`` maps each subcommand to its help, its options builder and its
 handler. ``main`` parses once, with the invoked command's parser alone,
@@ -64,7 +67,7 @@ from .gp import (
     gp_fit,
     gp_optimize_hyperparams,
     gp_predict,
-    input_names,
+    select_inputs,
     training_set,
 )
 from .kinetics import KineticFitResult, fit_first_order, predict_first_order
@@ -77,15 +80,21 @@ _CONTAMINANTS = {
 }
 
 
+class FixedInputWarning(UserWarning):
+    """A GP query off the one training value of a column the GP does not read."""
+
+
 @contextmanager
 def _stage(name: str):
     """Tag errors with the pipeline stage they came from, and print each
-    ``DegenerateFitWarning`` raised there as one ``warning:`` line."""
+    ``DegenerateFitWarning`` and ``FixedInputWarning`` raised there as one
+    ``warning:`` line."""
     with warnings.catch_warnings():
+        warnings.simplefilter("always", FixedInputWarning)  # one line per query, repeats too
         show = warnings.showwarning
 
         def show_warning(message, category, filename, lineno, file=None, line=None):
-            if issubclass(category, DegenerateFitWarning):
+            if issubclass(category, (DegenerateFitWarning, FixedInputWarning)):
                 print(f"warning: stage={name} kind={category.__name__}: {message}", file=sys.stderr)
             else:
                 show(message, category, filename, lineno, file, line)
@@ -283,15 +292,15 @@ def _cmd_fit_exp(args) -> int:
 
 def _resolve_hyper(args, contaminant: Contaminant) -> GpHyperParams:
     """``--hyper`` and ``--epsilon`` over the contaminant's reference values,
-    which hold one weight per column of its design matrix."""
+    which hold one weight per column of its layout."""
     base = default_hyperparams(contaminant, epsilon=args.epsilon)
     if args.hyper is None:
         return base
     v, w = _parse_hyper(args.hyper)
-    hp = replace(base, v=base.v if v is None else v, w=w or base.w)
+    hp = replace(base, v=base.v if v is None else v, w=w or base.w, inputs=None)
     if hp.p != base.p:
         raise ValidationError(
-            f"{hp.p} kernel weights but the {contaminant.value} design matrix has {base.p} columns"
+            f"{hp.p} kernel weights but the {contaminant.value} layout has {base.p} columns"
         )
     return hp
 
@@ -301,8 +310,11 @@ def _cmd_fit_gp(args) -> int:
         default_ph = _grid(args.default_ph, "--default-ph")[0]
         hp = _resolve_hyper(args, _CONTAMINANTS[args.contaminant])
         series = _load(args)
+        columns, y, ph_assumed, times = training_set(series, default_ph=default_ph)
+        hp, x, fixed = select_inputs(hp, columns)
+        if args.optimize and min(hp.w) <= 0:  # the search runs in log space
+            raise ValidationError(f"--optimize needs positive input weights, got {dict(zip(hp.inputs, hp.w))}")
     with _stage("fit"):
-        x, y, ph_assumed, times = training_set(series, default_ph=default_ph)
         if args.optimize:
             hp = gp_optimize_hyperparams(x, y, hp, objective=args.objective)
         model = gp_fit(hp, x, y)
@@ -311,6 +323,8 @@ def _cmd_fit_gp(args) -> int:
     parameters = {
         "v": hp.v,
         "w": list(hp.w),
+        "inputs": list(hp.inputs),
+        "fixed_inputs": fixed,
         "epsilon": hp.epsilon,
         "p": hp.p,
         "time_denominator": times.denominator,
@@ -320,8 +334,7 @@ def _cmd_fit_gp(args) -> int:
         "optimized": bool(args.optimize),
         "objective": args.objective if args.optimize else None,
     }
-    inputs = {"time_min": times.t_raw, **dict(zip(input_names(hp.p), x.T))}
-    rows = _rows(inputs, pred.mean, y, pred.variance)
+    rows = _rows({"time_min": times.t_raw, **columns}, pred.mean, y, pred.variance)
     summary = f"v={hp.v:.6g}, R^2={metrics.r2:.4f}, slope={metrics.obs_pred_slope:.4f}"
     return _write_fit(args, series, ModelKind.GAUSSIAN_PROCESS, parameters, metrics, rows, summary)
 
@@ -329,9 +342,11 @@ def _cmd_fit_gp(args) -> int:
 def _rebuild_model(report: FitReport):
     """Reconstruct a fitted model from its report.
 
-    Returns ``(model, inputs)``: ``inputs`` names the model's inputs after
-    the time in minutes, as ``predict`` rows carry them (none for the
-    first-order model, which takes raw minutes).
+    Returns ``(model, inputs)``: ``inputs`` names the model's layout
+    columns after the time in minutes, as ``predict`` rows carry them (none
+    for the first-order model, which takes raw minutes). A GP is refitted on
+    the columns of its training rows that ``select_inputs`` picks; a report
+    without ``inputs`` holds one weight per layout column.
     """
     params = report.parameters
     if report.model_kind is ModelKind.FIRST_ORDER:
@@ -346,29 +361,30 @@ def _rebuild_model(report: FitReport):
             a=params["a"],
             b=params["b"],
             exponent_form=ExponentForm(params.get("exponent_form", "literal")),
-        ), input_names(2)  # (t_norm, W), as a GP without pH
-    hp = GpHyperParams(v=params["v"], w=tuple(params["w"]), epsilon=params["epsilon"])
+        ), ("t_norm", "thickness_cm")
+    hp = GpHyperParams(params["v"], params["w"], params["epsilon"], params.get("inputs"))
     train = [row for row in report.predictions if row.observed is not None]
     if not train:
         raise ValidationError("GP report carries no training rows; cannot rebuild the model")
-    names = input_names(hp.p)
+    names = tuple(n for n in INPUT_NAMES if n != "ph" or n in train[0].inputs)  # pH: lead only
     try:
-        columns = {name: [row.inputs[name] for row in train] for name in names}
+        columns = {name: np.array([row.inputs[name] for row in train]) for name in names}
     except KeyError as e:
         raise ValidationError(f"GP report rows lack input column {e}") from None
-    x = design_matrix(columns["t_norm"], columns["thickness_cm"], columns.get("ph"))
+    hp, x, fixed = select_inputs(hp, columns)
     y = np.array([row.observed for row in train])
-    return gp_fit(hp, x, y), names
+    return replace(gp_fit(hp, x, y), fixed_inputs=fixed), names
 
 
 def _ph(model, ph: float | None) -> float | None:
     """The pH a query of ``model`` reads: ``ph``, by default the model's mean
-    training pH, for a GP with a pH input; None for every other model."""
-    if not (isinstance(model, GpModel) and model.hp.p == len(INPUT_NAMES)):
+    training pH, for a GP of lead; None for every other model."""
+    if not isinstance(model, GpModel):
         return None
-    if ph is None:
-        return float(np.mean(model.x_train[:, INPUT_NAMES.index("ph")]))
-    return ph
+    training = {**model.fixed_inputs, **dict(zip(model.hp.inputs, model.x_train.T))}
+    if "ph" not in training:
+        return None
+    return float(np.mean(training["ph"])) if ph is None else ph
 
 
 def predict(model, t_norm, w, ph=None):
@@ -376,8 +392,10 @@ def predict(model, t_norm, w, ph=None):
 
     Per-point arrays give one prediction per point, ``t[:, None], w[None, :]``
     a (time, thickness) grid. The first-order model takes raw minutes and
-    ``w`` None. Only a GP with a pH input reads ``ph``, its mean training pH
-    by default. ``variance`` is None for all but the GP.
+    ``w`` None. Only a GP of lead reads ``ph``, its mean training pH by
+    default. A GP answers a query off the training value of a column it
+    does not read at that value, with a ``FixedInputWarning``. ``variance``
+    is None for all but the GP.
     """
     if isinstance(model, KineticFitResult):
         if w is not None:
@@ -389,9 +407,14 @@ def predict(model, t_norm, w, ph=None):
         return exp_model_eval(model, t_norm, w), None
     if not isinstance(model, GpModel):
         raise InvalidInput(f"cannot predict with a {type(model).__name__}")
-    ph = _ph(model, ph)
-    shape = np.broadcast_shapes(np.shape(t_norm), np.shape(w), np.shape(ph))
-    pred = gp_predict(model, design_matrix(t_norm, w, ph))
+    query = {"t_norm": t_norm, "thickness_cm": w, "ph": _ph(model, ph)}
+    query = {name: value for name, value in query.items() if value is not None}
+    off = [f"{n}={v:g}" for n, v in model.fixed_inputs.items() if np.any(np.asarray(query[n]) != v)]
+    if off:
+        warnings.warn(f"trained at {', '.join(off)} only; queries off it get the answer there",
+                      FixedInputWarning)
+    shape = np.broadcast_shapes(*map(np.shape, query.values()))
+    pred = gp_predict(model, design_matrix(query, model.hp.inputs))
     return pred.mean.reshape(shape), pred.variance.reshape(shape)
 
 
@@ -565,7 +588,7 @@ def _predict_options(p) -> None:
     p.add_argument("--model", required=True, help="fit report JSON to load")
     p.add_argument("--t-grid", required=True, help="times in raw minutes, comma-separated")
     p.add_argument("--w-grid", default=None, help="thicknesses in cm, comma-separated")
-    p.add_argument("--ph", type=float, default=None, help="pH for 3-input GP queries")
+    p.add_argument("--ph", type=float, default=None, help="pH for GP queries on lead")
     p.add_argument("--output", required=True, help="output report JSON path")
 
 
@@ -594,7 +617,7 @@ def _report_options(p) -> None:
     p.add_argument("--inputs", nargs="+", required=True, help="fit report JSON files")
     p.add_argument("--scan-w", default=None, help="thickness grid for the optimum scan")
     p.add_argument("--scan-t", type=float, default=1.0, help="normalized time for the scan")
-    p.add_argument("--ph", type=float, default=None, help="pH for 3-input GP scans")
+    p.add_argument("--ph", type=float, default=None, help="pH for GP scans on lead")
     p.add_argument("--output", required=True, help="output JSON path")
 
 

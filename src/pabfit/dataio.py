@@ -206,11 +206,9 @@ def generate_synthetic(
         if generator == "exp-model":
             removal = exp_model_eval(ExpModelParams(a=a, b=b), t_norm, thickness)
         else:
-            hp = GpHyperParams(v=v, w=w, epsilon=epsilon)
-            # the fitting layout, with pH for three weights; a single weight
-            # sees the first column, t_norm, alone
-            ph_column = 7.0 if ph is None else ph
-            x = design_matrix(t_norm, thickness, ph_column if hp.p == 3 else None)[:, : hp.p]
+            hp = GpHyperParams(v=v, w=w, epsilon=epsilon)  # its inputs named by count
+            columns = {"t_norm": t_norm, "ph": 7.0 if ph is None else ph, "thickness_cm": thickness}
+            x = design_matrix(columns, hp.inputs)
             removal = mean + covariance_factor(hp, x).lower @ rng.standard_normal(t.size)
         if noise_sd > 0:
             removal = removal + noise_sd * rng.standard_normal(t.size)
@@ -346,8 +344,8 @@ _PARAMETER_CHECKS = {
     },
     ModelKind.GAUSSIAN_PROCESS: {
         "v": _finite_number,
-        # one weight per design-matrix column: (t_norm, W) or (t_norm, pH, W)
-        "w": lambda w: isinstance(w, list) and len(w) in (2, 3) and all(map(_finite_number, w)),
+        "w": lambda w: isinstance(w, list) and all(map(_finite_number, w)),
+        "inputs": lambda names: names is None or isinstance(names, list),
         "epsilon": _finite_number,
         "time_denominator": _absent_or_positive,
         "default_ph": lambda ph: ph is None or (_finite_number(ph) and 0 <= ph <= MAX_PH),
@@ -371,8 +369,10 @@ def read_report(path: str | Path) -> FitReport:
 
     Every check a report needs before a model is rebuilt from it runs
     here, in one pass: a known model kind; each parameter the kind requires
-    (a finite number; the GP's ``w`` a list of two or three, and its
-    ``v``, ``w`` and ``epsilon`` within ``GpHyperParams``'s domain), and, where
+    (a finite number; the GP's ``w`` a list, and its ``v``, ``w``,
+    ``epsilon`` and ``inputs``, a list when present, within
+    ``GpHyperParams``'s domain, which takes one weight per input, by
+    default one to three by count), and, where
     present, ``exponent_form`` one of the forms, ``time_denominator``
     positive and ``default_ph`` in [0, ``MAX_PH``]; the four metrics,
     unless null, finite; and in each prediction row ``inputs`` an object of
@@ -401,7 +401,7 @@ def read_report(path: str | Path) -> FitReport:
         raise ValidationError(f"{path}: {kind.value} report has missing or invalid parameters {bad}")
     if kind is ModelKind.GAUSSIAN_PROCESS:
         try:  # the model's own domain: v > 0, w >= 0, epsilon > 0
-            GpHyperParams(v=params["v"], w=params["w"], epsilon=params["epsilon"])
+            GpHyperParams(params["v"], params["w"], params["epsilon"], params.get("inputs"))
         except InvalidInput as e:
             raise InvalidInput(f"{path}: {e}") from None
     m = payload["metrics"]

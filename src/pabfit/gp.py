@@ -5,34 +5,26 @@ The covariance between inputs x and x' is
     k(x, x') = v * exp(-sum_p w_p * (x_p - x'_p)^2)
 
 with one inverse-length weight per input dimension, so each regressor
-(normalized log-time, pH, thickness) carries its own relevance.
-A GP has one to three inputs, the columns ``INPUT_NAMES`` names, and
-``GpHyperParams`` holds one weight per input. ``kernel_matrix`` builds the
-covariance one input column at a time on row blocks of 2^16 entries, a
-512 KiB temporary, and sums the exponent in the fixed column order
-(0, 2, 1): numpy's einsum order for up to three columns, so it equals
-v * exp(-einsum(...)) bit for bit.
+(normalized log-time, pH, thickness) carries its own relevance. A GP reads
+one to three of the columns ``INPUT_NAMES`` names; ``GpHyperParams`` holds
+their names and one weight each. ``kernel_matrix`` builds the covariance
+on cache-sized row blocks, bit-identical to v * exp(-einsum(...)).
 
 The training covariance gets a jitter ``epsilon`` on its diagonal and is
-factorized once, K + eps*I = L L^T; prediction, the marginal-likelihood
-objective, and the leave-one-out objective all reuse the factor (Rasmussen
-& Williams, *GPML*, 2006, Algorithm 2.1 and section 5.4.2). The predictive
-variance takes one forward solve V = L^-1 k(X, X'), and the leave-one-out
-residuals need only diag((K + eps*I)^-1), read off the triangular inverse
-L^-1; neither inverts the covariance matrix. The hyperparameter search
-descends on the closed-form gradients of both objectives in log space
-(GPML eq. 5.9 and section 5.4.2), which do need (K + eps*I)^-1 itself:
-they form it as L^-T L^-1 from the same factor.
+factorized once, K + eps*I = L L^T; prediction, the marginal-likelihood and
+leave-one-out objectives, and the closed-form gradients of both in log
+space, which the hyperparameter search descends on, all reuse the factor
+(Rasmussen & Williams, *GPML*, 2006, Algorithm 2.1, eq. 5.9 and section 5.4.2).
 
-``design_matrix`` alone lays out the GP inputs, (t_norm, pH, W) for lead
-and (t_norm, W) for methylene blue, which reports name by ``INPUT_NAMES``;
-``training_set`` builds the training arrays of a series through it.
+``training_set`` gives a series' layout columns by name, (t_norm, pH, W)
+for lead and (t_norm, W) for methylene blue, and ``select_inputs`` alone
+decides which a GP reads: those that vary over the training rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,12 +50,10 @@ from .numeric import (
 # diagonal jitter that keeps smooth kernel matrices invertible (~sqrt eps)
 DEFAULT_EPSILON = 1.490116e-08
 
-# report names of the design-matrix columns, in column order; a matrix
-# built without pH has the first and the last
+# the GP input columns in lead's layout order; methylene blue's are the first and last
 INPUT_NAMES = ("t_norm", "ph", "thickness_cm")
 
-# reference (v, w) shipped as CLI defaults, one weight per design-matrix
-# column
+# reference (v, w) shipped as CLI defaults, one weight per layout column
 _DEFAULT_HYPERPARAMS = {
     Contaminant.PB: (0.3852, (0.7839, 2.8869, 2.859e-9)),
     Contaminant.METHYLENE_BLUE: (0.2397, (14.6899, 2.2309)),
@@ -77,20 +67,24 @@ _KERNEL_BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class GpHyperParams:
-    """Signal variance, one weight per input (one to three), and jitter."""
+    """Signal variance, one weight per input (one to three), jitter, and the
+    inputs' names; without names, by count: (t_norm, pH, W), (t_norm, W), t_norm."""
 
     v: float
     w: tuple[float, ...]
     epsilon: float = DEFAULT_EPSILON
+    inputs: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(x) for x in self.w))
         if not (self.v > 0) or not math.isfinite(self.v):
             raise InvalidInput(f"signal variance must be positive, got {self.v}")
-        if not 1 <= len(self.w) <= len(INPUT_NAMES):
-            raise InvalidInput(
-                f"need 1 to {len(INPUT_NAMES)} weights, one per input, got {len(self.w)}"
-            )
+        names = INPUT_NAMES[:1] + INPUT_NAMES[len(INPUT_NAMES) + 1 - self.p :]  # by count
+        names = names if self.inputs is None else tuple(self.inputs)
+        if not (all(n in INPUT_NAMES for n in names) and 0 < len(set(names)) == len(names) == self.p):
+            raise InvalidInput(f"need 1 to {len(INPUT_NAMES)} weights, one per input, got {self.p} "
+                               f"for inputs {self.inputs}, each one of {INPUT_NAMES} named once")
+        object.__setattr__(self, "inputs", names)
         if any(not (x >= 0) or not math.isfinite(x) for x in self.w):
             raise InvalidInput(f"weights w must be finite and >= 0, got {self.w}")
         if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
@@ -106,20 +100,31 @@ def default_hyperparams(contaminant: Contaminant, epsilon: float = DEFAULT_EPSIL
     return GpHyperParams(v=v, w=w, epsilon=epsilon)
 
 
-def design_matrix(t_norm, w, ph=None) -> np.ndarray:
-    """GP inputs, columns (t_norm, pH, W), or (t_norm, W) when ``ph`` is None.
+def design_matrix(columns: dict, inputs) -> np.ndarray:
+    """GP input rows: the ``columns`` (name -> values) that ``inputs`` names, in that order.
 
-    The arguments broadcast as numpy arrays do (scalars, per-point arrays,
-    a ``t[:, None], w[None, :]`` grid); rows follow that shape in C order.
+    All columns broadcast together as numpy arrays do (scalars, per-point arrays, a
+    ``t[:, None], w[None, :]`` grid), the unnamed ones too; rows follow that shape in C order.
     """
-    columns = (t_norm, w) if ph is None else (t_norm, ph, w)
-    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
-    return np.column_stack([a.ravel() for a in arrays])
+    named = dict(zip(columns, np.broadcast_arrays(*map(np.asarray, columns.values()))))
+    return np.column_stack([named[n].ravel() for n in inputs]).astype(float, copy=False)
 
 
-def input_names(p: int) -> tuple[str, ...]:
-    """Report names of the columns of a design matrix with ``p`` columns."""
-    return INPUT_NAMES if p == len(INPUT_NAMES) else (INPUT_NAMES[0], INPUT_NAMES[-1])
+def select_inputs(hp: GpHyperParams, columns: dict):
+    """The one rule for what a GP reads: the training ``columns`` that vary.
+
+    Returns ``hp`` with only their weights, their design matrix, and each
+    other column's one value. Such a column adds -w * 0 to every kernel
+    exponent, so dropping it changes no bit at the training rows; kept, its
+    weight, unlearnable (its gradient is 0), would decide every answer off it.
+    """
+    weights = dict(zip(hp.inputs, hp.w))
+    inputs = [n for n, c in columns.items() if np.any(np.asarray(c) != c[0])]
+    if not set(inputs) <= weights.keys():
+        raise InvalidInput(f"the columns {inputs} vary, but the weights are for {list(hp.inputs)}")
+    hp = replace(hp, w=[weights[n] for n in inputs], inputs=tuple(inputs))
+    fixed = {n: float(c[0]) for n, c in columns.items() if n not in inputs}
+    return hp, design_matrix(columns, inputs), fixed
 
 
 def _as_input_matrix(x, p: int) -> np.ndarray:
@@ -173,13 +178,14 @@ def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Immutable fitted state: training set, factorized covariance, weights."""
+    """Immutable fitted state: training set, factor, weights, fixed inputs."""
 
     hp: GpHyperParams
     x_train: np.ndarray
     y_train: np.ndarray
     factor: CholeskyFactor
     alpha: np.ndarray
+    fixed_inputs: dict = field(default_factory=dict)
 
 
 def covariance_factor(hp: GpHyperParams, x) -> CholeskyFactor:
@@ -263,16 +269,14 @@ def _log_hyper_gradient(model: GpModel, weight: np.ndarray) -> np.ndarray:
 
     C = K + eps*I with K = ``kernel_matrix`` and the squared differences
     D_p[i, j] = (x[i, p] - x[j, p])^2, so dC/dlog v = K and
-    dC/dlog w_p = -w_p * D_p * K (elementwise). A constant column's D_p is
-    zero, so its entry is exactly zero and D_p is never formed.
+    dC/dlog w_p = -w_p * D_p * K (elementwise).
     """
     hp = model.hp
     wk = weight * kernel_matrix(hp, model.x_train)
     grad = np.zeros(hp.p + 1)
     grad[0] = wk.sum()
     for k, col in enumerate(model.x_train.T):
-        if np.any(col != col[0]):
-            grad[k + 1] = -hp.w[k] * np.vdot(wk, np.subtract.outer(col, col) ** 2)
+        grad[k + 1] = -hp.w[k] * np.vdot(wk, np.subtract.outer(col, col) ** 2)
     return grad
 
 
@@ -326,8 +330,7 @@ def gp_optimize_hyperparams(
     ``gp_nlml_gradient`` (GPML eq. 5.9) and ``gp_loo_sse_gradient`` (GPML
     section 5.4.2), each taken from the model the objective fitted at the
     same point, so an iteration costs one fit per line-search trial and no
-    more. A weight whose input column is constant has a zero gradient and
-    is returned as given.
+    more.
     """
     if objective not in _OBJECTIVES:
         raise InvalidInput(f"objective must be one of {sorted(_OBJECTIVES)}, got {objective!r}")
@@ -336,14 +339,11 @@ def gp_optimize_hyperparams(
     score, score_gradient = _OBJECTIVES[objective], _GRADIENTS[objective]
     x = _as_input_matrix(x_train, hp0.p)
     y = np.asarray(y_train, dtype=float).ravel()
-    start = np.array([hp0.v, *hp0.w])
-    # the weights of constant columns (none when x has no rows) stay fixed
-    free = np.array([True, *np.any(x != x[:1], axis=0)])
     last: dict[bytes, GpModel] = {}  # the model at the latest point fitted
 
     def hyper(theta: np.ndarray) -> GpHyperParams:
-        vals = np.where(free, np.exp(theta), start)
-        return GpHyperParams(v=float(vals[0]), w=tuple(vals[1:]), epsilon=hp0.epsilon)
+        vals = np.exp(theta)
+        return replace(hp0, v=float(vals[0]), w=tuple(vals[1:]))
 
     def fitted(theta: np.ndarray) -> GpModel:
         key = theta.tobytes()
@@ -365,26 +365,25 @@ def gp_optimize_hyperparams(
         return score_gradient(fitted(theta))
 
     config = config or DescentConfig(step=0.1, tolerance=1e-9, max_iters=200)
-    return hyper(gradient_descent(obj, grad, np.log(start), config).x)
+    return hyper(gradient_descent(obj, grad, np.log([hp0.v, *hp0.w]), config).x)
 
 
 def training_set(
     series: ObservationSeries, default_ph: float = 7.0
-) -> tuple[np.ndarray, np.ndarray, bool, TransformedInputs]:
-    """Training arrays of a series: ``(X, y, ph_assumed, times)``.
+) -> tuple[dict, np.ndarray, bool, TransformedInputs]:
+    """Training data of a series: ``(columns, y, ph_assumed, times)``.
 
-    X is the ``design_matrix`` of the samples: with the pH column for lead,
-    without it for methylene blue. ``ph_assumed`` is True when any pH value
-    had to be filled from ``default_ph``; reports surface that flag.
-    ``times`` is the log-time transform the first column came from.
+    ``columns`` maps each column of the contaminant's layout, in order, to
+    its values; ``ph_assumed`` is True when ``default_ph`` filled some pH
+    value. ``times`` is the log-time transform t_norm came from.
     """
     removal = to_removal_series(series)
     times = transform_time(series)
-    ph = None
+    columns = {"t_norm": times.t_norm}
     ph_assumed = False
     if series.contaminant is Contaminant.PB:
         ph_assumed = any(r.ph is None for r in removal)
-        ph = [default_ph if r.ph is None else r.ph for r in removal]
-    x = design_matrix(times.t_norm, [r.thickness_w for r in removal], ph)
+        columns["ph"] = np.array([default_ph if r.ph is None else r.ph for r in removal])
+    columns["thickness_cm"] = np.array([r.thickness_w for r in removal])
     y = np.array([r.removal_fraction for r in removal])
-    return x, y, ph_assumed, times
+    return columns, y, ph_assumed, times

@@ -27,6 +27,7 @@ from pabfit.gp import (
     gp_optimize_hyperparams,
     gp_predict,
     kernel_matrix,
+    select_inputs,
     training_set,
 )
 from pabfit.kinetics import fit_first_order
@@ -138,9 +139,8 @@ def test_06_gp_posterior_matches_explicit_inverse_oracle():
 
 def test_07_gp_reference_hyperparameters_interpolate_all_fixtures():
     for name, info in FIXTURES.items():
-        series = load_fixture(name)
-        x, y, _, _ = training_set(series)
-        hp = default_hyperparams(info.contaminant)
+        columns, y, _, _ = training_set(load_fixture(name))
+        hp, x, _ = select_inputs(default_hyperparams(info.contaminant), columns)
         pred = gp_predict(gp_fit(hp, x, y), x)
         metrics = compute_metrics(y, pred.mean)
         assert metrics.r2 >= 0.99, (name, metrics.r2)

@@ -2,17 +2,25 @@ import json
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pabfit import dataio
-from pabfit.cli import main, optimum_thickness_scan, predict
+from pabfit.cli import FixedInputWarning, main, optimum_thickness_scan, predict
 from pabfit.dataio import fixture_dir, load_fixture, report_csv_path
 from pabfit.errors import InvalidInput, ValidationError
 from pabfit.expmodel import ExpModelParams, ExponentForm, exp_model_eval
 from pabfit.domain import Contaminant
-from pabfit.gp import GpHyperParams, default_hyperparams, gp_fit, gp_predict, training_set
+from pabfit.gp import (
+    GpHyperParams,
+    default_hyperparams,
+    gp_fit,
+    gp_predict,
+    select_inputs,
+    training_set,
+)
 from pabfit.kinetics import KineticFitResult
 
 
@@ -242,17 +250,29 @@ class TestFitGp:
         payload = json.loads(out.read_text())
         assert payload["metrics"]["r2"] >= 0.99
         assert 0.99 <= payload["metrics"]["obs_pred_slope"] <= 1.01
-        assert payload["parameters"]["v"] == 0.3852
-        assert payload["parameters"]["w"] == [0.7839, 2.8869, 2.859e-9]
-        assert payload["parameters"]["ph_assumed"] is False  # fixture has a ph column
+        params = payload["parameters"]
+        assert params["v"] == 0.3852
+        # pH and W hold one value over the series: t_norm is the one input,
+        # and the layout --hyper gives its weight
+        assert params["inputs"] == ["t_norm"] and params["p"] == 1
+        assert params["w"] == [0.7839]
+        assert params["fixed_inputs"] == {"ph": 7.0, "thickness_cm": 3.0}
+        assert params["ph_assumed"] is False  # fixture has a ph column
         assert payload["predictions"][0]["variance"] >= 0.0
+        # every training row keeps every layout column
+        assert all(
+            set(row["inputs"]) == {"time_min", "t_norm", "ph", "thickness_cm"}
+            for row in payload["predictions"]
+        )
 
     def test_defaults_match_contaminant(self, tmp_path):
         out = tmp_path / "gp.json"
         assert run_cli("fit-gp", "--input", "mb_run1.csv", "--contaminant", "mb", "--output", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["parameters"]["v"] == 0.2397
-        assert payload["parameters"]["w"] == [14.6899, 2.2309]
+        assert payload["parameters"]["w"] == [14.6899]
+        assert payload["parameters"]["inputs"] == ["t_norm"]
+        assert payload["parameters"]["fixed_inputs"] == {"thickness_cm": 1.0}
 
     def test_optimize_improves_or_holds(self, tmp_path):
         synth = tmp_path / "série.csv"
@@ -317,7 +337,7 @@ class TestFitGp:
             ("--hyper", "v=0.3,w=inf,1,1", "weights w must be finite"),
             ("--epsilon", "0", "jitter epsilon must be finite and positive"),
             ("--epsilon", "inf", "jitter epsilon must be finite and positive"),
-            ("--hyper", "w=1,2", "2 kernel weights but the pb design matrix has 3 columns"),
+            ("--hyper", "w=1,2", "2 kernel weights but the pb layout has 3 columns"),
         ],
     )
     def test_bad_option_rejected_at_load(self, tmp_path, capsys, option, value, message):
@@ -327,7 +347,45 @@ class TestFitGp:
     def test_weight_count_follows_the_contaminant(self, tmp_path, capsys):
         argv = ["fit-gp", "--input", "mb_run1.csv", "--contaminant", "mb", "--hyper", "w=1,2,3"]
         err = check_rejected(tmp_path, capsys, "load", *argv)
-        assert "3 kernel weights but the methylene_blue design matrix has 2 columns" in err
+        assert "3 kernel weights but the methylene_blue layout has 2 columns" in err
+
+    def test_zero_starting_weight_on_an_input_rejected_at_load(self, tmp_path, capsys):
+        # the search runs in log space; t_norm is pcp_run1's one input
+        argv = ["fit-gp", "--input", "pcp_run1.csv", "--hyper", "v=0.3,w=0,2.8869,2.859e-9",
+                "--optimize"]
+        err = check_rejected(tmp_path, capsys, "load", *argv)
+        assert "needs positive input weights, got {'t_norm': 0.0}" in err
+
+    def test_zero_weight_on_a_fixed_column_does_not_block_the_search(self, tmp_path):
+        # pH and W are constant in pcp_run1, so their weights are unused
+        out = tmp_path / "gp.json"
+        assert run_cli("fit-gp", "--input", "pcp_run1.csv", "--hyper", "v=0.3,w=0.7839,0,0",
+                       "--optimize", "--output", str(out)) == 0
+        params = json.loads(out.read_text())["parameters"]
+        assert params["optimized"] is True and params["inputs"] == ["t_norm"]
+
+    def test_a_varying_ph_is_an_input(self, tmp_path, capsys):
+        # a hand-written lead series with two pH values: pH joins t_norm as
+        # an input, with its weight from the layout --hyper, and --ph moves
+        # the prediction
+        csv = tmp_path / "two_ph.csv"
+        rows = [f"{t},{50 - (0.01 if i % 2 else 0.005) * t},3.0,{6.5 if i % 2 else 7.5}"
+                for i, t in enumerate(range(60, 3601, 60))]
+        csv.write_text("time_min,concentration_mg_l,thickness_cm,ph\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "gp.json"
+        assert run_cli("fit-gp", "--input", str(csv), "--hyper", "v=0.3852,w=0.7839,2.8869,5",
+                       "--output", str(model)) == 0
+        params = json.loads(model.read_text())["parameters"]
+        assert params["inputs"] == ["t_norm", "ph"] and params["w"] == [0.7839, 2.8869]
+        assert params["fixed_inputs"] == {"thickness_cm": 3.0}
+        removal = []
+        for ph in ("6.5", "7.5"):
+            out = tmp_path / f"p{ph}.json"
+            assert run_cli("predict", "--model", str(model), "--t-grid", "1800", "--w-grid", "3",
+                           "--ph", ph, "--output", str(out)) == 0
+            removal.append(json.loads(out.read_text())["predictions"][0]["predicted"])
+        assert abs(removal[0] - removal[1]) > 1e-3
+        assert "warning" not in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(
@@ -683,19 +741,21 @@ class TestMalformedReportParameters:
             (FIT_GP, lambda p: p["parameters"].update(default_ph=-3.0)),
             (FIT_EXP, lambda p: p["parameters"].update(exponent_form=["literal"])),
             (FIT_EXP, lambda p: p["parameters"].update(exponent_form={})),
-            (FIT_GP, lambda p: p["parameters"].update(w=[0.7839])),
+            (FIT_GP, lambda p: p["parameters"].update(w=[0.7839, 2.8869])),
             (FIT_GP, lambda p: p["parameters"].update(w=[0.7839, 2.8869, 2.859e-9, 1.0])),
             (FIT_GP, lambda p: p["parameters"].update(v=-1.0)),
             (FIT_GP, lambda p: p["parameters"].update(epsilon=0.0)),
-            (FIT_GP, lambda p: p["parameters"].update(w=[-1.0, 2.0])),
+            (FIT_GP, lambda p: p["parameters"].update(w=[-1.0])),
+            (FIT_GP, lambda p: p["parameters"].update(inputs="t_norm")),
+            (FIT_GP, lambda p: p["parameters"].update(inputs=["pH"])),
         ],
         ids=[
             "empty_metrics", "row_without_inputs", "time_denominator_text",
             "time_denominator_zero", "gp_t_norm_text", "gp_observed_text",
             "gp_variance_list", "gp_default_ph_text", "gp_default_ph_huge",
             "gp_default_ph_negative", "exponent_form_list", "exponent_form_object",
-            "gp_one_weight", "gp_four_weights", "gp_negative_v", "gp_zero_epsilon",
-            "gp_negative_weight",
+            "gp_two_weights_one_input", "gp_four_weights", "gp_negative_v", "gp_zero_epsilon",
+            "gp_negative_weight", "gp_inputs_text", "gp_unknown_input",
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "report"])
@@ -798,30 +858,59 @@ class TestPredictDispatch:
         pointwise = [[exp_model_eval(model, ti, wj) for wj in self.w] for ti in self.t]
         assert np.array_equal(mean, np.array(pointwise))
 
+    @staticmethod
+    def every_column_varies(hp):
+        """A GP on 20 seeded rows over which each of its inputs varies."""
+        scale = {"t_norm": 1.0, "ph": 14.0, "thickness_cm": 3.0}
+        rng = np.random.default_rng(41)
+        x = rng.uniform(0, 1, (20, hp.p)) * [scale[n] for n in hp.inputs]
+        return gp_fit(hp, x, rng.uniform(0, 1, 20))
+
+    @staticmethod
+    def fixture_model(name):
+        """A fixture's GP as ``predict`` rebuilds it: t_norm its one input."""
+        series = load_fixture(name)
+        columns, y, _, _ = training_set(series)
+        hp, x, fixed = select_inputs(default_hyperparams(series.contaminant), columns)
+        return replace(gp_fit(hp, x, y), fixed_inputs=fixed)
+
     @pytest.mark.parametrize(
-        "fixture,hp,ph",
-        [
-            ("pcbc_run1.csv", default_hyperparams(Contaminant.PB), 6.8),
-            ("mb_run1.csv", default_hyperparams(Contaminant.METHYLENE_BLUE), None),
-        ],
+        "contaminant,ph", [(Contaminant.PB, 6.8), (Contaminant.METHYLENE_BLUE, None)], ids=["pb", "mb"]
     )
-    def test_gp_grid_equals_pointwise_rows(self, fixture, hp, ph):
-        x, y, _, _ = training_set(load_fixture(fixture))
-        model = gp_fit(hp, x, y)
+    def test_gp_grid_equals_pointwise_rows(self, contaminant, ph):
+        hp = default_hyperparams(contaminant)
+        model = self.every_column_varies(hp)
         mean, variance = predict(model, self.t[:, None], self.w[None, :], ph)
         assert mean.shape == variance.shape == (self.t.size, self.w.size)
         # one row per point, (t, pH, W) or (t, W); a single gp_predict call,
         # since single-row calls sum k(x, X) alpha in another order
-        rows = [[ti, ph, wj] if hp.p == 3 else [ti, wj] for ti in self.t for wj in self.w]
+        point = lambda ti, wj: {"t_norm": ti, "ph": ph, "thickness_cm": wj}  # noqa: E731
+        rows = [[point(ti, wj)[n] for n in hp.inputs] for ti in self.t for wj in self.w]
         pred = gp_predict(model, np.array(rows))
         assert np.array_equal(mean.ravel(), pred.mean)
         assert np.array_equal(variance.ravel(), pred.variance)
 
-    def test_gp_ph_defaults_to_mean_training_ph(self):
-        x, y, _, _ = training_set(load_fixture("pcp_run1.csv"))
-        model = gp_fit(default_hyperparams(Contaminant.PB), x, y)
-        given = predict(model, 1.0, self.w, float(np.mean(x[:, 1])))
+    def test_fixed_columns_answered_at_their_training_value(self):
+        # pcbc_run1 holds pH 7 and W 3: a grid off them gets, at each
+        # point, the answer at (t, 7, 3), and one warning
+        model = self.fixture_model("pcbc_run1.csv")
+        with pytest.warns(FixedInputWarning, match="ph=7, thickness_cm=3") as caught:
+            mean, variance = predict(model, self.t[:, None], self.w[None, :], 6.8)
+        assert len(caught) == 1
+        pred = gp_predict(model, np.repeat(self.t, self.w.size)[:, None])
+        assert np.array_equal(mean.ravel(), pred.mean)
+        assert np.array_equal(variance.ravel(), pred.variance)
+
+    def test_gp_ph_defaults_to_the_training_ph(self):
+        # the mean of a pH input, or the one value of a fixed pH column
+        model = self.every_column_varies(default_hyperparams(Contaminant.PB))
+        given = predict(model, 1.0, self.w, float(np.mean(model.x_train[:, 1])))
         assert all(np.array_equal(a, b) for a, b in zip(predict(model, 1.0, self.w), given))
+        model = self.fixture_model("pcp_run1.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FixedInputWarning)
+            default = predict(model, 1.0, 3.0)
+        assert all(np.array_equal(a, b) for a, b in zip(default, predict(model, 1.0, 3.0, 7.0)))
 
     def test_ph_ignored_without_ph_input(self):
         model = ExpModelParams(a=2.068, b=3.486)
@@ -836,6 +925,86 @@ class TestPredictDispatch:
         mean, variance = predict(kinetics, np.array([0.0, 3600.0]), None)
         assert variance is None
         assert np.array_equal(mean, np.exp(-0.0006 * np.array([0.0, 3600.0]) + 3.9))
+
+
+class TestFixedInputs:
+    """A GP report names its inputs; a query off a fixed column's training
+    value gets the answer at that value and one warning line."""
+
+    def test_readme_gp_answers_every_ph_at_the_training_ph(self, tmp_path, capsys):
+        model = tmp_path / "gp.json"
+        assert run_cli("fit-gp", "--input", "pcbc_run1.csv", "--contaminant", "pb", "--hyper",
+                       "v=0.3852,w=0.7839,2.8869,2.859e-9", "--output", str(model)) == 0
+        for ph in ("7", "6.5", "6", "5"):
+            out = tmp_path / f"pred{ph}.json"
+            capsys.readouterr()
+            assert run_cli("predict", "--model", str(model), "--t-grid", "3600", "--w-grid", "3",
+                           "--ph", ph, "--output", str(out)) == 0
+            (row,) = json.loads(out.read_text())["predictions"]
+            assert row["predicted"] == pytest.approx(0.8740071, abs=1e-7)
+            assert row["inputs"]["ph"] == float(ph)
+            warnings_seen = [line for line in capsys.readouterr().err.splitlines() if line]
+            assert warnings_seen == ([] if ph == "7" else [
+                "warning: stage=predict kind=FixedInputWarning: "
+                "trained at ph=7 only; queries off it get the answer there"
+            ])
+        first = json.loads((tmp_path / "pred7.json").read_text())["predictions"][0]["predicted"]
+        for ph in ("6.5", "6", "5"):
+            assert json.loads((tmp_path / f"pred{ph}.json").read_text())["predictions"][0][
+                "predicted"] == first
+
+    @staticmethod
+    def layout_report(path):
+        """A lead GP report as ``perfbench/inputs.py:gp_report`` writes it:
+        three weights, no ``inputs``, pH 7 and W 3 in every training row."""
+        t = np.array([10.0, 60.0, 600.0, 1800.0, 3600.0])
+        t_norm = np.log(t) / np.log(t[-1])
+        y = 0.9 * (1.0 - np.exp(-3.0 * t_norm))
+        rows = [{"inputs": {"time_min": a, "t_norm": b, "ph": 7.0, "thickness_cm": 3.0},
+                 "predicted": c, "observed": c} for a, b, c in zip(t.tolist(), t_norm.tolist(), y.tolist())]
+        params = {"v": 0.3852, "w": [0.7839, 2.8869, 2.859e-9], "epsilon": 1.490116e-08, "p": 3,
+                  "time_denominator": float(np.log(t[-1])), "default_ph": 7.0, "contaminant": "pb"}
+        payload = {"model_kind": "gaussian_process", "parameters": params, "metrics": None,
+                   "predictions": rows, "provenance": {}}
+        path.write_text(json.dumps(payload))
+        return payload
+
+    def test_layout_report_without_inputs_predicts_and_scans(self, tmp_path, capsys):
+        model = tmp_path / "model_gp.json"
+        self.layout_report(model)
+        pred, summary = tmp_path / "pred.json", tmp_path / "summary.json"
+        capsys.readouterr()
+        assert run_cli("predict", "--model", str(model), "--t-grid", "600,3600",
+                       "--w-grid", "1,3", "--output", str(pred)) == 0
+        assert run_cli("report", "--inputs", str(model), "--scan-w", "1,2,3",
+                       "--output", str(summary)) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in err] == [
+            "stage=predict kind=FixedInputWarning",
+            "stage=scan kind=FixedInputWarning",
+        ]
+        rows = json.loads(pred.read_text())["predictions"]
+        # rebuilt on t_norm alone: W = 1 and W = 3 get the same answer
+        assert [r["predicted"] for r in rows[0::2]] == [r["predicted"] for r in rows[1::2]]
+        scan = json.loads(summary.read_text())["comparison"][0]["thickness_scan"]
+        assert scan["optimum_w_cm"] == 1.0  # a tie at every grid point goes to the smallest
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"inputs": ["t_norm", "ph"]}, "one per input"),
+            ({"w": [0.7839], "inputs": ["ph"]}, "weights are for ['ph']"),
+        ],
+        ids=["w_count_not_inputs", "varying_column_without_weight"],
+    )
+    def test_report_inputs_checked_at_load(self, tmp_path, capsys, change, message):
+        model = tmp_path / "model_gp.json"
+        payload = self.layout_report(model)
+        payload["parameters"].update(change)
+        model.write_text(json.dumps(payload))
+        err = check_rejected(tmp_path, capsys, "load", "predict", "--model", str(model),
+                             "--t-grid", "3600", "--w-grid", "3")
+        assert message in err
 
 
 def scipy_modules_after(cli_env, cwd, argv=()):

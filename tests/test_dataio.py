@@ -320,7 +320,7 @@ class TestReports:
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": "x"}},
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": []}},
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": {}}},
-            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0]}},
+            {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0], "inputs": ["t_norm", "ph"]}},
             {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0] * 4}},
             {"model_kind": "first_order", "parameters": {"k": -0.1}},
             {"parameters": {"v": 0.3852, "epsilon": 1.490116e-08, "w": [1.0, 1.0], "time_denominator": -1.0}},

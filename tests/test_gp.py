@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from pabfit.gp import (
     gp_nlml_gradient,
     gp_optimize_hyperparams,
     gp_predict,
-    input_names,
     kernel_matrix,
+    select_inputs,
     training_set,
 )
 from pabfit.numeric import DescentConfig
@@ -35,6 +36,15 @@ from oracles import (
     lapack_cholesky,
     unblocked_kernel_matrix,
 )
+
+
+def fixture_fit(name):
+    """(hp, x, y) of a bundled fixture as ``fit-gp`` fits it: the shipped
+    weights of the columns that vary, and their design matrix."""
+    series = load_fixture(name)
+    columns, y, _, _ = training_set(series)
+    hp, x, _ = select_inputs(default_hyperparams(series.contaminant), columns)
+    return hp, x, y
 
 
 class TestKernel:
@@ -239,9 +249,8 @@ class TestUnchangedBits:
 
     def cases(self):
         for name in ("pcbc_run1.csv", "mb_run1.csv"):
-            series = load_fixture(name)
-            x, y, _, _ = training_set(series)
-            yield default_hyperparams(series.contaminant), x, y, x
+            hp, x, y = fixture_fit(name)
+            yield hp, x, y, x
         rng = np.random.default_rng(90)
         hp = default_hyperparams(Contaminant.PB)
         scale = np.array([1.0, 9.0, 3.0])
@@ -459,57 +468,107 @@ class TestBuildInputs:
         return ObservationSeries(contaminant, "x", 50.0, samples)
 
     def test_pb_columns_with_assumed_ph(self):
-        x, y, ph_assumed, _ = training_set(self.make_series(Contaminant.PB), default_ph=7.0)
-        assert x.shape == (3, 3)
+        columns, y, ph_assumed, _ = training_set(self.make_series(Contaminant.PB), default_ph=7.0)
+        assert list(columns) == list(INPUT_NAMES) == ["t_norm", "ph", "thickness_cm"]
         assert ph_assumed
-        np.testing.assert_array_equal(x[:, 1], 7.0)
-        np.testing.assert_array_equal(x[:, 2], 3.0)
-        assert x[-1, 0] == 1.0
+        np.testing.assert_array_equal(columns["ph"], [7.0] * 3)
+        np.testing.assert_array_equal(columns["thickness_cm"], [3.0] * 3)
+        assert columns["t_norm"][-1] == 1.0
 
     def test_pb_columns_with_recorded_ph(self):
-        x, _, ph_assumed, _ = training_set(self.make_series(Contaminant.PB, ph=6.2))
+        columns, _, ph_assumed, _ = training_set(self.make_series(Contaminant.PB, ph=6.2))
         assert not ph_assumed
-        np.testing.assert_array_equal(x[:, 1], 6.2)
+        np.testing.assert_array_equal(columns["ph"], [6.2] * 3)
 
     def test_mb_columns(self):
-        x, y, ph_assumed, _ = training_set(self.make_series(Contaminant.METHYLENE_BLUE))
-        assert x.shape == (3, 2)
+        columns, y, ph_assumed, _ = training_set(self.make_series(Contaminant.METHYLENE_BLUE))
+        assert list(columns) == ["t_norm", "thickness_cm"]
         assert not ph_assumed
         np.testing.assert_allclose(y, 0.01 * np.array([10.0, 100.0, 3600.0]) / 50.0)
 
 
 class TestDesignMatrix:
-    def test_pb_column_order(self):
-        x = design_matrix([0.5, 1.0], [3.0, 1.5], ph=[6.2, 7.1])
+    def test_columns_in_the_named_order(self):
+        columns = {"t_norm": [0.5, 1.0], "ph": [6.2, 7.1], "thickness_cm": [3.0, 1.5]}
+        x = design_matrix(columns, INPUT_NAMES)
         np.testing.assert_array_equal(x, [[0.5, 6.2, 3.0], [1.0, 7.1, 1.5]])
-        assert input_names(x.shape[1]) == INPUT_NAMES == ("t_norm", "ph", "thickness_cm")
-
-    def test_mb_column_order(self):
-        x = design_matrix([0.5, 1.0], [3.0, 1.5])
-        np.testing.assert_array_equal(x, [[0.5, 3.0], [1.0, 1.5]])
-        assert input_names(x.shape[1]) == ("t_norm", "thickness_cm")
+        np.testing.assert_array_equal(design_matrix(columns, ("thickness_cm", "t_norm")),
+                                      [[3.0, 0.5], [1.5, 1.0]])
 
     def test_scalars_give_one_row(self):
-        np.testing.assert_array_equal(design_matrix(1.0, 0.5), [[1.0, 0.5]])
-        np.testing.assert_array_equal(design_matrix(1.0, 0.5, 7.0), [[1.0, 7.0, 0.5]])
+        columns = {"t_norm": 1.0, "ph": 7.0, "thickness_cm": 0.5}
+        np.testing.assert_array_equal(design_matrix(columns, ("t_norm", "thickness_cm")), [[1.0, 0.5]])
+        np.testing.assert_array_equal(design_matrix(columns, INPUT_NAMES), [[1.0, 7.0, 0.5]])
 
     def test_scalar_broadcasts_over_array(self):
-        x = design_matrix(np.array([0.2, 0.4, 1.0]), 3.0, 6.5)
+        x = design_matrix({"t_norm": np.array([0.2, 0.4, 1.0]), "ph": 6.5, "thickness_cm": 3.0},
+                          INPUT_NAMES)
         np.testing.assert_array_equal(x, [[0.2, 6.5, 3.0], [0.4, 6.5, 3.0], [1.0, 6.5, 3.0]])
 
     def test_grid_rows_in_c_order(self):
         t, w = np.array([0.5, 1.0]), np.array([0.0, 1.5, 3.0])
-        x = design_matrix(t[:, None], w[None, :], 7.0)
+        columns = {"t_norm": t[:, None], "ph": 7.0, "thickness_cm": w[None, :]}
         expected = [[ti, 7.0, wj] for ti in t for wj in w]
-        np.testing.assert_array_equal(x, expected)
+        np.testing.assert_array_equal(design_matrix(columns, INPUT_NAMES), expected)
+        # a column left out still shapes the rows
+        np.testing.assert_array_equal(design_matrix(columns, ("t_norm",)),
+                                      [[ti] for ti in t for _ in w])
 
-    def test_training_set_is_the_design_matrix_of_the_series(self):
+    def test_training_set_holds_the_series_columns(self):
         series = load_fixture("pcbc_run1.csv")
-        x, _, _, _ = training_set(series)
-        t_norm = transform_time(series).t_norm
-        w = [s.thickness_w for s in series.samples]
-        ph = [s.ph for s in series.samples]
-        np.testing.assert_array_equal(x, design_matrix(t_norm, w, ph))
+        columns, _, _, _ = training_set(series)
+        np.testing.assert_array_equal(columns["t_norm"], transform_time(series).t_norm)
+        np.testing.assert_array_equal(columns["thickness_cm"], [s.thickness_w for s in series.samples])
+        np.testing.assert_array_equal(columns["ph"], [s.ph for s in series.samples])
+
+
+class TestSelectInputs:
+    """A GP reads the training columns that vary, and nothing else."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_inputs_only_fit_equals_the_layout_fit(self, name):
+        # every bundled series holds one thickness, and each lead series one
+        # pH: t_norm is the one input, and dropping the constant columns
+        # changes no bit at the training rows
+        series = load_fixture(name)
+        columns, y, _, _ = training_set(series)
+        layout_hp = default_hyperparams(series.contaminant)
+        hp, x, fixed = select_inputs(layout_hp, columns)
+        assert hp.inputs == ("t_norm",) and hp.w == layout_hp.w[:1]
+        assert fixed == ({"ph": 7.0, "thickness_cm": 3.0} if series.contaminant is Contaminant.PB
+                         else {"thickness_cm": 1.0})
+        x_layout = design_matrix(columns, layout_hp.inputs)
+        model, layout = gp_fit(hp, x, y), gp_fit(layout_hp, x_layout, y)
+        np.testing.assert_array_equal(model.factor.lower, layout.factor.lower)
+        np.testing.assert_array_equal(model.alpha, layout.alpha)
+        pred, pred_layout = gp_predict(model, x), gp_predict(layout, x_layout)
+        np.testing.assert_array_equal(pred.mean, pred_layout.mean)
+        np.testing.assert_array_equal(pred.variance, pred_layout.variance)
+        assert gp_nlml(model) == gp_nlml(layout)
+        assert gp_loo_sse(model) == gp_loo_sse(layout)
+        for _, gradient in GRADIENTS:  # (log v, log w_t) lead both gradients
+            np.testing.assert_array_equal(gradient(model), gradient(layout)[:2])
+
+    def test_a_varying_ph_is_an_input_with_its_layout_weight(self):
+        columns = {"t_norm": [0.2, 0.6, 1.0], "ph": [6.5, 7.0, 7.0], "thickness_cm": [3.0] * 3}
+        hp, x, fixed = select_inputs(default_hyperparams(Contaminant.PB), columns)
+        assert hp.inputs == ("t_norm", "ph") and hp.w == (0.7839, 2.8869)
+        np.testing.assert_array_equal(x, [[0.2, 6.5], [0.6, 7.0], [1.0, 7.0]])
+        assert fixed == {"thickness_cm": 3.0}
+
+    def test_a_varying_column_needs_a_weight(self):
+        hp = GpHyperParams(v=1.0, w=(1.0,), inputs=("t_norm",))
+        with pytest.raises(InvalidInput, match="vary"):
+            select_inputs(hp, {"t_norm": [0.2, 1.0], "thickness_cm": [1.0, 2.0]})
+
+    def test_inputs_by_count_or_by_name(self):
+        assert GpHyperParams(v=1.0, w=(1.0,) * 3).inputs == INPUT_NAMES
+        assert GpHyperParams(v=1.0, w=(1.0,) * 2).inputs == ("t_norm", "thickness_cm")
+        assert GpHyperParams(v=1.0, w=(1.0,)).inputs == ("t_norm",)
+        assert GpHyperParams(v=1.0, w=(1.0,), inputs=["ph"]).inputs == ("ph",)
+        for names in (["t_norm"], ["t_norm", "t_norm"], ["t_norm", "pH"], []):
+            with pytest.raises(InvalidInput, match="one per input"):
+                GpHyperParams(v=1.0, w=(1.0,) * 2, inputs=names)
 
 
 def log_space_objective(score, x, y, epsilon):
@@ -541,9 +600,7 @@ def assert_gradient_matches_fd(score, gradient, hp, x, y):
 class TestGradients:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixtures_at_shipped_hyperparameters(self, name):
-        series = load_fixture(name)
-        x, y, _, _ = training_set(series)
-        hp = default_hyperparams(series.contaminant)
+        hp, x, y = fixture_fit(name)
         for score, gradient in GRADIENTS:
             assert_gradient_matches_fd(score, gradient, hp, x, y)
 
@@ -572,23 +629,23 @@ class TestGradients:
 
 class TestOptimizeWithGradients:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_constant_column_weights_returned_unchanged(self, name):
-        # pH = 7 and W = 3 in every Pb fixture, W = 1 in mb_run1: the kernel
-        # does not depend on those weights, so the search leaves them as given
+    def test_the_search_sees_only_the_inputs(self, name):
+        # pH = 7 and W = 3 in every Pb fixture, W = 1 in mb_run1: the search
+        # runs on t_norm's weight alone, whatever the constant columns' weights
         series = load_fixture(name)
-        x, y, _, _ = training_set(series)
-        hp0 = default_hyperparams(series.contaminant)
-        constant = [k for k in range(hp0.p) if np.all(x[:, k] == x[0, k])]
-        assert constant == ([1, 2] if series.contaminant is Contaminant.PB else [1])
-        for objective in ("nlml", "sse"):
-            hp = gp_optimize_hyperparams(x, y, hp0, objective=objective)
-            for k in constant:
-                assert hp.w[k] == hp0.w[k]
+        columns, y, _, _ = training_set(series)
+        layout_hp = default_hyperparams(series.contaminant)
+        unused = layout_hp.w[:1] + (0.0,) * (layout_hp.p - 1)
+        found = []
+        for hp0 in (layout_hp, replace(layout_hp, w=unused)):
+            hp0, x, _ = select_inputs(hp0, columns)
+            found.append([gp_optimize_hyperparams(x, y, hp0, objective=o) for o in ("nlml", "sse")])
+        assert found[0] == found[1]
+        assert all(hp.inputs == ("t_norm",) for hp in found[0])
 
     def test_one_fit_per_objective_evaluation(self, monkeypatch):
         # the gradient reuses the model the objective fitted at the same point
-        series = load_fixture("pcbc_run2.csv")
-        x, y, _, _ = training_set(series)
+        hp0, x, y = fixture_fit("pcbc_run2.csv")
         counts = {"fits": 0, "objective": 0}
         real_fit, real_descent = gp_module.gp_fit, gp_module.gradient_descent
 
@@ -605,7 +662,7 @@ class TestOptimizeWithGradients:
 
         monkeypatch.setattr(gp_module, "gp_fit", counting_fit)
         monkeypatch.setattr(gp_module, "gradient_descent", counting_descent)
-        gp_optimize_hyperparams(x, y, default_hyperparams(series.contaminant), objective="sse")
+        gp_optimize_hyperparams(x, y, hp0, objective="sse")
         assert counts["objective"] > 2
         assert counts["fits"] == counts["objective"]
 

@@ -101,7 +101,7 @@ def parameters(kind: ModelKind):
         },
         ModelKind.GAUSSIAN_PROCESS: {  # within GpHyperParams's domain
             "v": positive,
-            "w": st.lists(st.floats(0.0, allow_infinity=False), min_size=2, max_size=3),
+            "w": st.lists(st.floats(0.0, allow_infinity=False), min_size=1, max_size=3),
             "epsilon": positive,
             "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
             "default_ph": st.none() | st.floats(0.0, MAX_PH),

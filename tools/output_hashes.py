@@ -48,11 +48,13 @@ COMMANDS = [
     "synth --generator first-order --k -0.0006 --seed 1 --output synth.csv",
     "report --inputs exp.json gp.json --scan-w 0,0.5,1.0,1.5 --output summary.json",
     # beyond the README: predict on every model kind (the first-order model,
-    # the exponential model, a 2-input GP), a report that scans three models
-    # at a given pH, and the generators that build GP and exponential draws
+    # the exponential model, the methylene-blue GP) and on the lead GP off
+    # its one training pH, a report that scans three models at a given pH,
+    # and the generators that build GP and exponential draws
     "predict --model kin.json --t-grid 0,1800,3600 --output pred_kin.json",
     "predict --model exp.json --t-grid 60,600,3600 --w-grid 0,0.5,1.0,1.5 --output pred_exp.json",
     "predict --model gp_mb.json --t-grid 60,600,3600 --w-grid 0,0.5,1.0,1.5 --output pred_mb.json",
+    "predict --model gp.json --t-grid 3600 --w-grid 3 --ph 5 --output pred_ph.json",
     "report --inputs exp.json gp.json gp_mb.json --scan-w 0,0.5,1.0,1.5 --ph 7.2"
     " --output summary_ph.json",
     "synth --generator gp-draw --v 0.3 --w 6.0,2.0,1.0 --ph 6.5 --seed 3 --output synth_gp.csv",
