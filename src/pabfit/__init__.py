@@ -17,7 +17,6 @@ from .domain import (
     Sample,
     TransformedInputs,
     log_time_norm,
-    to_removal_series,
     transform_time,
 )
 from .expmodel import (
@@ -61,7 +60,6 @@ __all__ = [
     "Sample",
     "TransformedInputs",
     "log_time_norm",
-    "to_removal_series",
     "transform_time",
     "ExpModelParams",
     "ExponentForm",

@@ -7,8 +7,11 @@ produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 
 ``predict`` and ``_rebuild_model`` are the only code here that tells the
 model families apart, and ``_ph`` the only code that picks a query's pH;
-every grid option is read through ``_grid``. A GP reads the columns
-``gp.select_inputs`` picks, in ``fit-gp`` and ``_rebuild_model`` alike.
+every grid option is read through ``_grid``. ``predict`` and ``report
+--scan-w`` rebuild each model at ``stage=load``, so a report that cannot
+be rebuilt fails there under both; a bad grid option fails at the stage
+after. A GP reads the columns ``gp.select_inputs`` picks, in ``fit-gp``
+and ``_rebuild_model`` alike.
 ``_rows`` builds the prediction rows of every report, and ``_write_fit``
 writes the report of each fit command. ``_stage`` tags an error with the
 stage it came from and prints a ``DegenerateFitWarning`` or a
@@ -52,8 +55,6 @@ from .domain import (
     ModelKind,
     ObservationSeries,
     PredictionRow,
-    to_removal_series,
-    transform_time,
 )
 from .errors import InvalidInput, PabfitError, ParseError, ValidationError
 from .expmodel import ExpModelParams, ExponentForm, exp_model_eval, fit_exp_model
@@ -243,7 +244,7 @@ def _cmd_fit_kinetics(args) -> int:
         "degenerate": fit.degenerate,
     }
     rows = _rows({"time_min": t}, predict_first_order(fit, t), observed)
-    final_removal = to_removal_series(series)[-1].removal_fraction
+    final_removal = series.removal_fractions()[-1]
     summary = f"k={fit.k:.6g} 1/min, R^2={metrics.r2:.4f}, final removal {100.0 * final_removal:.2f}%"
     return _write_fit(args, series, ModelKind.FIRST_ORDER, parameters, metrics, rows, summary)
 
@@ -259,12 +260,10 @@ def _cmd_fit_exp(args) -> int:
             raise ValidationError(f"--max-iters needs a value >= 1, got {args.max_iters}")
         series = _load(args)
     with _stage("fit"):
-        times = transform_time(series)
-        points = [(r.thickness_w, r.removal_fraction) for r in to_removal_series(series)]
-        data = np.column_stack([times.t_norm, points])  # (t_norm, W, removal) rows
-        t_norm, w, observed = data.T
+        columns, observed, _, times = training_set(series)
+        t_norm, w = columns["t_norm"], columns["thickness_cm"]
         params = fit_exp_model(
-            data,
+            np.column_stack([t_norm, w, observed]),
             x0=x0,
             exponent_form=ExponentForm(args.exponent_form),
             max_iters=args.max_iters,
@@ -436,15 +435,15 @@ def _cmd_predict(args) -> int:
     with _stage("load"):
         report = read_report(resolve_input(args.model))
         model, inputs = _rebuild_model(report)
+        denom = report.parameters.get("time_denominator")
+        if "t_norm" in inputs and denom is None:
+            raise ValidationError("report lacks time_denominator; cannot map minutes")
     with _stage("predict"):
         minutes = np.array(_grid(args.t_grid, "--t-grid"))[:, None]
         w = None if args.w_grid is None else np.array(_grid(args.w_grid, "--w-grid"))[None, :]
         ph = _ph(model, None if args.ph is None else _grid(args.ph, "--ph")[0])
         t = minutes
         if "t_norm" in inputs:  # minutes -> ln(t) / ln(t_max) of the training series
-            denom = report.parameters.get("time_denominator")
-            if denom is None:
-                raise ValidationError("report lacks time_denominator; cannot map minutes")
             horizon = float(np.exp(denom))
             outside = (minutes <= 1.0) | (minutes > horizon * (1.0 + 1e-12))
             if np.any(outside):
@@ -497,22 +496,22 @@ def _cmd_report(args) -> int:
     entries = []
     with _stage("load"):
         loaded = [(path, read_report(resolve_input(path))) for path in args.inputs]
+        # a scan reads the models: rebuilt here, so a report the rebuild rejects fails at load
+        models = [(None, ()) if args.scan_w is None else _rebuild_model(r) for _, r in loaded]
     with _stage("scan"):
         scan_w = None if args.scan_w is None else sorted(_grid(args.scan_w, "--scan-w"))
         ph = None if args.ph is None else _grid(args.ph, "--ph")[0]
         scan_t = _grid(args.scan_t, "--scan-t")[0]
-        for path, report in loaded:
+        for (path, report), (model, inputs) in zip(loaded, models):
             scan = None
-            if scan_w is not None:
-                model, inputs = _rebuild_model(report)
-                if "thickness_cm" in inputs:  # not the first-order model
-                    w_star, removal = optimum_thickness_scan(model, scan_w, scan_t, ph=ph)
-                    scan = {
-                        "t_norm": scan_t,
-                        "w_grid": scan_w,
-                        "optimum_w_cm": w_star,
-                        "removal_at_optimum": removal,
-                    }
+            if "thickness_cm" in inputs:  # a scan was asked for, and not the first-order model
+                w_star, removal = optimum_thickness_scan(model, scan_w, scan_t, ph=ph)
+                scan = {
+                    "t_norm": scan_t,
+                    "w_grid": scan_w,
+                    "optimum_w_cm": w_star,
+                    "removal_at_optimum": removal,
+                }
             entries.append((Path(path).name, report, scan))
     with _stage("write"):
         write_comparison(entries, _provenance(args), args.output)

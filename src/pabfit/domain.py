@@ -3,6 +3,9 @@
 A run is an :class:`ObservationSeries` of time-ordered samples holding a
 concentration, a removal fraction, or both. Removal is always stored as a
 fraction in [0, 1]; percent is a display concern only.
+``ObservationSeries.removal_fractions`` is the one derivation of removal
+from concentration: the exponential and GP fits and the ``fit-kinetics``
+summary read removal through it.
 
 Every check on the values of a series runs once, in the ``ObservationSeries``
 constructor, whoever builds it; its messages name the 1-based data row.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,28 +145,21 @@ class ObservationSeries:
             ]
         )
 
+    def removal_fractions(self) -> np.ndarray:
+        """Removal (c0 - c)/c0 per sample, the stored fraction where there is one.
 
-class RemovalPoint(NamedTuple):
-    t_raw: float
-    removal_fraction: float
-    thickness_w: float
-    ph: float | None
-
-
-def to_removal_series(series: ObservationSeries) -> list[RemovalPoint]:
-    """Removal fraction (c0 - c_t)/c0 per sample.
-
-    The constructor keeps every concentration within [0, c0 * (1 + 1e-9)],
-    so a fraction can fall below 0 only by that round-off, and is clamped
-    to 0 there.
-    """
-    out = []
-    for s in series.samples:
-        frac = s.removal_fraction
-        if frac is None:
-            frac = max(0.0, (series.c0 - s.concentration) / series.c0)
-        out.append(RemovalPoint(s.t_raw, frac, s.thickness_w, s.ph))
-    return out
+        The constructor keeps every concentration within [0, c0 * (1 + 1e-9)],
+        so a fraction can fall below 0 only by that round-off, and is clamped
+        to 0 there.
+        """
+        return np.array(
+            [
+                s.removal_fraction
+                if s.removal_fraction is not None
+                else max(0.0, (self.c0 - s.concentration) / self.c0)
+                for s in self.samples
+            ]
+        )
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .domain import (
     Contaminant,
     ObservationSeries,
     TransformedInputs,
-    to_removal_series,
     transform_time,
 )
 from .errors import DimensionMismatch, InvalidInput, NotPositiveDefinite
@@ -374,16 +373,17 @@ def training_set(
     """Training data of a series: ``(columns, y, ph_assumed, times)``.
 
     ``columns`` maps each column of the contaminant's layout, in order, to
-    its values; ``ph_assumed`` is True when ``default_ph`` filled some pH
-    value. ``times`` is the log-time transform t_norm came from.
+    its values; ``y`` is ``series.removal_fractions()``, the one derivation
+    of removal. ``ph_assumed`` is True when ``default_ph`` filled some pH
+    value. ``times`` is the log-time transform t_norm came from. Every fit
+    that reads t_norm, W or removal takes them from here.
     """
-    removal = to_removal_series(series)
     times = transform_time(series)
     columns = {"t_norm": times.t_norm}
     ph_assumed = False
     if series.contaminant is Contaminant.PB:
-        ph_assumed = any(r.ph is None for r in removal)
-        columns["ph"] = np.array([default_ph if r.ph is None else r.ph for r in removal])
-    columns["thickness_cm"] = np.array([r.thickness_w for r in removal])
-    y = np.array([r.removal_fraction for r in removal])
-    return columns, y, ph_assumed, times
+        ph = [s.ph for s in series.samples]
+        ph_assumed = None in ph
+        columns["ph"] = np.array([default_ph if p is None else p for p in ph])
+    columns["thickness_cm"] = np.array([s.thickness_w for s in series.samples])
+    return columns, series.removal_fractions(), ph_assumed, times

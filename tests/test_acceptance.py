@@ -17,7 +17,7 @@ from pabfit.dataio import (
     FIXTURES,
     load_fixture,
 )
-from pabfit.domain import Contaminant, ObservationSeries, Sample, to_removal_series
+from pabfit.domain import Contaminant, ObservationSeries, Sample
 from pabfit.expmodel import ExpModelParams, exp_model_eval, fit_exp_model
 from pabfit.gp import (
     GpHyperParams,
@@ -49,7 +49,7 @@ def test_01_removal_arithmetic_matches_published_percentages():
             Sample(3600.0, concentration=conc, thickness_w=3.0),
         )
         series = ObservationSeries(Contaminant.PB, "accept", 50.0, samples)
-        frac = to_removal_series(series)[-1].removal_fraction
+        frac = series.removal_fractions()[-1]
         assert f"{100.0 * frac:.2f}" == want
     done(1, "removal arithmetic")
 

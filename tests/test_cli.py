@@ -762,6 +762,18 @@ class TestMalformedReportParameters:
     def test_malformed_report(self, tmp_path, capsys, argv, change, command):
         self.rejected(tmp_path, capsys, argv, change, command)
 
+    @pytest.mark.parametrize("argv", [FIT_EXP, FIT_GP], ids=["exponential", "gaussian_process"])
+    def test_missing_time_denominator(self, tmp_path, capsys, argv):
+        # predict maps minutes through it, so checks it at load; a scan reads t_norm directly
+        drop = lambda p: p["parameters"].pop("time_denominator")  # noqa: E731
+        err = self.rejected(tmp_path, capsys, argv, drop, "predict")
+        assert "report lacks time_denominator" in err
+        merged = tmp_path / "merged.json"
+        for scan_w in ([], ["--scan-w", "0,1"]):
+            assert run_cli("report", "--inputs", str(tmp_path / "model.json"), *scan_w,
+                           "--output", str(merged)) == 0
+        assert json.loads(merged.read_text())["comparison"][0]["thickness_scan"]["w_grid"] == [0, 1]
+
     def test_report_without_scan_checks_the_gp_domain(self, tmp_path, capsys):
         # a merge without --scan-w rebuilds no model, so the check runs at load
         err = self.rejected(
@@ -1005,6 +1017,20 @@ class TestFixedInputs:
         err = check_rejected(tmp_path, capsys, "load", "predict", "--model", str(model),
                              "--t-grid", "3600", "--w-grid", "3")
         assert message in err
+
+
+    def test_report_scan_rebuilds_at_load(self, tmp_path, capsys):
+        # a scan reads the model, so a report the rebuild rejects fails at load, as under predict
+        model = tmp_path / "model_gp.json"
+        payload = self.layout_report(model)
+        payload["parameters"].update(w=[0.7839], inputs=["ph"])
+        model.write_text(json.dumps(payload))
+        err = check_rejected(tmp_path, capsys, "load", "report", "--inputs", str(model),
+                             "--scan-w", "0,1")
+        assert "weights are for ['ph']" in err
+        merged = tmp_path / "merged.json"
+        assert run_cli("report", "--inputs", str(model), "--output", str(merged)) == 0
+        assert json.loads(merged.read_text())["comparison"][0]["thickness_scan"] is None
 
 
 def scipy_modules_after(cli_env, cwd, argv=()):

@@ -22,8 +22,6 @@ from pabfit.domain import (
     FitReport,
     ModelKind,
     PredictionRow,
-    to_removal_series,
-    transform_time,
 )
 from pabfit.errors import (
     FileIOError,
@@ -33,7 +31,7 @@ from pabfit.errors import (
     ValidationError,
 )
 from pabfit.expmodel import fit_exp_model
-from pabfit.gp import DEFAULT_EPSILON
+from pabfit.gp import DEFAULT_EPSILON, training_set
 from pabfit.kinetics import fit_first_order
 from pabfit.metrics import FitMetrics
 
@@ -58,8 +56,7 @@ class TestLoadSeries:
         path = write_csv(tmp_path, GOOD)
         s = load_series(path, Contaminant.PB, 50.0)
         assert len(s.samples) == 3
-        removal = to_removal_series(s)
-        assert removal[-1].removal_fraction == pytest.approx(0.8694)
+        assert s.removal_fractions()[-1] == pytest.approx(0.8694)
         assert s.samples[0].ph == 7.0
 
     def test_time_zero_names_row(self, tmp_path):
@@ -124,8 +121,7 @@ class TestFixtures:
     def test_all_fixture_anchors(self):
         for name, info in FIXTURES.items():
             series = load_fixture(name)
-            removal = to_removal_series(series)
-            assert removal[-1].removal_fraction == pytest.approx(
+            assert series.removal_fractions()[-1] == pytest.approx(
                 info.final_removal, abs=1e-4
             ), name
             assert len(series.samples) == len(DEFAULT_SCHEDULE)
@@ -181,11 +177,8 @@ class TestGenerateSynthetic:
 
     def test_exp_model_roundtrip(self):
         series = synth("exp-model", a=3.315, b=0.829, thickness=0.5, c0=50.0)
-        tr = transform_time(series)
-        data = [
-            (tn, r.thickness_w, r.removal_fraction)
-            for tn, r in zip(tr.t_norm, to_removal_series(series))
-        ]
+        columns, removal, _, _ = training_set(series)
+        data = np.column_stack([columns["t_norm"], columns["thickness_cm"], removal])
         # at one constant thickness the curve is symmetric under swapping
         # a <-> (b + W), so the fit recovers the parameter PAIR {a, b+W}
         # and the curve, but either branch may carry the labels

@@ -9,7 +9,6 @@ from pabfit.domain import (
     ObservationSeries,
     Sample,
     log_time_norm,
-    to_removal_series,
     transform_time,
 )
 from pabfit.errors import InconsistentSample, InvalidInput, InvalidTime
@@ -99,26 +98,25 @@ class TestSeriesValidation:
             )
 
 
-class TestToRemovalSeries:
+class TestRemovalFractions:
     def test_reference_removals(self):
         s = series_from_concentrations([10, 20, 3600], [20.0, 10.0, 6.53])
-        removal = to_removal_series(s)
-        assert removal[-1].removal_fraction == pytest.approx(0.8694, abs=1e-12)
+        removal = s.removal_fractions()
+        assert removal[-1] == pytest.approx(0.8694, abs=1e-12)
         s = series_from_concentrations([10, 20, 3600], [20.0, 10.0, 8.94])
-        assert to_removal_series(s)[-1].removal_fraction == pytest.approx(0.8212, abs=1e-12)
+        assert s.removal_fractions().tolist() == pytest.approx([0.6, 0.8, 0.8212], abs=1e-12)
 
     def test_no_removal_at_c0(self):
         s = series_from_concentrations([10, 20, 30], [50.0, 50.0, 50.0])
-        assert to_removal_series(s)[0].removal_fraction == 0.0
+        assert s.removal_fractions().tolist() == [0.0, 0.0, 0.0]
 
     def test_concentration_above_c0_rejected(self):
         with pytest.raises(InconsistentSample):
-            s = series_from_concentrations([10, 20, 30], [50.001, 40.0, 30.0])
-            to_removal_series(s)
+            series_from_concentrations([10, 20, 30], [50.001, 40.0, 30.0])
 
     def test_tiny_overshoot_clamped_to_zero(self):
         s = series_from_concentrations([10, 20, 30], [50.0 * (1 + 1e-12), 40.0, 30.0])
-        assert to_removal_series(s)[0].removal_fraction == 0.0
+        assert s.removal_fractions()[0] == 0.0
 
     def test_roundtrip_fractions_bit_exact(self):
         rng = np.random.default_rng(2)
@@ -128,8 +126,7 @@ class TestToRemovalSeries:
             for i, f in enumerate(fracs)
         )
         s = ObservationSeries(Contaminant.METHYLENE_BLUE, "mb", 50.0, samples)
-        got = [r.removal_fraction for r in to_removal_series(s)]
-        assert got == list(fracs)
+        assert s.removal_fractions().tolist() == fracs.tolist()
 
 
 class TestTransformTime:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pabfit.dataio import FIXTURES, load_fixture
-from pabfit.domain import Contaminant, to_removal_series, transform_time
+from pabfit.domain import Contaminant
 from pabfit.errors import InvalidInput, NonFiniteObjective
 from pabfit.expmodel import (
     ExpModelParams,
@@ -13,6 +13,7 @@ from pabfit.expmodel import (
     exp_model_residual_jacobian,
     fit_exp_model,
 )
+from pabfit.gp import training_set
 
 from oracles import MB_EXP_PARAMS, PB_EXP_PARAMS, finite_difference_gradient
 
@@ -156,11 +157,9 @@ class TestFit:
 
 def fixture_data(name):
     series = load_fixture(name)
-    removal = to_removal_series(series)
-    t_norm = transform_time(series).t_norm
-    return series.contaminant, np.array(
-        [(tn, r.thickness_w, r.removal_fraction) for tn, r in zip(t_norm, removal)]
-    )
+    columns, removal, _, _ = training_set(series)
+    data = np.column_stack([columns["t_norm"], columns["thickness_cm"], removal])
+    return series.contaminant, data
 
 
 def assert_sse_gradient_matches_fd(a, b, form, data):

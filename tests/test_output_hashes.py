@@ -29,14 +29,30 @@ def test_output_diff_counts_changed_numbers(tmp_path, capsys):
     assert (diff.numbers, diff.changed) == (3, 1)
     assert abs(diff.max_abs - 0.1) < 1e-15 and abs(diff.max_rel - 0.2) < 1e-15
     assert output_diff.compare("a,1\n", "b,1\n") is None
+    # a JSON file that gains keys is compared at the paths both files hold
+    gp_before = '{"v": 0.5, "w": [2e-3, 7], "rows": [{"t": 1}, {"t": 2}]}'
+    gp_after = (
+        '{"v": 0.4, "w": [2e-3], "rows": [{"t": 1, "ph": 7}, {"t": 2, "ph": 7}], "inputs": ["t"]}'
+    )
+    assert output_diff.compare(gp_before, gp_after) is None
+    diff = output_diff.compare_json(gp_before, gp_after)
+    assert (diff.numbers, diff.changed) == (4, 1)
+    assert abs(diff.max_abs - 0.1) < 1e-15 and abs(diff.max_rel - 0.2) < 1e-15
+    assert diff.keys == ("+inputs", "+rows[*].ph (2)", "-w[*]")
+    assert output_diff.compare_json("a,1\n", "b,1\n") is None
     before, after = tmp_path / "before", tmp_path / "after"
-    for directory, text in ((before, "t,1.5\n"), (after, "t,1.25\n")):
+    for directory, text, report in (
+        (before, "t,1.5\n", '{"v": 0.5}'),
+        (after, "t,1.25\n", '{"v": 0.4, "p": 1}'),
+    ):
         directory.mkdir()
         (directory / "same.csv").write_text("x,1\n")
         (directory / "moved.csv").write_text(text)
+        (directory / "gp.json").write_text(report)
     (after / "new.csv").write_text("")
     assert output_diff.main([str(before), str(after)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["file", "moved.csv", "new.csv"]
-    assert lines[1].split()[1:] == ["1", "1", "0.25", "0.167"]
+    assert [line.split()[0] for line in lines] == ["file", "gp.json", "moved.csv", "new.csv"]
+    assert lines[1].split()[1:] == ["1", "1", "0.1", "0.2", "+p"]
+    assert lines[2].split()[1:] == ["1", "1", "0.25", "0.167"]
     assert output_diff.main([str(before), str(before)]) == 0

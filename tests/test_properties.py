@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pabfit.dataio import CANONICAL_COLUMNS, load_series, read_report, write_report, write_series
 from pabfit.domain import (
+    CONSISTENCY_TOL,
     MAX_PH,
     MAX_THICKNESS_CM,
     Contaminant,
@@ -82,6 +83,13 @@ def test_series_round_trips_through_csv(s):
         assert (a.removal_fraction is None) == (b.removal_fraction is None)
         if a.removal_fraction is not None:
             assert math.isclose(a.removal_fraction, b.removal_fraction, rel_tol=2**-50, abs_tol=0)
+
+
+@SEEDED
+@given(series())
+def test_removal_fractions_give_back_the_concentrations(s):
+    back = s.c0 * (1.0 - s.removal_fractions())
+    assert np.all(np.abs(back - s.concentrations()) <= CONSISTENCY_TOL * s.c0)
 
 
 names = st.text(min_size=1, max_size=8)

@@ -27,7 +27,7 @@ def test_every_exported_name_resolves(name):
         (expmodel, ["fit_exp_model", "ExponentForm", "ExpModelParams"]),
         (cli, ["main", "PredictionRow", "build_parser"]),
         (dataio, ["_atomic_write"]),
-        (domain, ["to_removal_series", "transform_time"]),
+        (domain, ["transform_time"]),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )

@@ -4,7 +4,8 @@ For every fixture and both GP objectives, one ``gp_optimize_hyperparams``
 call from the shipped hyperparameters (the ``fit-gp --optimize`` path):
 its ``gp_fit`` calls, descent iterations and the objective at the returned
 hyperparameters. For both exponent forms, one ``fit_exp_model`` call from
-the CLI's default start (1, 1): its model evaluations, then
+the CLI's default start (1, 1), on the columns ``gp.training_set`` gives
+(as ``fit-exp`` reads them): its model evaluations, then
 residual-and-Jacobian evaluations ("+Nj"), the iterations of its
 Levenberg-Marquardt runs, and the final SSE. Each residual-and-Jacobian
 evaluation makes one model evaluation. The counts come from wrapping the
@@ -20,9 +21,10 @@ from __future__ import annotations
 import contextlib
 import functools
 
+import numpy as np
+
 from pabfit import expmodel, gp
 from pabfit.dataio import FIXTURES, load_fixture
-from pabfit.domain import to_removal_series, transform_time
 
 
 @contextlib.contextmanager
@@ -63,12 +65,9 @@ def gp_rows(name: str):
 
 
 def exp_rows(name: str):
-    series = load_fixture(name)
-    removal = to_removal_series(series)
-    data = [
-        (tn, r.thickness_w, r.removal_fraction)
-        for tn, r in zip(transform_time(series).t_norm, removal)
-    ]
+    x, y, _, _ = gp.training_set(load_fixture(name))
+    columns = list(x.values()) if isinstance(x, dict) else list(x.T)  # by name, or a design matrix
+    data = np.column_stack([columns[0], columns[-1], y])  # (t_norm, W, removal); W is always last
     for form in expmodel.ExponentForm:
         names = ("exp_model_eval", "exp_model_residual_jacobian")
         with counting(expmodel, *names, "levenberg_marquardt") as calls:
