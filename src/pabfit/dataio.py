@@ -5,7 +5,8 @@ Input files are headered CSV with the canonical columns ``time_min``,
 go out as JSON (sorted keys, stable float repr, so identical runs produce
 identical bytes) plus a flat CSV of prediction rows for external plotting.
 All writes are write-to-temp + atomic rename: a failing run leaves no
-partial output behind.
+partial output behind, and a written file has the mode a plain ``open``
+would give it, 0666 less the umask.
 
 Every input file is read as UTF-8 text; other bytes are a ``ParseError``.
 ``load_series`` and ``write_series`` both read ``_COLUMNS``, the one table
@@ -226,6 +227,11 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+        # mkstemp creates the file 0600; give it the mode open() gives a new
+        # file, 0666 less the umask (read by setting it and setting it back)
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

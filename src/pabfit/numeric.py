@@ -1,17 +1,19 @@
 """Dense SPD linear algebra and two optimizers.
 
-The covariance solves used by the regression models never form an explicit
-inverse of the matrix: a jittered Cholesky factorization M = L L^T is
-computed once and reused through triangular solves. ``solve_lower`` is the
+A jittered Cholesky factorization M = L L^T is computed once and reused.
+``solve`` runs two triangular solves against it; ``solve_lower`` is the
 forward half alone (L^-1 rhs), enough wherever only a quadratic form is
-needed; ``inverse_diagonal`` reads diag(M^-1) off the triangular inverse
-L^-1, which costs a third of the flops of solving against the identity.
+needed. ``triangular_inverse`` forms L^-1, in a third of the flops of
+solving against the identity, for a caller that reads it more than once;
+``multiply_lower`` then applies it (or any lower-triangular matrix) to
+right-hand sides in place of a solve.
 The factor (``dpotrf``), the triangular solves (``dtrtrs``) and the inverse
-(``dtrtri``) are calls into one LAPACK, scipy's compiled ``_flapack``
-extension, each handed a Fortran-ordered transpose, so no call makes a
-transposing copy. ``_lapack`` loads that one file by path on first use,
-without running the ``scipy.linalg`` package import, so commands that
-factor no matrix load nothing of scipy.
+(``dtrtri``) are calls into scipy's compiled LAPACK extension ``_flapack``,
+the triangular product (``dtrmm``) a call into its BLAS extension
+``_fblas``, each handed a Fortran-ordered transpose, so no call makes a
+transposing copy of the triangle. ``_lapack`` and ``_blas`` load those two
+files by path on first use, without running the ``scipy.linalg`` package
+import, so commands that factor no matrix load nothing of scipy.
 ``gradient_descent`` is plain steepest descent on a caller-supplied
 gradient with a backtracking (halving) line search; the GP hyperparameter
 search uses it. ``levenberg_marquardt`` minimizes a sum of squares from
@@ -106,33 +108,41 @@ def cholesky(m: np.ndarray) -> CholeskyFactor:
         jitter = min(JITTER_CAP, jitter * 10.0 if jitter > 0.0 else DEFAULT_JITTER)
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _lapack():
-    """scipy's compiled LAPACK wrappers, the module ``scipy.linalg._flapack``.
+def _scipy_extension(name: str, fallback: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, without the package import.
 
     The module already imported, if any; otherwise its extension file in
     scipy's ``linalg`` directory, found without importing scipy, loaded by
     path and registered under its own name, so a later ``import scipy.linalg``
-    reuses it. A scipy whose layout hides the file is served by
-    ``scipy.linalg.lapack``, which exports the same functions.
+    reuses it. A scipy whose layout hides the file is served by the public
+    module ``fallback``, which exports the same functions.
     """
-    module = sys.modules.get(_FLAPACK)
+    qualified = f"scipy.linalg.{name}"
+    module = sys.modules.get(qualified)
     if module is not None:
         return module
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is not None and scipy_spec.submodule_search_locations:
         linalg = Path(scipy_spec.submodule_search_locations[0]) / "linalg"
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = linalg / f"_flapack{suffix}"
+            path = linalg / f"{name}{suffix}"
             if path.is_file():
-                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                spec = importlib.util.spec_from_file_location(qualified, path)
                 module = importlib.util.module_from_spec(spec)
-                sys.modules[_FLAPACK] = module
+                sys.modules[qualified] = module
                 spec.loader.exec_module(module)
                 return module
-    return importlib.import_module("scipy.linalg.lapack")
+    return importlib.import_module(fallback)
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``."""
+    return _scipy_extension("_flapack", "scipy.linalg.lapack")
+
+
+def _blas():
+    """scipy's compiled BLAS wrappers, ``scipy.linalg._fblas``."""
+    return _scipy_extension("_fblas", "scipy.linalg.blas")
 
 
 def _checked(routine: str, result: np.ndarray, info: int) -> np.ndarray:
@@ -196,13 +206,31 @@ def triangular_inverse(factor: CholeskyFactor) -> np.ndarray:
     return _checked("dtrtri", inv, info).T
 
 
-def inverse_diagonal(factor: CholeskyFactor) -> np.ndarray:
-    """Diagonal of ``(M + jitter_used * I)^-1 = L^-T L^-1``.
+def multiply_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Return ``lower @ rhs`` for a lower-triangular ``lower``, by BLAS ``dtrmm``.
 
-    Entry j is the squared norm of column j of ``triangular_inverse(factor)``.
+    Only the lower triangle of ``lower`` is read. ``rhs`` may be a vector
+    or a matrix of stacked right-hand-side columns. A Fortran-ordered
+    float ``rhs`` is overwritten with the product, so no second array of
+    its size is made; pass a copy to keep it. With
+    ``lower = triangular_inverse(factor)`` this is ``solve_lower(factor,
+    rhs)`` up to rounding, in a product's flops rather than a solve's.
+
+    Raises
+    ------
+    InvalidInput
+        If ``rhs`` has a non-finite entry.
     """
-    inv = triangular_inverse(factor)
-    return np.einsum("ij,ij->j", inv, inv)
+    rhs = np.asarray(rhs, dtype=float)
+    n = lower.shape[0]
+    if rhs.shape[0] != n:
+        raise DimensionMismatch(f"rhs has leading dimension {rhs.shape[0]}, matrix is {n}x{n}")
+    if not np.isfinite(rhs).all():
+        raise InvalidInput("right-hand side entries must be finite")
+    # lower.T is the Fortran-ordered upper triangle U = lower^T; BLAS
+    # applies U^T = lower to the columns of rhs
+    out = _blas().dtrmm(1.0, lower.T, rhs.reshape(n, -1), lower=0, trans_a=1, overwrite_b=1)
+    return out.reshape(rhs.shape)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ every entry of the blocked ``kernel_matrix`` and the one-broadcast einsum
 kernel matrix checks its every bit, and the two parameter pairs are
 reference exponential-model fits the model tests are pinned to.
 ``kinetic_r2`` is the R^2 ``fit-kinetics`` reports for a first-order fit.
-``gp_posterior`` is the GP posterior through an explicit matrix inverse.
+``gp_posterior`` is the GP posterior through an explicit matrix inverse;
+``mp_posterior_variance`` is its variance in 50-digit arithmetic.
 ``lapack_cholesky`` is the factor ``numeric.cholesky`` computes, through
 scipy's public API.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -106,3 +108,33 @@ def gp_posterior(hp, x, y, xq, jitter_used=0.0):
     mean = k_cross @ k_inv @ np.asarray(y)
     var = hp.v - np.einsum("ij,ij->i", k_cross @ k_inv, k_cross)
     return mean, np.maximum(var, 0.0)
+
+
+def mp_posterior_variance(hp, x, xq, dps=50) -> np.ndarray:
+    """v - k^T (K + epsilon*I)^-1 k at each row of ``xq``, the float inputs
+    and hyperparameters taken as exact and carried in ``dps`` digits."""
+    with mpmath.workdps(dps):
+        v, eps = mpmath.mpf(hp.v), mpmath.mpf(hp.epsilon)
+        w = [mpmath.mpf(wk) for wk in hp.w]
+        x = [[mpmath.mpf(float(a)) for a in row] for row in np.atleast_2d(x)]
+
+        def k(a, b):
+            return v * mpmath.exp(-mpmath.fsum(wk * (ak - bk) ** 2 for wk, ak, bk in zip(w, a, b)))
+
+        n = len(x)
+        lower = [[mpmath.mpf(0)] * n for _ in range(n)]
+        for j in range(n):
+            pivot = k(x[j], x[j]) + eps - mpmath.fsum(lower[j][i] ** 2 for i in range(j))
+            lower[j][j] = mpmath.sqrt(pivot)
+            for r in range(j + 1, n):
+                dot = mpmath.fsum(lower[r][i] * lower[j][i] for i in range(j))
+                lower[r][j] = (k(x[r], x[j]) - dot) / lower[j][j]
+        out = []
+        for q in np.atleast_2d(xq):
+            q = [mpmath.mpf(float(a)) for a in q]
+            z = []
+            for r in range(n):
+                dot = mpmath.fsum(lower[r][i] * z[i] for i in range(r))
+                z.append((k(x[r], q) - dot) / lower[r][r])
+            out.append(float(v - mpmath.fsum(zi * zi for zi in z)))
+        return np.array(out)

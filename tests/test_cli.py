@@ -1053,12 +1053,15 @@ def test_cli_import_leaves_scipy_unloaded(cli_env, tmp_path):
     "command, loaded",
     [
         ("fit-kinetics --input pcbc_run1.csv --output o.json", []),
-        ("fit-gp --input pcbc_run1.csv --contaminant pb --output o.json", ["scipy.linalg._flapack"]),
+        (
+            "fit-gp --input pcbc_run1.csv --contaminant pb --output o.json",
+            ["scipy.linalg._fblas", "scipy.linalg._flapack"],
+        ),
     ],
     ids=["fit-kinetics", "fit-gp"],
 )
 def test_command_loads_scipy_lapack_alone(cli_env, tmp_path, command, loaded):
-    # a GP command loads scipy's LAPACK extension, not the scipy package
+    # a GP command loads scipy's BLAS and LAPACK extensions, not the scipy package
     assert scipy_modules_after(cli_env, tmp_path, command.split()) == repr(loaded)
 
 

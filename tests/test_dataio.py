@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -255,6 +257,21 @@ def minimal_report():
         ],
         provenance={"tool": "pabfit"},
     )
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        # a new output gets 0666 less the umask, as open() would give it
+        previous = os.umask(umask)
+        try:
+            write_report(minimal_report(), tmp_path / "r.json")
+            write_series(load_fixture("pcbc_run1.csv"), tmp_path / "s.csv")
+        finally:
+            os.umask(previous)
+        written = sorted(tmp_path.iterdir())
+        assert [p.name for p in written] == ["r.csv", "r.json", "s.csv"]
+        assert [stat.S_IMODE(p.stat().st_mode) for p in written] == [mode] * 3
 
 
 class TestReports:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -27,13 +28,14 @@ from pabfit.gp import (
     select_inputs,
     training_set,
 )
-from pabfit.numeric import DescentConfig
+from pabfit.numeric import DescentConfig, triangular_inverse
 
 from oracles import (
     finite_difference_gradient,
     gp_posterior,
     kernel,
     lapack_cholesky,
+    mp_posterior_variance,
     unblocked_kernel_matrix,
 )
 
@@ -275,7 +277,7 @@ class TestUnchangedBits:
                 + 0.5 * len(y) * math.log(2.0 * math.pi)
             )
             assert gp_nlml(model) == nlml
-            # the variance formula changed: one forward solve in place of two
+            # the variance formula changed: one product with L^-1 in place of two solves
             cross = unblocked_kernel_matrix(hp, xq, x)
             two_solves = hp.v - np.einsum(
                 "ij,ji->i", cross, solve_triangular(
@@ -344,6 +346,18 @@ class TestPredict:
             assert np.all(anywhere.variance <= hp.v + 1e-12)
             assert np.all(anywhere.variance >= 0.0)
 
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_variance_against_high_precision(self, name):
+        # the product with the explicit L^-1 keeps the variance within 1e-11
+        # of a 50-digit reference at 40 query points between the training rows
+        hp, x, y = fixture_fit(name)
+        rng = np.random.default_rng(sorted(FIXTURES).index(name))
+        xq = rng.uniform(x.min(axis=0), x.max(axis=0), (40, hp.p))
+        model = gp_fit(hp, x, y)
+        assert model.factor.jitter_used == 0.0
+        reference = np.maximum(mp_posterior_variance(hp, x, xq), 0.0)
+        np.testing.assert_allclose(gp_predict(model, xq).variance, reference, rtol=0, atol=1e-11)
+
 
 class TestNlml:
     def test_scalar_zero_target(self):
@@ -372,6 +386,28 @@ def draw_from(hp, x, rng):
 
 
 class TestLooSse:
+    def test_hand_expanded_two_points(self):
+        # C = [[a, b], [b, a]]: each held-out mean is (b / a) times the other target
+        hp = GpHyperParams(v=0.8, w=(1.5,))
+        y = np.array([0.3, 0.7])
+        model = gp_fit(hp, [[0.0], [0.6]], y)
+        a, b = hp.v + hp.epsilon, kernel(hp, [0.0], [0.6])
+        resid = y - (b / a) * y[::-1]
+        assert gp_loo_sse(model) == pytest.approx(float(np.dot(resid, resid)), rel=1e-12)
+
+    def test_inverse_diagonal_matches_explicit_inverse(self):
+        # well-separated inputs keep K + eps*I far from singular
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            hp = GpHyperParams(v=float(rng.uniform(0.2, 2.0)), w=(float(rng.uniform(0.5, 2.0)),))
+            x = np.sort(rng.uniform(0, 3 * n, n))[:, None]
+            model = gp_fit(hp, x, rng.standard_normal(n))
+            np.testing.assert_array_equal(model.linv, triangular_inverse(model.factor))
+            cov = kernel_matrix(hp, x) + hp.epsilon * np.eye(n)
+            diag = np.einsum("ij,ij->j", model.linv, model.linv)
+            np.testing.assert_allclose(diag, np.diag(np.linalg.inv(cov)), rtol=1e-10)
+
     def test_matches_refits_on_near_singular_kernel(self):
         # closely spaced points and long length scales put cond(K + eps*I)
         # near 1e8, within reach of the nominal jitter
@@ -665,6 +701,38 @@ class TestOptimizeWithGradients:
         gp_optimize_hyperparams(x, y, hp0, objective="sse")
         assert counts["objective"] > 2
         assert counts["fits"] == counts["objective"]
+
+    def test_one_triangular_inverse_per_fit(self, monkeypatch):
+        # only gp_fit forms L^-1; the objective, its gradient and prediction
+        # read it off the model
+        hp0, x, y = fixture_fit("pcbc_run2.csv")
+        callers, counts = [], {"fits": 0, "gradients": 0}
+        real_inverse, real_fit = gp_module.triangular_inverse, gp_module.gp_fit
+        real_gradient = gp_module._GRADIENTS["sse"]
+
+        def counting_inverse(factor):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_inverse(factor)
+
+        def counting_fit(*args, **kwargs):
+            counts["fits"] += 1
+            return real_fit(*args, **kwargs)
+
+        def counting_gradient(model):
+            counts["gradients"] += 1
+            return real_gradient(model)
+
+        monkeypatch.setattr(gp_module, "triangular_inverse", counting_inverse)
+        monkeypatch.setattr(gp_module, "gp_fit", counting_fit)
+        monkeypatch.setitem(gp_module._GRADIENTS, "sse", counting_gradient)
+        hp = gp_optimize_hyperparams(x, y, hp0, objective="sse")
+        assert counts["fits"] > 2 and counts["gradients"] > 1
+        assert callers == ["gp_fit"] * counts["fits"]
+        model = gp_module.gp_fit(hp, x, y)
+        for read in (gp_loo_sse, gp_nlml, gp_nlml_gradient, gp_loo_sse_gradient):
+            read(model)
+        gp_predict(model, x)
+        assert len(callers) == counts["fits"]
 
     @pytest.mark.parametrize("objective", ["nlml", "sse"])
     def test_no_training_rows_rejected(self, objective):

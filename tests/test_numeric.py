@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 import scipy.linalg.lapack
 from scipy.linalg import solve_triangular
 
@@ -20,8 +21,8 @@ from pabfit.numeric import (
     DescentConfig,
     cholesky,
     gradient_descent,
-    inverse_diagonal,
     levenberg_marquardt,
+    multiply_lower,
     solve,
     solve_lower,
     triangular_inverse,
@@ -214,18 +215,25 @@ class TestLapackLayouts:
         inverse_of_upper, info = scipy.linalg.lapack.dtrtri(f.lower.T, lower=0)
         assert info == 0
         np.testing.assert_array_equal(triangular_inverse(f), inverse_of_upper.T)
+        rhs = np.asfortranarray(rng.standard_normal((n, 3)))
+        product = scipy.linalg.blas.dtrmm(1.0, inverse_of_upper, rhs, lower=0, trans_a=1)
+        np.testing.assert_array_equal(multiply_lower(triangular_inverse(f), rhs), product)
 
     def test_one_module_with_scipy_linalg(self):
         assert numeric._lapack() is sys.modules["scipy.linalg._flapack"]
+        assert numeric._blas() is sys.modules["scipy.linalg._fblas"]
+
+    HIDE_SCIPY = (
+        "import importlib.util, sys, numpy as np\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
+        "from pabfit import numeric\n"
+    )
 
     def test_missing_extension_falls_back_to_scipy_linalg_lapack(self, cli_env):
         # a scipy whose _flapack file cannot be found is served through its
         # public module: same results, slower start
-        code = (
-            "import importlib.util, sys, numpy as np\n"
-            "find_spec = importlib.util.find_spec\n"
-            "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
-            "from pabfit import numeric\n"
+        code = self.HIDE_SCIPY + (
             "lapack = numeric._lapack()\n"
             "f = numeric.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))\n"
             "print(lapack.__name__, numeric.solve(f, [8.0, 7.0]).tolist())\n"
@@ -235,27 +243,64 @@ class TestLapackLayouts:
         x = solve(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])), [8.0, 7.0])
         assert r.stdout == f"scipy.linalg.lapack {x.tolist()}\n"
 
+    def test_missing_extension_falls_back_to_scipy_linalg_blas(self, cli_env):
+        # the same for _fblas, asked for first: scipy.linalg.blas serves it
+        code = self.HIDE_SCIPY + (
+            "blas = numeric._blas()\n"
+            "print(blas.__name__, numeric.multiply_lower(np.array([[2.0, 0.0], [1.0, 3.0]]), [1.0, 2.0]).tolist())\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "scipy.linalg.blas [2.0, 7.0]\n"
 
-class TestInverseDiagonal:
-    def test_matches_explicit_inverse(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(1, 40))
-            a = rng.standard_normal((n, n))
-            m = a @ a.T + n * np.eye(n)
-            np.testing.assert_allclose(
-                inverse_diagonal(cholesky(m)), np.diag(np.linalg.inv(m)), rtol=1e-10
-            )
 
-    def test_hand_expanded_2x2(self):
-        # inverse of [[4,2],[2,3]] is [[3,-2],[-2,4]]/8
-        got = inverse_diagonal(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])))
-        np.testing.assert_allclose(got, [3.0 / 8.0, 0.5], rtol=1e-15)
-
+class TestTriangularInverse:
     def test_singular_factor_raises(self):
         f = CholeskyFactor(lower=np.array([[1.0, 0.0], [2.0, 0.0]]), jitter_used=0.0)
-        with pytest.raises(NotPositiveDefinite):
-            inverse_diagonal(f)
+        with pytest.raises(NotPositiveDefinite, match="dtrtri info=2"):
+            triangular_inverse(f)
+
+
+class TestMultiplyLower:
+    def factor(self, n=9, seed=14):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        return cholesky(a @ a.T + n * np.eye(n))
+
+    @pytest.mark.parametrize("layout", ["vector", "C", "F"])
+    def test_inverse_times_rhs_is_forward_solve(self, layout):
+        f = self.factor()
+        rhs = np.random.default_rng(15).standard_normal((9,) if layout == "vector" else (9, 4))
+        rhs = np.asfortranarray(rhs) if layout == "F" else rhs
+        got = multiply_lower(triangular_inverse(f), rhs.copy(order="A"))
+        assert got.shape == rhs.shape
+        np.testing.assert_allclose(got, solve_lower(f, rhs), rtol=1e-12, atol=1e-14)
+
+    def test_reads_only_the_lower_triangle(self):
+        rng = np.random.default_rng(16)
+        full = rng.standard_normal((6, 6))
+        rhs = rng.standard_normal((6, 3))
+        np.testing.assert_allclose(multiply_lower(full, rhs), np.tril(full) @ rhs, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("order, in_place", [("F", True), ("C", False)])
+    def test_overwrites_a_fortran_rhs_alone(self, order, in_place):
+        linv = triangular_inverse(self.factor())
+        rhs = np.asarray(np.random.default_rng(17).standard_normal((9, 5)), order=order)
+        before = rhs.copy()
+        got = multiply_lower(linv, rhs)
+        np.testing.assert_allclose(got, linv @ before, rtol=1e-12, atol=1e-14)
+        assert np.shares_memory(got, rhs) == in_place
+        np.testing.assert_array_equal(rhs, got if in_place else before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_is_invalid_input(self, bad):
+        linv = triangular_inverse(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])))
+        for rhs in ([1.0, bad], [[1.0, 2.0], [bad, 0.0]]):
+            with pytest.raises(InvalidInput, match="right-hand side"):
+                multiply_lower(linv, rhs)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            multiply_lower(np.eye(3), np.ones((2, 2)))
 
 
 class TestGradientDescent:

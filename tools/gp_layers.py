@@ -5,12 +5,16 @@ out like a lead design matrix (t_norm, pH, W) and the reference lead
 hyperparameters, it times each layer of a fit and a prediction at m = n
 query points: ``kernel_matrix`` on the training set and on the cross set,
 ``cholesky``, ``solve`` (one right-hand side), ``solve_lower`` (m
-right-hand sides), ``triangular_inverse``, and the whole ``gp_predict`` and
+right-hand sides), ``triangular_inverse``, the whole ``gp_fit``,
+``gp_predict`` and ``gp_loo_sse``, and last one whole benchmark
+``gp-scale`` op: ``gp_fit``, ``gp_predict`` at m = n, ``gp_nlml`` and
 ``gp_loo_sse``. Each entry is the best of REPEATS repetitions, in
 milliseconds; the best rather than the median, because the layers are
-deterministic and the slower repetitions measure the host. Only public functions are called,
-so the same script compares any two versions of the package. Run from the
-repo root:
+deterministic and the slower repetitions measure the host. Within one
+size the layers run round-robin, one call of each per repetition, so a
+swing in host speed reaches every row alike. Only functions that every
+version of the package has are called, so the same script compares any two
+versions. Run from the repo root:
 
     PYTHONPATH=src python tools/gp_layers.py
 
@@ -36,15 +40,6 @@ def inputs(n: int, seed: int) -> np.ndarray:
     return np.column_stack([r.uniform(0.1, 1.0, n), r.uniform(6.0, 8.0, n), r.uniform(0.5, 3.0, n)])
 
 
-def best_ms(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return 1e3 * best
-
-
 def layer_times(n: int, repeats: int) -> dict[str, float]:
     hp = gp.default_hyperparams(Contaminant.PB)
     x, xq = inputs(n, 0), inputs(n, 1)
@@ -54,6 +49,13 @@ def layer_times(n: int, repeats: int) -> dict[str, float]:
     factor = numeric.cholesky(cov)
     cross_t = gp.kernel_matrix(hp, xq, x).T
     model = gp.gp_fit(hp, x, y)
+
+    def gp_scale_op():
+        fitted = gp.gp_fit(hp, x, y)
+        gp.gp_predict(fitted, xq)
+        gp.gp_nlml(fitted)
+        gp.gp_loo_sse(fitted)
+
     layers = {
         "kernel_matrix(train)": lambda: gp.kernel_matrix(hp, x),
         "kernel_matrix(cross)": lambda: gp.kernel_matrix(hp, xq, x),
@@ -61,10 +63,18 @@ def layer_times(n: int, repeats: int) -> dict[str, float]:
         "solve": lambda: numeric.solve(factor, y),
         "solve_lower": lambda: numeric.solve_lower(factor, cross_t),
         "triangular_inverse": lambda: numeric.triangular_inverse(factor),
+        "gp_fit": lambda: gp.gp_fit(hp, x, y),
         "gp_predict": lambda: gp.gp_predict(model, xq),
         "gp_loo_sse": lambda: gp.gp_loo_sse(model),
+        "gp-scale op": gp_scale_op,
     }
-    return {name: best_ms(fn, repeats) for name, fn in layers.items()}
+    best = dict.fromkeys(layers, float("inf"))
+    for _ in range(repeats):
+        for name, fn in layers.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {name: 1e3 * seconds for name, seconds in best.items()}
 
 
 def main() -> None:
