@@ -8,7 +8,12 @@ with one inverse-length weight per input dimension, so each regressor
 (normalized log-time, pH, thickness) carries its own relevance. A GP reads
 one to three of the columns ``INPUT_NAMES`` names; ``GpHyperParams`` holds
 their names and one weight each. ``kernel_matrix`` builds the covariance
-on cache-sized row blocks, bit-identical to v * exp(-einsum(...)).
+on cache-sized row blocks, bit-identical to v * exp(-einsum(...)). It
+forms each column's pairwise differences as one BLAS matrix product,
+[x, 1] @ [1; -x'] (GPML eq. 5.1 for the kernel): both of its products are
+by 1, so they are exact, and their sum is x - x' with the one rounding of
+a subtraction (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2002, section 2.2).
 
 The training covariance gets a jitter ``epsilon`` on its diagonal and is
 factorized once, K + eps*I = L L^T, and the fit forms L^-1 once from it.
@@ -146,9 +151,14 @@ def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
 
     Rows are computed in blocks of at most ``_KERNEL_BLOCK_ELEMENTS``
     entries, one input column at a time: each column's term -w_k * d_k^2
-    is a contiguous (rows, m) array, and the block is exponentiated while
-    it is still in cache. The exponent sums its terms into the block in
-    the column order (0, 2, 1), the order numpy's
+    is a contiguous (rows, m) array, and the block is exponentiated and
+    scaled by v while it is still in cache. The differences d_k of a block
+    are one matrix product, [x_k, 1] @ [1; -x2_k], of shapes (rows, 2) and
+    (2, m). Both of its products, x * 1 and 1 * (-y), are exact, so their
+    sum is x - y with the subtraction's one rounding (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 2.2), whether BLAS
+    adds them or fuses one multiply-add. The exponent sums its terms into
+    the block in the column order (0, 2, 1), the order numpy's
     ``einsum("ijp,p->ij", d * d, w)`` uses for p <= 3; the negation folded
     into each weight is exact. So the result is bit-identical to
     v * exp(-einsum(...)), and the temporary is one block whatever n and
@@ -157,9 +167,11 @@ def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
     xa = _as_input_matrix(x, hp.p)
     xb = xa if x2 is None else _as_input_matrix(x2, hp.p)
     n, m = xa.shape[0], xb.shape[0]
-    # one contiguous row per input column, so each subtraction streams
-    ca = xa.T.copy()
-    cb = ca if x2 is None else xb.T.copy()
+    # the product operands of every column: pa[k] = [x_k, 1], pb[k] = [1; -x2_k]
+    pa = np.ones((hp.p, n, 2))
+    pa[:, :, 0] = xa.T
+    pb = np.ones((hp.p, 2, m))
+    np.negative(xb.T, out=pb[:, 1])
     neg_w = [-wk for wk in hp.w]
     order = [k for k in (0, 2, 1) if k < hp.p]
     out = np.empty((n, m))
@@ -169,13 +181,13 @@ def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
         acc = out[start : start + rows]
         for i, k in enumerate(order):
             term = scratch[: len(acc)] if i else acc
-            np.subtract(ca[k, start : start + rows, None], cb[k, None, :], out=term)
+            np.matmul(pa[k, start : start + rows], pb[k], out=term)
             term *= term
             term *= neg_w[k]
             if i:
                 acc += term
         np.exp(acc, out=acc)
-    out *= hp.v
+        acc *= hp.v
     return out
 
 

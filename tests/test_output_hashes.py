@@ -23,6 +23,24 @@ def test_command_set_outputs_match_the_listed_hashes(capsys):
     assert code == 0, capsys.readouterr().out
 
 
+def test_a_mismatch_names_the_blas_thread_settings(tmp_path, capsys, monkeypatch):
+    output_hashes = load_tool("output_hashes")
+    monkeypatch.setattr(output_hashes, "output_hashes", lambda keep: {"gp.json": "ab"})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    listing = tmp_path / "hashes.txt"
+    listing.write_text("cd  gp.json\n")
+    assert output_hashes.main(["--check", str(listing)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "gp.json: hash ab differs from the listed cd",
+        "BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=2",
+    ]
+    listing.write_text("ab  gp.json\n")
+    assert output_hashes.main(["--check", str(listing)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_output_diff_counts_changed_numbers(tmp_path, capsys):
     output_diff = load_tool("output_diff")
     diff = output_diff.compare('{"v": 0.5, "w": [2e-3, 7]}', '{"v": 0.4, "w": [2e-3, 7]}')

@@ -1,5 +1,6 @@
 """Seeded property tests: CSV and report JSON round trips, the loaders on
-malformed input, and the GP posterior on near-singular kernels.
+malformed input, the blocked kernel matrix on adversarial inputs, and the
+GP posterior on near-singular kernels.
 
 ``derandomize=True`` draws the same examples on every run, so these tests
 pass or fail the same way each time.
@@ -28,10 +29,10 @@ from pabfit.domain import (
     Sample,
 )
 from pabfit.errors import PabfitError
-from pabfit.gp import GpHyperParams, gp_fit, gp_predict
+from pabfit.gp import _KERNEL_BLOCK_ELEMENTS, GpHyperParams, gp_fit, gp_predict, kernel_matrix
 from pabfit.metrics import FitMetrics
 
-from oracles import gp_posterior
+from oracles import gp_posterior, unblocked_kernel_matrix
 
 SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -206,6 +207,47 @@ def test_read_report_on_any_parameter_value_returns_a_report_or_refuses(data):
                "predictions": [], "provenance": {}}
     result = load_or_refuse(read_report, json.dumps(payload).encode(), "report.json")
     assert isinstance(result, (FitReport, PabfitError))
+
+
+# signed zeros, subnormals, values whose differences overflow, and 1 with
+# its next float, whose difference is exact; equal values cancel to 0
+EDGE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, 1.0 + 2.0**-52,
+               -1.0, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def adversarial_kernels(draw):
+    """``(hp, x, x2)``: inputs drawn from a few edge and finite values, so
+    many pairs are equal, with weights 0, 1e-300 or 1e300.
+
+    There are 1 to 3 inputs, and ``x2`` is None or its own rows. Both ways
+    the rows span more than one (rows, m) block and end in a short one.
+    """
+    p = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGE_INPUTS), finite), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(257, 400).filter(lambda m: m % (_KERNEL_BLOCK_ELEMENTS // m)))
+    rows, n = _KERNEL_BLOCK_ELEMENTS // m, m
+    if not draw(st.booleans()):
+        n = rows * draw(st.integers(1, 2)) + draw(st.integers(1, rows - 1))
+    x = rng.choice(pool, (n, p))
+    x2 = None if n == m and draw(st.booleans()) else rng.choice(pool, (m, p))
+    v = draw(st.sampled_from([1e-300, 0.3852, 1e300]))
+    w = draw(st.lists(st.sampled_from([0.0, 1e-300, 1e300]), min_size=p, max_size=p))
+    return GpHyperParams(v=v, w=w), x, x2
+
+
+@SEEDED
+@given(adversarial_kernels())
+def test_kernel_matrix_matches_the_einsum_oracle_on_adversarial_inputs(case):
+    hp, x, x2 = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = kernel_matrix(hp, x, x2), unblocked_kernel_matrix(hp, x, x2)
+    # 0 * inf, a zero weight on an overflowing difference, is NaN in both,
+    # but its sign differs between the einsum and the blocked sum
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 @st.composite

@@ -20,6 +20,15 @@ alters output bytes on purpose updates it in the same commit. With
 ``--keep DIR`` the outputs are written to DIR, which must be empty or not
 exist yet, and left there; ``tools/output_diff.py`` compares two such
 directories number by number.
+
+The GP outputs carry the last bits of the BLAS and LAPACK that scipy's
+wheel bundles, and those bits also depend on how many threads BLAS runs.
+``output_hashes.txt`` holds the values for OpenBLAS's default thread count
+on a 2-vCPU host, with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` unset. With ``OPENBLAS_NUM_THREADS=1`` the check names
+``gp.json``: its ``predictions[59].variance`` reads 1.0385535209600505e-09,
+against 1.0385534654488993e-09 at the default. So on a mismatch
+``--check`` also prints the values of those variables it ran with.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ import tempfile
 from pathlib import Path
 
 from pabfit import cli
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The "Command line" section of README.md, in order, then more commands on
 # its outputs; later commands read the reports earlier ones write.
@@ -134,6 +145,9 @@ def main(argv=None) -> int:
     problems = mismatches(hashes, Path(args.check).read_text())
     for line in problems:
         print(line)
+    if problems:
+        threads = (f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREADS)
+        print("BLAS threads: " + " ".join(threads))
     return 1 if problems else 0
 
 
