@@ -327,7 +327,7 @@ def _cmd_fit_gp(args) -> int:
         "epsilon": hp.epsilon,
         "p": hp.p,
         "time_denominator": times.denominator,
-        "jitter_used": model.factor.jitter_used,
+        "jitter_used": model.jitter_used,
         "default_ph": default_ph if series.contaminant is Contaminant.PB else None,
         "ph_assumed": ph_assumed,
         "optimized": bool(args.optimize),

@@ -468,14 +468,15 @@ def fixture_dir() -> Path:
 
 
 def resolve_input(path: str | Path) -> Path:
-    """An existing path as-is, else a bundled fixture of that name."""
+    """An existing path as-is, else, for a bare file name, a bundled fixture of that name."""
     p = Path(path)
     if p.exists():
         return p
+    bare = str(path) == p.name  # one path part: a path with a directory never falls back
     candidate = fixture_dir() / p.name
-    if candidate.exists():
+    if bare and candidate.exists():
         return candidate
-    raise FileIOError(f"no such file: {path} (also not a bundled fixture)")
+    raise FileIOError(f"no such file: {path}" + (" (also not a bundled fixture)" if bare else ""))
 
 
 def load_fixture(name: str) -> ObservationSeries:

@@ -16,15 +16,15 @@ a subtraction (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2002, section 2.2).
 
 The training covariance gets a jitter ``epsilon`` on its diagonal and is
-factorized once, K + eps*I = L L^T, and the fit forms L^-1 once from it.
-Prediction, the marginal-likelihood and leave-one-out objectives, and the
-closed-form gradients of both in log space, which the hyperparameter search
-descends on, all reuse the factor and that inverse (Rasmussen & Williams,
-*GPML*, 2006, Algorithm 2.1, eq. 5.9 and section 5.4.2); none solves or
-inverts again. Multiplying by an explicit inverse costs accuracy (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 14): on the
-bundled fixtures the posterior variance is within 3e-14 of a 50-digit
-reference, against 3e-16 by a forward solve.
+factorized once, K + eps*I = L L^T. The fit forms L^-1 once from it and
+keeps that inverse, not L: prediction, the marginal-likelihood and
+leave-one-out objectives, and the closed-form gradients of both in log
+space, which the hyperparameter search descends on, all read L^-1
+(Rasmussen & Williams, *GPML*, 2006, Algorithm 2.1, eq. 5.9 and section
+5.4.2); none solves or inverts again. Multiplying by an explicit inverse
+costs accuracy (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2002, ch. 14): on the bundled fixtures the posterior variance is within
+3e-14 of a 50-digit reference, against 3e-16 by a forward solve.
 
 ``training_set`` gives a series' layout columns by name, (t_norm, pH, W)
 for lead and (t_norm, W) for methylene blue, and ``select_inputs`` alone
@@ -193,17 +193,19 @@ def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Immutable fitted state: training set, factor, weights, fixed inputs.
+    """Immutable fitted state: training set, L^-1, weights, fixed inputs.
 
-    ``factor`` holds L with L L^T = K + eps*I, ``linv`` its inverse L^-1
-    (lower-triangular, so C^-1 = linv.T @ linv), and ``alpha`` = C^-1 y.
-    L and L^-1 are 2 n^2 floats, 64 MB at n = 2000.
+    With L L^T = K + (eps + jitter_used) * I, ``linv`` holds L^-1
+    (lower-triangular, so C^-1 = linv.T @ linv), ``alpha`` = C^-1 y and
+    ``log_det_half`` = sum_i log L_ii; L itself is not kept. L^-1 is the
+    one n x n array, n^2 floats, 32 MB at n = 2000.
     """
 
     hp: GpHyperParams
     x_train: np.ndarray
     y_train: np.ndarray
-    factor: CholeskyFactor
+    jitter_used: float
+    log_det_half: float
     alpha: np.ndarray
     linv: np.ndarray
     fixed_inputs: dict = field(default_factory=dict)
@@ -219,9 +221,10 @@ def covariance_factor(hp: GpHyperParams, x) -> CholeskyFactor:
 def gp_fit(hp: GpHyperParams, x_train, y_train) -> GpModel:
     """Build C = K(X, X) + eps*I, factorize it, and precompute L^-1 and C^-1 y.
 
-    This is the one place a model's triangular inverse is formed. Jitter
-    escalation beyond ``hp.epsilon`` happens only if the
-    factorization fails; ``model.factor.jitter_used`` stays 0 otherwise.
+    This is the one place a model's triangular inverse is formed; the factor
+    L is dropped once its log-diagonal sum is taken. Jitter escalation
+    beyond ``hp.epsilon`` happens only if the factorization fails;
+    ``model.jitter_used`` stays 0 otherwise.
     """
     x = _as_input_matrix(x_train, hp.p)
     y = np.asarray(y_train, dtype=float).ravel()
@@ -234,9 +237,9 @@ def gp_fit(hp: GpHyperParams, x_train, y_train) -> GpModel:
     if not np.all(np.isfinite(y)):
         raise InvalidInput("targets must be finite")
     factor = covariance_factor(hp, x)
-    alpha = solve(factor, y)
-    return GpModel(hp=hp, x_train=x.copy(), y_train=y.copy(), factor=factor, alpha=alpha,
-                   linv=triangular_inverse(factor))
+    return GpModel(hp=hp, x_train=x.copy(), y_train=y.copy(), jitter_used=factor.jitter_used,
+                   log_det_half=float(np.sum(np.log(np.diag(factor.lower)))),
+                   alpha=solve(factor, y), linv=triangular_inverse(factor))
 
 
 @dataclass(frozen=True)
@@ -266,20 +269,19 @@ def gp_predict(model: GpModel, x_new) -> GpPrediction:
 
 
 def gp_nlml(model: GpModel) -> float:
-    """Negative log marginal likelihood from the cached factorization.
+    """Negative log marginal likelihood from the fit's cached terms.
 
     0.5 * y^T alpha + sum_i log L_ii + (n/2) log(2 pi)
     """
-    log_det_half = float(np.sum(np.log(np.diag(model.factor.lower))))
     return float(
         0.5 * np.dot(model.y_train, model.alpha)
-        + log_det_half
+        + model.log_det_half
         + 0.5 * model.y_train.size * math.log(2.0 * math.pi)
     )
 
 
 def gp_loo_sse(model: GpModel) -> float:
-    """Leave-one-out squared-error sum, computed from the factor.
+    """Leave-one-out squared-error sum, computed from the model's L^-1.
 
     The held-out residual at point i is alpha_i / (K+eps*I)^-1_ii (GPML
     section 5.4.2), so no refits are needed; the diagonal is the column

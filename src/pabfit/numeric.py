@@ -1,12 +1,10 @@
 """Dense SPD linear algebra and two optimizers.
 
 A jittered Cholesky factorization M = L L^T is computed once and reused.
-``solve`` runs two triangular solves against it; ``solve_lower`` is the
-forward half alone (L^-1 rhs), enough wherever only a quadratic form is
-needed. ``triangular_inverse`` forms L^-1, in a third of the flops of
-solving against the identity, for a caller that reads it more than once;
-``multiply_lower`` then applies it (or any lower-triangular matrix) to
-right-hand sides in place of a solve.
+``solve`` runs two triangular solves against it. ``triangular_inverse``
+forms L^-1, in a third of the flops of solving against the identity, for a
+caller that reads it more than once; ``multiply_lower`` then applies it (or
+any lower-triangular matrix) to right-hand sides in place of a solve.
 The factor (``dpotrf``), the triangular solves (``dtrtrs``) and the inverse
 (``dtrtri``) are calls into scipy's compiled LAPACK extension ``_flapack``,
 the triangular product (``dtrmm``) a call into its BLAS extension
@@ -152,11 +150,10 @@ def _checked(routine: str, result: np.ndarray, info: int) -> np.ndarray:
     return result
 
 
-def solve_lower(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution: return ``L^-1 rhs`` for the factor's ``L``.
+def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(M + jitter_used * I) x = rhs`` via two triangular solves.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
-    For a column k, ``||L^-1 k||^2 = k^T (M + jitter_used * I)^-1 k``.
 
     Raises
     ------
@@ -175,18 +172,10 @@ def solve_lower(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
         raise InvalidInput("right-hand side entries must be finite")
     # L^T is the factor's Fortran-ordered view: LAPACK reads it in place,
     # the layout scipy's solve_triangular hands it for a C-ordered L
-    x, info = _lapack().dtrtrs(factor.lower.T, rhs, lower=0, trans=1)
-    return _checked("dtrtrs", x, info)
-
-
-def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(M + jitter_used * I) x = rhs`` via two triangular solves.
-
-    ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
-    Raises as :func:`solve_lower` does.
-    """
+    forward, info = _lapack().dtrtrs(factor.lower.T, rhs, lower=0, trans=1)
+    forward = _checked("dtrtrs", forward, info)
     # the forward result is ours, so the back solve overwrites it in place
-    x, info = _lapack().dtrtrs(factor.lower.T, solve_lower(factor, rhs), lower=0, overwrite_b=1)
+    x, info = _lapack().dtrtrs(factor.lower.T, forward, lower=0, overwrite_b=1)
     return _checked("dtrtrs", x, info)
 
 
@@ -213,8 +202,8 @@ def multiply_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     or a matrix of stacked right-hand-side columns. A Fortran-ordered
     float ``rhs`` is overwritten with the product, so no second array of
     its size is made; pass a copy to keep it. With
-    ``lower = triangular_inverse(factor)`` this is ``solve_lower(factor,
-    rhs)`` up to rounding, in a product's flops rather than a solve's.
+    ``lower = triangular_inverse(factor)`` this is the forward solve
+    ``L^-1 rhs`` up to rounding, in a product's flops rather than a solve's.
 
     Raises
     ------

@@ -55,6 +55,22 @@ class TestFitKinetics:
         assert err.startswith("error: stage=")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("fit-kinetics", "--input"),
+        ("predict", "--t-grid", "100", "--model"),
+        ("report", "--inputs"),
+    ])
+    def test_missing_path_does_not_fall_back_to_a_fixture(self, tmp_path, capsys, argv):
+        # only a bare file name names a bundled fixture; a missing path whose
+        # last part is one is still a missing file
+        missing = str(tmp_path / "no_such_dir" / "pcp_run1.csv")
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, missing, "--output", str(out)) == 5
+        assert capsys.readouterr().err == (
+            f"error: stage=load code=5 kind=FileIOError: no such file: {missing}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_validation_error_leaves_no_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time_min,concentration_mg_l\n0,40\n60,30\n90,20\n")

@@ -155,6 +155,13 @@ class TestFixtures:
         with pytest.raises(FileIOError):
             resolve_input("pcbc_run1.csv")
 
+    def test_only_a_bare_name_falls_back_to_a_fixture(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert resolve_input("pcbc_run1.csv") == fixture_dir() / "pcbc_run1.csv"
+        for path in ("./pcbc_run1.csv", "sub/pcbc_run1.csv", tmp_path / "pcbc_run1.csv"):
+            with pytest.raises(FileIOError, match="no such file"):
+                resolve_input(path)
+
     def test_unknown_fixture(self):
         with pytest.raises(InvalidSpec):
             load_fixture("nonexistent.csv")

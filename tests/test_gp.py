@@ -1,7 +1,7 @@
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from pabfit.gp import (
     DEFAULT_EPSILON,
     INPUT_NAMES,
     GpHyperParams,
+    covariance_factor,
     default_hyperparams,
     design_matrix,
     gp_fit,
@@ -243,7 +244,7 @@ class TestFit:
             )
             x = rng.uniform(0, 1, size=(n, p))
             model = gp_fit(hp, x, rng.uniform(0, 1, n))
-            assert model.factor.jitter_used == 0.0
+            assert model.jitter_used == 0.0
 
 
 class TestUnchangedBits:
@@ -266,8 +267,8 @@ class TestUnchangedBits:
             lower = lapack_cholesky(cov)
             alpha = solve_triangular(lower.T, solve_triangular(lower, y, lower=True), lower=False)
             model = gp_fit(hp, x, y)
-            assert model.factor.jitter_used == 0.0
-            np.testing.assert_array_equal(model.factor.lower, lower)
+            assert model.jitter_used == 0.0
+            np.testing.assert_array_equal(covariance_factor(hp, x).lower, lower)
             np.testing.assert_array_equal(model.alpha, alpha)
             pred = gp_predict(model, xq)
             np.testing.assert_array_equal(pred.mean, unblocked_kernel_matrix(hp, xq, x) @ alpha)
@@ -354,7 +355,7 @@ class TestPredict:
         rng = np.random.default_rng(sorted(FIXTURES).index(name))
         xq = rng.uniform(x.min(axis=0), x.max(axis=0), (40, hp.p))
         model = gp_fit(hp, x, y)
-        assert model.factor.jitter_used == 0.0
+        assert model.jitter_used == 0.0
         reference = np.maximum(mp_posterior_variance(hp, x, xq), 0.0)
         np.testing.assert_allclose(gp_predict(model, xq).variance, reference, rtol=0, atol=1e-11)
 
@@ -377,6 +378,31 @@ class TestNlml:
         zero_model = gp_fit(hp, x, np.zeros(6))
         data_term = 0.5 * float(zero_model.y_train @ zero_model.alpha)
         assert data_term == 0.0
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_model_keeps_the_inverse_alone_and_nlml_keeps_its_bits(self, name):
+        # L^-1 is the model's one n x n array, and the nlml's log-determinant
+        # term is the sum of log L_ii over the factor gp_fit takes, bit for bit
+        hp, x, y = fixture_fit(name)
+        model = gp_fit(hp, x, y)
+        n = len(y)
+
+        def array_sizes(obj):  # every array the model reaches, in nested fields too
+            if isinstance(obj, np.ndarray):
+                return [obj.size]
+            values = [getattr(obj, f.name) for f in fields(obj)] if is_dataclass(obj) else []
+            values += list(obj.values()) if isinstance(obj, dict) else []
+            return [size for value in values for size in array_sizes(value)]
+
+        assert sorted(array_sizes(model)) == sorted([n * hp.p, n, n, n * n])
+        assert model.linv.shape == (n, n)
+        lower = covariance_factor(hp, x).lower
+        nlml = float(
+            0.5 * np.dot(y, model.alpha)
+            + float(np.sum(np.log(np.diag(lower))))
+            + 0.5 * n * math.log(2.0 * math.pi)
+        )
+        assert gp_nlml(model) == nlml
 
 
 def draw_from(hp, x, rng):
@@ -403,7 +429,7 @@ class TestLooSse:
             hp = GpHyperParams(v=float(rng.uniform(0.2, 2.0)), w=(float(rng.uniform(0.5, 2.0)),))
             x = np.sort(rng.uniform(0, 3 * n, n))[:, None]
             model = gp_fit(hp, x, rng.standard_normal(n))
-            np.testing.assert_array_equal(model.linv, triangular_inverse(model.factor))
+            np.testing.assert_array_equal(model.linv, triangular_inverse(covariance_factor(hp, x)))
             cov = kernel_matrix(hp, x) + hp.epsilon * np.eye(n)
             diag = np.einsum("ij,ij->j", model.linv, model.linv)
             np.testing.assert_allclose(diag, np.diag(np.linalg.inv(cov)), rtol=1e-10)
@@ -424,7 +450,7 @@ class TestLooSse:
             for i in range(n):
                 keep = np.arange(n) != i
                 sub = gp_fit(hp, x[keep], y[keep])
-                assert sub.factor.jitter_used == 0.0 == model.factor.jitter_used
+                assert sub.jitter_used == 0.0 == model.jitter_used
                 resid.append(y[i] - gp_predict(sub, x[i : i + 1]).mean[0])
             assert gp_loo_sse(model) == pytest.approx(float(np.dot(resid, resid)), rel=1e-6)
 
@@ -575,7 +601,8 @@ class TestSelectInputs:
                          else {"thickness_cm": 1.0})
         x_layout = design_matrix(columns, layout_hp.inputs)
         model, layout = gp_fit(hp, x, y), gp_fit(layout_hp, x_layout, y)
-        np.testing.assert_array_equal(model.factor.lower, layout.factor.lower)
+        np.testing.assert_array_equal(covariance_factor(hp, x).lower, covariance_factor(layout_hp, x_layout).lower)
+        np.testing.assert_array_equal(model.linv, layout.linv)
         np.testing.assert_array_equal(model.alpha, layout.alpha)
         pred, pred_layout = gp_predict(model, x), gp_predict(layout, x_layout)
         np.testing.assert_array_equal(pred.mean, pred_layout.mean)

@@ -24,7 +24,6 @@ from pabfit.numeric import (
     levenberg_marquardt,
     multiply_lower,
     solve,
-    solve_lower,
     triangular_inverse,
 )
 
@@ -132,7 +131,7 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             solve(f, [1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            solve_lower(f, np.ones((2, 2)))
+            solve(f, np.ones((2, 2)))
 
     def test_roundtrip_property(self):
         # solve(chol(M), M x) recovers x to 1e-6 relative error
@@ -151,10 +150,11 @@ class TestSolve:
             a = rng.standard_normal((9, 9))
             f = cholesky(a @ a.T + 9 * np.eye(9))
             rhs = rng.standard_normal(shape)
-            forward = solve_lower(f, rhs)
-            np.testing.assert_allclose(f.lower @ forward, rhs, atol=1e-12)
+            x = solve(f, rhs)
+            np.testing.assert_allclose(f.lower @ (f.lower.T @ x), rhs, atol=1e-12)
+            forward = solve_triangular(f.lower, rhs, lower=True)
             back = solve_triangular(f.lower.T, forward, lower=False)
-            np.testing.assert_array_equal(back, solve(f, rhs))
+            np.testing.assert_array_equal(back, x)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_peak_memory_one_right_hand_side(self, order):
@@ -177,15 +177,11 @@ class TestSolve:
         f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
         for rhs in ([1.0, bad], [[1.0, 2.0], [bad, 0.0]]):
             with pytest.raises(InvalidInput, match="right-hand side"):
-                solve_lower(f, rhs)
-            with pytest.raises(InvalidInput, match="right-hand side"):
                 solve(f, rhs)
 
     def test_zero_on_the_factor_diagonal_is_not_positive_definite(self):
         f = CholeskyFactor(lower=np.array([[1.0, 0.0], [2.0, 0.0]]), jitter_used=0.0)
         for rhs in ([1.0, 1.0], np.ones((2, 3))):
-            with pytest.raises(NotPositiveDefinite, match="dtrtrs info=2"):
-                solve_lower(f, rhs)
             with pytest.raises(NotPositiveDefinite, match="dtrtrs info=2"):
                 solve(f, rhs)
 
@@ -209,7 +205,6 @@ class TestLapackLayouts:
             np.asfortranarray(rng.standard_normal((n, 3))),
         ):
             forward = solve_triangular(f.lower, rhs, lower=True)
-            np.testing.assert_array_equal(solve_lower(f, rhs), forward)
             back = solve_triangular(f.lower.T, forward, lower=False)
             np.testing.assert_array_equal(solve(f, rhs), back)
         inverse_of_upper, info = scipy.linalg.lapack.dtrtri(f.lower.T, lower=0)
@@ -273,7 +268,7 @@ class TestMultiplyLower:
         rhs = np.asfortranarray(rhs) if layout == "F" else rhs
         got = multiply_lower(triangular_inverse(f), rhs.copy(order="A"))
         assert got.shape == rhs.shape
-        np.testing.assert_allclose(got, solve_lower(f, rhs), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got, solve_triangular(f.lower, rhs, lower=True), rtol=1e-12, atol=1e-14)
 
     def test_reads_only_the_lower_triangle(self):
         rng = np.random.default_rng(16)

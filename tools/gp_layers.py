@@ -4,8 +4,9 @@ For n = 65 (one fixture's size), 500 and 2000, on fixed seeded inputs laid
 out like a lead design matrix (t_norm, pH, W) and the reference lead
 hyperparameters, it times each layer of a fit and a prediction at m = n
 query points: ``kernel_matrix`` on the training set and on the cross set,
-``cholesky``, ``solve`` (one right-hand side), ``solve_lower`` (m
-right-hand sides), ``triangular_inverse``, the whole ``gp_fit``,
+``cholesky``, ``solve`` (one right-hand side), ``triangular_inverse``,
+``multiply_lower`` (L^-1 times m right-hand sides, as ``gp_predict`` runs
+it, on a fresh copy each call), the whole ``gp_fit``,
 ``gp_predict`` and ``gp_loo_sse``, and last one whole benchmark
 ``gp-scale`` op: ``gp_fit``, ``gp_predict`` at m = n, ``gp_nlml`` and
 ``gp_loo_sse``. Each entry is the best of ROUNDS * REPEATS repetitions, in
@@ -30,8 +31,8 @@ per checkout.
 The children run with one BLAS thread, as perfbench pins it:
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are
 1 unless the caller has set them, and the header prints the values used.
-At the default OpenBLAS thread count on a 2-vCPU host, ``solve_lower`` at
-n = 2000 read 75 ms against 137 ms on one thread.
+At the default OpenBLAS thread count on a 2-vCPU host, ``multiply_lower``
+at n = 2000 read 77-86 ms against 153-194 ms on one thread (best of 8).
 
 Edit SIZES, ROUNDS or REPEATS below for another sweep.
 """
@@ -70,6 +71,7 @@ def layer_times(n: int, repeats: int) -> dict[str, float]:
     cov = gp.kernel_matrix(hp, x)
     cov[np.diag_indices_from(cov)] += hp.epsilon
     factor = numeric.cholesky(cov)
+    linv = numeric.triangular_inverse(factor)
     cross_t = gp.kernel_matrix(hp, xq, x).T
     model = gp.gp_fit(hp, x, y)
 
@@ -84,8 +86,9 @@ def layer_times(n: int, repeats: int) -> dict[str, float]:
         "kernel_matrix(cross)": lambda: gp.kernel_matrix(hp, xq, x),
         "cholesky": lambda: numeric.cholesky(cov),
         "solve": lambda: numeric.solve(factor, y),
-        "solve_lower": lambda: numeric.solve_lower(factor, cross_t),
         "triangular_inverse": lambda: numeric.triangular_inverse(factor),
+        # the product overwrites its Fortran-ordered right-hand sides
+        "multiply_lower": lambda: numeric.multiply_lower(linv, cross_t.copy(order="F")),
         "gp_fit": lambda: gp.gp_fit(hp, x, y),
         "gp_predict": lambda: gp.gp_predict(model, xq),
         "gp_loo_sse": lambda: gp.gp_loo_sse(model),
