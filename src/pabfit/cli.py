@@ -5,9 +5,11 @@ model module, and writes a report atomically. Identical options (and seed)
 produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 3 validation errors, 4 numeric failures, 5 I/O failures.
 
-``predict`` and ``_rebuild_model`` are the only code here that tells the
-model families apart, and ``_ph`` the only code that picks a query's pH;
-every grid option is read through ``_grid``. ``predict`` and ``report
+``predict`` (through ``_evaluate``) and ``_rebuild_model`` are the only
+code here that tells the model families apart, and ``_ph`` the only code
+that picks a query's pH; every grid option is read through ``_grid``.
+``predict`` fails a prediction that is not finite, for the ``predict``
+command and ``report --scan-w`` alike. ``predict`` and ``report
 --scan-w`` rebuild each model at ``stage=load``, so a report that cannot
 be rebuilt fails there under both; a bad grid option fails at the stage
 after. A GP reads the columns ``gp.select_inputs`` picks, in ``fit-gp``
@@ -56,7 +58,7 @@ from .domain import (
     ObservationSeries,
     PredictionRow,
 )
-from .errors import InvalidInput, PabfitError, ParseError, ValidationError
+from .errors import InvalidInput, NumericError, PabfitError, ParseError, ValidationError
 from .expmodel import ExpModelParams, ExponentForm, exp_model_eval, fit_exp_model
 from .gp import (
     DEFAULT_EPSILON,
@@ -394,8 +396,23 @@ def predict(model, t_norm, w, ph=None):
     ``w`` None. Only a GP of lead reads ``ph``, its mean training pH by
     default. A GP answers a query off the training value of a column it
     does not read at that value, with a ``FixedInputWarning``. ``variance``
-    is None for all but the GP.
+    is None for all but the GP. A mean or variance that overflows, or is
+    otherwise not finite, raises :class:`NumericError`, with no numpy
+    warning, so neither ``predict`` nor a scan writes it.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, variance = _evaluate(model, t_norm, w, ph)
+    bad = ~np.isfinite(mean) if variance is None else ~(np.isfinite(mean) & np.isfinite(variance))
+    if np.any(bad):
+        raise NumericError(
+            f"the model's prediction is not finite at {np.count_nonzero(bad)} of {np.size(bad)} "
+            "grid points"
+        )
+    return mean, variance
+
+
+def _evaluate(model, t_norm, w, ph):
+    """``predict``'s model call, before its check that the answer is finite."""
     if isinstance(model, KineticFitResult):
         if w is not None:
             raise ValidationError("the first-order model has no thickness input")

@@ -68,6 +68,8 @@ DEFAULT_SCHEDULE = tuple(float(t) for t in list(range(10, 61, 10)) + list(range(
 FIXTURE_DIR_ENV = "PABFIT_FIXTURE_DIR"
 
 _FLOAT_MAX = float(np.finfo(float).max)
+# the largest ln of a finite time, so exp() of a report's time_denominator stays finite
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
 def _read_text(path: Path) -> str:
@@ -334,8 +336,9 @@ def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
 
 
-def _absent_or_positive(value) -> bool:
-    return value is None or (_finite_number(value) and value > 0)
+def _time_denominator(value) -> bool:
+    """Absent, or the ln of a finite time past 1 minute: in (0, ln(float max)]."""
+    return value is None or (_finite_number(value) and 0 < value <= _LOG_FLOAT_MAX)
 
 
 # the check each parameter a model is rebuilt from must pass (None: absent)
@@ -346,14 +349,14 @@ _PARAMETER_CHECKS = {
         "b": _finite_number,
         # membership in a list, which needs no hash: the value may be a JSON list or object
         "exponent_form": lambda f: f is None or f in [form.value for form in ExponentForm],
-        "time_denominator": _absent_or_positive,
+        "time_denominator": _time_denominator,
     },
     ModelKind.GAUSSIAN_PROCESS: {
         "v": _finite_number,
         "w": lambda w: isinstance(w, list) and all(map(_finite_number, w)),
         "inputs": lambda names: names is None or isinstance(names, list),
         "epsilon": _finite_number,
-        "time_denominator": _absent_or_positive,
+        "time_denominator": _time_denominator,
         "default_ph": lambda ph: ph is None or (_finite_number(ph) and 0 <= ph <= MAX_PH),
     },
 }
@@ -380,10 +383,11 @@ def read_report(path: str | Path) -> FitReport:
     ``GpHyperParams``'s domain, which takes one weight per input, by
     default one to three by count), and, where
     present, ``exponent_form`` one of the forms, ``time_denominator``
-    positive and ``default_ph`` in [0, ``MAX_PH``]; the four metrics,
-    unless null, finite; and in each prediction row ``inputs`` an object of
-    finite numbers, a finite ``predicted``, and a finite or null
-    ``observed`` and ``variance``.
+    in (0, ln(float max)], so the time it maps back to is finite, and
+    ``default_ph`` in [0, ``MAX_PH``]; the four metrics, unless null,
+    finite; and in each prediction row ``inputs`` an object of finite
+    numbers, a finite ``predicted``, and a finite or null ``observed`` and
+    ``variance``.
     """
     path = Path(path)
     try:

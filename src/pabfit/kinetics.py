@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ObservationSeries
-from .errors import DegenerateFit, NonPositiveConcentration
+from .errors import NonPositiveConcentration
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,9 @@ class KineticFitResult:
 def fit_first_order(series: ObservationSeries) -> KineticFitResult:
     """Ordinary least squares of log-concentration on time.
 
-    Raises :class:`NonPositiveConcentration` if any concentration is <= 0
-    and :class:`DegenerateFit` if all sample times coincide. A constant
-    concentration series yields k = 0 (flagged degenerate). The fit's R^2
-    is ``compute_metrics`` on the log-concentrations.
+    Raises :class:`NonPositiveConcentration` if any concentration is <= 0.
+    A constant concentration series yields k = 0 (flagged degenerate). The
+    fit's R^2 is ``compute_metrics`` on the log-concentrations.
     """
     c = series.concentrations()
     if np.any(c <= 0):
@@ -40,8 +39,6 @@ def fit_first_order(series: ObservationSeries) -> KineticFitResult:
     y = np.log(c)
     tc = t - t.mean()
     stt = float(np.dot(tc, tc))
-    if stt == 0.0:
-        raise DegenerateFit("all sample times are identical")
     if np.all(y == y[0]):  # equal values, whose mean can round off them
         return KineticFitResult(
             k=0.0, ln_c0_fit=float(y.mean()), n_points=int(t.size), degenerate=True

@@ -749,6 +749,7 @@ class TestMalformedReportParameters:
             (FIT_EXP, lambda p: p["predictions"][0].pop("inputs")),
             (FIT_EXP, lambda p: p["parameters"].update(time_denominator="x")),
             (FIT_EXP, lambda p: p["parameters"].update(time_denominator=0.0)),
+            (FIT_EXP, lambda p: p["parameters"].update(time_denominator=1000.0)),
             (FIT_GP, lambda p: p["predictions"][0]["inputs"].update(t_norm="abc")),
             (FIT_GP, lambda p: p["predictions"][0].update(observed="x")),
             (FIT_GP, lambda p: p["predictions"][0].update(variance=[])),
@@ -767,7 +768,7 @@ class TestMalformedReportParameters:
         ],
         ids=[
             "empty_metrics", "row_without_inputs", "time_denominator_text",
-            "time_denominator_zero", "gp_t_norm_text", "gp_observed_text",
+            "time_denominator_zero", "time_denominator_past_float_range", "gp_t_norm_text", "gp_observed_text",
             "gp_variance_list", "gp_default_ph_text", "gp_default_ph_huge",
             "gp_default_ph_negative", "exponent_form_list", "exponent_form_object",
             "gp_two_weights_one_input", "gp_four_weights", "gp_negative_v", "gp_zero_epsilon",
@@ -796,6 +797,37 @@ class TestMalformedReportParameters:
             tmp_path, capsys, FIT_GP, lambda p: p["parameters"].update(v=-1.0), "report", scan_w=None
         )
         assert "signal variance must be positive" in err
+
+
+class TestOverflowingPrediction:
+    """A model whose prediction overflows fails with code 4 and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv,change,command,stage",
+        [
+            (FIT_EXP, {"a": -2000}, ["predict", "--t-grid", "60,3600", "--w-grid", "1"], "predict"),
+            (FIT_EXP, {"a": -2000}, ["report", "--scan-w", "0,1"], "scan"),
+            (["fit-kinetics", "--input", "pcbc_run1.csv"], {"k": 1},
+             ["predict", "--t-grid", "60,3600"], "predict"),
+        ],
+        ids=["exponential_predict", "exponential_scan", "first_order_predict"],
+    )
+    def test_fails_without_numpy_warnings(self, tmp_path, capsys, argv, change, command, stage):
+        model = tmp_path / "model.json"
+        assert run_cli(*argv, "--output", str(model)) == 0
+        payload = json.loads(model.read_text())
+        payload["parameters"].update(change)
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        source = "--model" if command[0] == "predict" else "--inputs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(command[0], source, str(model), *command[1:], "--output", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage={stage} code=4 kind=NumericError:")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists() and not report_csv_path(out).exists()
 
 
 class TestBadGrids:

@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -17,6 +19,7 @@ def load_tool(name):
     return module
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow on the command set fails
 def test_command_set_outputs_match_the_listed_hashes(capsys):
     output_hashes = load_tool("output_hashes")
     code = output_hashes.main(["--check", str(TOOLS / "output_hashes.txt")])

@@ -39,6 +39,8 @@ SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=No
 finite = st.floats(allow_nan=False, allow_infinity=False)
 fraction = st.floats(0.0, 1.0)
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+# ln of a finite time past 1 minute, the domain of a report's time_denominator
+denominator = st.floats(0.0, math.log(np.finfo(float).max), exclude_min=True)
 
 
 @st.composite
@@ -106,13 +108,13 @@ def parameters(kind: ModelKind):
             "a": finite,
             "b": finite,
             "exponent_form": st.sampled_from(["literal", "product"]),
-            "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
+            "time_denominator": denominator,
         },
         ModelKind.GAUSSIAN_PROCESS: {  # within GpHyperParams's domain
             "v": positive,
             "w": st.lists(st.floats(0.0, allow_infinity=False), min_size=1, max_size=3),
             "epsilon": positive,
-            "time_denominator": st.floats(0.0, 1e300, exclude_min=True),
+            "time_denominator": denominator,
             "default_ph": st.none() | st.floats(0.0, MAX_PH),
         },
     }[kind]

@@ -1,21 +1,75 @@
 """The public names of the package, and the ones the benchmark harness calls.
 
+``pabfit`` loads each public name from its defining module on first use.
 ``perfbench/`` drives the package through module attributes, so a name it
 reaches that goes missing breaks the harness without failing any other
 test; each such name is pinned here.
 """
 
+import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
 import pabfit
 from pabfit import cli, dataio, domain, expmodel, gp, numeric
 
+PUBLIC_NAMES = [
+    "__version__",
+    "Contaminant", "FitReport", "ModelKind", "ObservationSeries", "PredictionRow", "Sample",
+    "TransformedInputs", "log_time_norm", "transform_time",
+    "ExpModelParams", "ExponentForm", "exp_model_eval", "fit_exp_model",
+    "GpHyperParams", "GpModel", "GpPrediction", "default_hyperparams", "gp_fit", "gp_loo_sse",
+    "gp_loo_sse_gradient", "gp_nlml", "gp_nlml_gradient", "gp_optimize_hyperparams",
+    "gp_predict", "kernel_matrix",
+    "KineticFitResult", "fit_first_order", "predict_first_order",
+    "FitMetrics", "compute_metrics", "obs_pred_slope", "r_squared", "rmse",
+    "CholeskyFactor", "DescentConfig", "DescentResult", "cholesky", "gradient_descent", "solve",
+]
 
-@pytest.mark.parametrize("name", pabfit.__all__)
-def test_every_exported_name_resolves(name):
-    assert getattr(pabfit, name) is not None
+
+def test_public_names_are_pinned():
+    assert pabfit.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES[1:])
+def test_every_exported_name_is_its_modules_object(name):
+    value = getattr(pabfit, name)
+    assert value.__module__.startswith("pabfit.")
+    assert value is getattr(importlib.import_module(value.__module__), name)
+
+
+def test_version_is_bound_at_import():
+    assert pabfit.__version__ == "0.1.0"
+
+
+def test_import_loads_no_numpy_and_no_submodule(cli_env, tmp_path):
+    code = (
+        "import sys, pabfit\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('pabfit.')))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=cli_env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pabfit.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from pabfit import *", namespace)
+    assert [name for name in pabfit.__all__ if name not in namespace] == []
+    assert namespace["gp_fit"] is gp.gp_fit
+
+
+def test_dir_lists_every_public_name():
+    assert set(pabfit.__all__) <= set(dir(pabfit))
 
 
 @pytest.mark.parametrize(
