@@ -4,9 +4,11 @@ Input files are headered CSV with the canonical columns ``time_min``,
 ``concentration_mg_l``, ``removal_pct``, ``thickness_cm``, ``ph``. Reports
 go out as JSON (sorted keys, stable float repr, so identical runs produce
 identical bytes) plus a flat CSV of prediction rows for external plotting.
-All writes are write-to-temp + atomic rename: a failing run leaves no
-partial output behind, and a written file has the mode a plain ``open``
-would give it, 0666 less the umask.
+Each output file is written to a new file beside it, then renamed over it,
+so it appears whole or not at all, with the mode a plain ``open`` gives a
+new file, 0666 less the umask. A report's CSV is written before its JSON:
+a failed run leaves no new JSON without its CSV, though a failure on the
+JSON itself can leave the new CSV beside the old JSON.
 
 Every input file is read as UTF-8 text; other bytes are a ``ParseError``.
 ``load_series`` and ``write_series`` both read ``_COLUMNS``, the one table
@@ -27,7 +29,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
@@ -225,23 +226,16 @@ def generate_synthetic(
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    tmp = None
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")  # a name no other writer uses
+    fh = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
-        # mkstemp creates the file 0600; give it the mode open() gives a new
-        # file, 0666 less the umask (read by setting it and setting it back)
-        umask = os.umask(0o077)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:  # a new file: 0666 less the umask
             fh.write(text)
         os.replace(tmp, path)
-        tmp = None
     except OSError as e:
         raise FileIOError(f"cannot write {path}: {e}") from e
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if fh is not None and os.path.lexists(tmp):  # this call's own file, not renamed
             os.unlink(tmp)
 
 
@@ -296,11 +290,10 @@ def write_report(report: FitReport, path: str | Path) -> None:
     """Serialize a report as JSON plus a flat CSV of prediction rows.
 
     The CSV sits next to the JSON (same stem, .csv) with one column per
-    input dimension followed by observed and predicted.
+    input dimension followed by observed and predicted. It is written
+    first, so a run that fails on it leaves no new JSON.
     """
     path = Path(path)
-    _write_json(path, _report_payload(report))
-
     input_keys = sorted({k for row in report.predictions for k in row.inputs})
     lines = [",".join(input_keys + ["observed", "predicted"])]
     for row in report.predictions:
@@ -309,6 +302,7 @@ def write_report(report: FitReport, path: str | Path) -> None:
         cells.append(repr(float(row.predicted)))
         lines.append(",".join(cells))
     _atomic_write(report_csv_path(path), "\n".join(lines) + "\n")
+    _write_json(path, _report_payload(report))
 
 
 def write_comparison(entries, provenance: dict, path: str | Path) -> None:

@@ -9,10 +9,11 @@ summary read removal through it.
 
 Every check on the values of a series runs once, in the ``ObservationSeries``
 constructor, whoever builds it; its messages name the 1-based data row.
-Each time is finite, > 1 minute and later than the one before; the same
-rule on times alone, before a series exists, is ``log_time_norm``'s.
-Thickness is bounded above by ``MAX_THICKNESS_CM`` and pH lies in
-[0, ``MAX_PH``], so no value the models see can overflow.
+The rule on times is written once, in ``_check_time``, which the
+constructor and ``log_time_norm`` (times alone, before a series exists)
+both call: each time is finite, in (1, ``MAX_TIME_MIN``] minutes and later
+than the one before. Thickness is bounded above by ``MAX_THICKNESS_CM``
+and pH lies in [0, ``MAX_PH``], so no value the models see can overflow.
 """
 
 from __future__ import annotations
@@ -34,9 +35,26 @@ CONSISTENCY_TOL = 1e-9
 # floating-point overflow in the models
 MAX_THICKNESS_CM = 1e4
 
+# latest sample time, in minutes: about 1,900 years is far beyond any
+# breakthrough run, and keeps n * t^2 of the kinetic fit far inside the float range
+MAX_TIME_MIN = 1e9
+
 # the top of the aqueous pH scale; with pH in [0, 14] the squared pH
 # differences of the GP kernel cannot overflow
 MAX_PH = 14.0
+
+
+def _check_time(i: int, t: float, before: float) -> None:
+    """The rule on data row ``i``'s time ``t``, given the time ``before`` it."""
+    if not (1.0 < t < math.inf):  # every model reads ln(t) / ln(t_max)
+        raise InvalidTime(
+            f"row {i}: time {t} min is {'<= 1' if t <= 1 else 'not finite'}; "
+            "the log-time transform is undefined there"
+        )
+    if t > MAX_TIME_MIN:
+        raise InvalidTime(f"row {i}: time {t} min is past the bound of {MAX_TIME_MIN:g} min")
+    if t <= before:
+        raise InvalidInput(f"row {i}: times must be strictly increasing ({t} after {before})")
 
 
 class Contaminant(Enum):
@@ -78,19 +96,9 @@ class ObservationSeries:
         if not (self.c0 > 0 and math.isfinite(self.c0)):
             raise InvalidInput(f"c0 must be finite and positive, got {self.c0}")
         filled = []
-        prev_t = -math.inf
         c_max = self.c0 * (1.0 + CONSISTENCY_TOL)
         for i, s in enumerate(self.samples, start=1):
-            if not (1.0 < s.t_raw < math.inf):  # every model reads ln(t) / ln(t_max)
-                raise InvalidTime(
-                    f"row {i}: time {s.t_raw} min is {'<= 1' if s.t_raw <= 1 else 'not finite'}; "
-                    "the log-time transform is undefined there"
-                )
-            if s.t_raw <= prev_t:
-                raise InvalidInput(
-                    f"row {i}: times must be strictly increasing ({s.t_raw} after {prev_t})"
-                )
-            prev_t = s.t_raw
+            _check_time(i, s.t_raw, filled[-1].t_raw if filled else -math.inf)
             if s.concentration is None and s.removal_fraction is None:
                 raise InvalidInput(f"row {i}: needs a concentration or a removal fraction")
             if s.concentration is not None and not (
@@ -173,12 +181,11 @@ class TransformedInputs:
 
 def log_time_norm(t_raw: Sequence[float] | np.ndarray) -> TransformedInputs:
     t = np.asarray(t_raw, dtype=float)
-    if t.size == 0 or not np.all((t > 1.0) & (t < np.inf)):
-        raise InvalidTime("log-time normalization needs one or more times, all finite and > 1 minute")
-    late = np.flatnonzero(t[1:] <= t[:-1])
-    if late.size:
-        i = int(late[0]) + 1
-        raise InvalidInput(f"row {i + 1}: times must be strictly increasing ({t[i]} after {t[i - 1]})")
+    if t.size == 0:
+        raise InvalidTime("log-time normalization needs one or more times")
+    times = t.tolist()
+    for i, (before, ti) in enumerate(zip([-math.inf, *times], times), start=1):
+        _check_time(i, ti, before)
     logs = np.log(t)
     denominator = float(logs.max())
     return TransformedInputs(t_raw=t, t_norm=logs / denominator, denominator=denominator)

@@ -228,6 +228,13 @@ class TestFitExp:
         assert code == 3
         assert "stage=load code=3" in capsys.readouterr().err
 
+    def test_unparsable_x0_is_a_parse_error_at_load(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert run_cli("fit-exp", "--input", "mb_run1.csv", "--x0", "a,b", "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: stage=load code=2 kind=ParseError: --x0: cannot parse 'a,b' as comma-separated numbers\n"
+        assert not out.exists()
+
     # "1,-inf": argparse reads a value that starts "-inf" as an option
     @pytest.mark.parametrize(
         "option,value,message",
@@ -324,7 +331,7 @@ class TestFitGp:
         assert json.loads(tuned.read_text())["parameters"]["optimized"] is True
 
     # --epsilon alone sets the jitter, so eps is an unknown --hyper key
-    @pytest.mark.parametrize("hyper", ["q=3", "v=0.3,eps=1e-6", "v=0.3,epsilon=1e-6"])
+    @pytest.mark.parametrize("hyper", ["q=3", "v=0.3,eps=1e-6", "v=0.3,epsilon=1e-6", "0.5", "v=abc"])
     def test_bad_hyper_string(self, tmp_path, capsys, hyper):
         code = run_cli(
             "fit-gp",
@@ -336,6 +343,7 @@ class TestFitGp:
             str(tmp_path / "o.json"),
         )
         assert code == 2
+        assert "stage=load code=2 kind=ParseError: --hyper" in capsys.readouterr().err
 
     def test_infinite_weight_rejected_by_name(self, tmp_path, capsys):
         out = tmp_path / "o.json"
@@ -499,6 +507,21 @@ class TestPredict:
             0.9853613053949207, abs=1e-6
         )
 
+    def test_a_prediction_report_rebuilds_no_gp(self, tmp_path, capsys):
+        # predict's rows carry no observed value, so they hold no training set
+        model = self.fit_gp_report(tmp_path)
+        pred = tmp_path / "pred.json"
+        argv = ["--t-grid", "60,3600", "--w-grid", "3.0"]
+        assert run_cli("predict", "--model", str(model), *argv, "--output", str(pred)) == 0
+        capsys.readouterr()
+        out = tmp_path / "again.json"
+        assert run_cli("predict", "--model", str(pred), *argv, "--output", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "error: stage=load code=3 kind=ValidationError: "
+            "GP report carries no training rows; cannot rebuild the model\n"
+        )
+        assert not out.exists()
+
     def test_time_outside_horizon_rejected(self, tmp_path):
         model = self.fit_gp_report(tmp_path)
         code = run_cli(
@@ -538,7 +561,9 @@ class TestInfiniteC0:
 
 class TestNonFiniteSampleValues:
     @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
-    @pytest.mark.parametrize("column,value", [("thickness_cm", "nan"), ("ph", "inf")])
+    @pytest.mark.parametrize(
+        "column,value", [("thickness_cm", "nan"), ("ph", "inf"), ("time_min", "1e160")]
+    )
     def test_rejected_at_load(self, tmp_path, capsys, command, column, value):
         bad = corrupted_fixture(tmp_path, column, value)
         out = tmp_path / "o.json"
@@ -589,6 +614,8 @@ def check_rejected(tmp_path, capsys, stage, *argv):
 
 
 class TestCsvShape:
+    """A CSV the loader or the series constructor rejects fails at load."""
+
     @pytest.mark.parametrize(
         "text,message",
         [
@@ -598,8 +625,14 @@ class TestCsvShape:
             # the extra cell used to be dropped in silence
             ("time_min,concentration_mg_l\n10,40\n20,30,5\n90,20\n",
              "row 2: 3 cells, the header has 2"),
+            ("time_min,concentration_mg_l\n10,40\n,30\n90,20\n", "row 2: missing time"),
+            ("time_min,concentration_mg_l\n10,40\n20,nan\n90,20\n",
+             "row 2: concentration must be finite"),
+            # such times used to overflow the kinetic fit, which exited 0 with k = -0
+            ("time_min,concentration_mg_l\n1e160,40\n2e160,30\n3e160,20\n",
+             "row 1: time 1e+160 min is past the bound of 1e+09 min"),
         ],
-        ids=["repeated-column", "long-row"],
+        ids=["repeated-column", "long-row", "empty-time", "nan-concentration", "time-past-the-bound"],
     )
     def test_rejected_at_load(self, tmp_path, capsys, text, message):
         csv = tmp_path / "shape.csv"
@@ -791,12 +824,39 @@ class TestMalformedReportParameters:
                            "--output", str(merged)) == 0
         assert json.loads(merged.read_text())["comparison"][0]["thickness_scan"]["w_grid"] == [0, 1]
 
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_gp_rows_without_an_input_column(self, tmp_path, capsys, command):
+        drop = lambda p: [row["inputs"].pop("t_norm") for row in p["predictions"]]  # noqa: E731
+        err = self.rejected(tmp_path, capsys, FIT_GP, drop, command)
+        assert "GP report rows lack input column 't_norm'" in err
+
     def test_report_without_scan_checks_the_gp_domain(self, tmp_path, capsys):
         # a merge without --scan-w rebuilds no model, so the check runs at load
         err = self.rejected(
             tmp_path, capsys, FIT_GP, lambda p: p["parameters"].update(v=-1.0), "report", scan_w=None
         )
         assert "signal variance must be positive" in err
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("command", ["fit-kinetics", "predict"])
+    def test_directory_at_the_csv_leaves_no_json(self, tmp_path, capsys, command):
+        # the CSV is written first, so its failure leaves no new JSON behind
+        model = tmp_path / "model" / "kin.json"
+        model.parent.mkdir()
+        assert run_cli("fit-kinetics", "--input", "pcbc_run1.csv", "--output", str(model)) == 0
+        (tmp_path / "out.csv").mkdir()
+        capsys.readouterr()
+        argv = {
+            "fit-kinetics": ["--input", "pcbc_run1.csv"],
+            "predict": ["--model", str(model), "--t-grid", "60,3600"],
+        }[command]
+        assert run_cli(command, *argv, "--output", str(tmp_path / "out.json")) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=write code=5 kind=FileIOError: cannot write ")
+        assert len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model", "out.csv"]
+        assert list((tmp_path / "out.csv").iterdir()) == []
 
 
 class TestOverflowingPrediction:
@@ -975,6 +1035,10 @@ class TestPredictDispatch:
     def test_ph_ignored_without_ph_input(self):
         model = ExpModelParams(a=2.068, b=3.486)
         assert np.array_equal(predict(model, 1.0, self.w, 9.0)[0], predict(model, 1.0, self.w)[0])
+
+    def test_unknown_model_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="cannot predict with a object"):
+            predict(object(), 0.5, 1.0)
 
     def test_thickness_required_or_refused(self):
         with pytest.raises(ValidationError, match="thickness grid"):
@@ -1191,6 +1255,8 @@ class TestSynth:
             ("first-order", "--schedule", "10,20,nan", "InvalidTime"),
             ("exp-model", "--schedule", "10,20,inf", "InvalidTime"),
             ("exp-model", "--schedule", "10,20,nan", "InvalidTime"),
+            ("first-order", "--schedule", "10,20,1e160", "InvalidTime: row 3: time 1e+160 min is past"),
+            ("exp-model", "--schedule", "10,20,1e160", "InvalidTime: row 3: time 1e+160 min is past"),
             ("exp-model", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
             ("gp-draw", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
         ],

@@ -16,6 +16,7 @@ from pabfit.dataio import (
     read_report,
     report_csv_path,
     resolve_input,
+    write_comparison,
     write_report,
     write_series,
 )
@@ -221,6 +222,8 @@ class TestGenerateSynthetic:
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             synth("first-order")
+        with pytest.raises(InvalidSpec, match="unknown generator 'bogus'"):
+            synth("bogus", k=-0.001)
         with pytest.raises(InvalidInput, match="strictly increasing"):
             synth("first-order", k=-0.001, schedule=[10.0, 5.0, 60.0])
         with pytest.raises(InvalidSpec):
@@ -279,6 +282,38 @@ class TestFileMode:
         written = sorted(tmp_path.iterdir())
         assert [p.name for p in written] == ["r.csv", "r.json", "s.csv"]
         assert [stat.S_IMODE(p.stat().st_mode) for p in written] == [mode] * 3
+
+    def test_writes_leave_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # the umask is process-wide state: reading it by setting it races other threads
+        def no_umask(*_):
+            raise AssertionError("os.umask called")
+
+        series = load_fixture("pcbc_run1.csv")
+        monkeypatch.setattr(os, "umask", no_umask)
+        write_series(series, tmp_path / "s.csv")
+        write_report(minimal_report(), tmp_path / "r.json")
+        write_comparison([("r.json", minimal_report(), None)], {"tool": "pabfit"}, tmp_path / "c.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "r.csv", "r.json", "s.csv"]
+
+
+class TestFailedWrites:
+    def test_report_csv_is_written_before_its_json(self, tmp_path):
+        # a directory at the CSV fails the report's first write: its temp
+        # file is removed and no JSON appears without its CSV
+        (tmp_path / "r.csv").mkdir()
+        with pytest.raises(FileIOError, match="cannot write"):
+            write_report(minimal_report(), tmp_path / "r.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_a_file_already_at_the_temp_name_is_kept(self, tmp_path, monkeypatch):
+        series = load_fixture("pcbc_run1.csv")
+        monkeypatch.setattr(os, "urandom", bytes)  # every temp name's suffix: 16 zeros
+        taken = tmp_path / f"s.csv.{'0' * 16}.tmp"
+        taken.write_text("another writer's file")
+        with pytest.raises(FileIOError, match="cannot write"):
+            write_series(series, tmp_path / "s.csv")
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "another writer's file"
 
 
 class TestReports:

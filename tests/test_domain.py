@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pabfit.domain import (
     MAX_THICKNESS_CM,
+    MAX_TIME_MIN,
     Contaminant,
     ObservationSeries,
     Sample,
@@ -34,10 +36,15 @@ class TestSeriesValidation:
         with pytest.raises(InvalidTime):
             series_from_concentrations([0, 10, 20], [40, 30, 20])
 
-    @pytest.mark.parametrize("t", [1.0, math.nan, math.inf])
+    # 1.0000001e9 and 1e160 lie past MAX_TIME_MIN
+    @pytest.mark.parametrize("t", [1.0, math.nan, math.inf, 1.0000001e9, 1e160])
     def test_rejects_time_not_above_one_or_not_finite(self, t):
         with pytest.raises(InvalidTime, match="row 2: time"):
             series_from_concentrations([10, t, 30], [40, 30, 20])
+
+    def test_time_at_its_bound_accepted(self):
+        series = series_from_concentrations([10, 20, MAX_TIME_MIN], [40, 30, 20])
+        assert series.times()[-1] == MAX_TIME_MIN
 
     def test_short_series_names_its_first_bad_row(self):
         with pytest.raises(InvalidTime, match="row 1"):
@@ -145,12 +152,13 @@ class TestTransformTime:
         assert tr.t_norm.tolist() == [1.0]
 
     def test_rejects_time_at_or_below_one(self):
-        with pytest.raises(InvalidTime):
+        with pytest.raises(InvalidTime, match="row 1: time 1.0 min is <= 1"):
             log_time_norm([1.0, 10.0])
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 1e160])  # 1e160: past MAX_TIME_MIN
     def test_rejects_time_not_finite(self, t):
-        with pytest.raises(InvalidTime):
+        # the series constructor's rule and message
+        with pytest.raises(InvalidTime, match=re.escape(f"row 2: time {t} min is")):
             log_time_norm([10.0, t])
 
     @pytest.mark.parametrize(

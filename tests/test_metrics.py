@@ -93,3 +93,8 @@ def test_compute_metrics_bundle():
     o = np.array([1.0, 2.0, 3.0])
     m = compute_metrics(o, o)
     assert (m.r2, m.rmse, m.obs_pred_slope, m.n) == (1.0, 0.0, 1.0, 3)
+
+
+def test_compute_metrics_needs_two_pairs():
+    with pytest.raises(DimensionMismatch, match="need at least 2 pairs, got 1"):
+        compute_metrics([1.0], [1.0])

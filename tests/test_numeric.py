@@ -353,6 +353,10 @@ class TestGradientDescent:
         with pytest.raises(NonFiniteObjective):
             gradient_descent(lambda x: float("nan"), lambda x: np.zeros(1), [0.0])
 
+    def test_no_iterations_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="max_iters"):
+            gradient_descent(lambda x: 0.0, lambda x: np.zeros(1), [0.0], DescentConfig(max_iters=0))
+
     def test_nan_during_descent_raises(self):
         def trap(x):
             return float("nan") if x[0] < 0.5 else (x[0] - 0.4) ** 2
@@ -458,6 +462,10 @@ class TestLevenbergMarquardt:
 
         with pytest.raises(NonFiniteObjective):
             levenberg_marquardt(trap, [0.6])
+
+    def test_infinite_jacobian_raises(self):
+        with pytest.raises(NonFiniteObjective, match="Jacobian not finite at iteration 1"):
+            levenberg_marquardt(lambda x: (np.array([x[0] - 1.0]), np.array([[np.inf]])), [0.0])
 
     def test_infinite_trial_is_rejected(self):
         def wall(x):  # the undamped step from 3 lands at 1, behind an overflow

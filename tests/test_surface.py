@@ -94,6 +94,8 @@ def test_benchmark_bindings_and_signatures():
     assert gp._OBJECTIVES["sse"] is gp.gp_loo_sse
     assert gp.cholesky is numeric.cholesky
     assert list(inspect.signature(gp.kernel_matrix).parameters) == ["hp", "x", "x2"]
+    # the tracer reads os.path.getsize(args[0]) after each call
+    assert list(inspect.signature(dataio._atomic_write).parameters) == ["path", "text"]
     assert "exponent_form" in inspect.signature(expmodel.fit_exp_model).parameters
     assert {"mean", "variance"} <= set(gp.GpPrediction.__dataclass_fields__)
     params = expmodel.ExpModelParams(a=1.0, b=2.0, exponent_form=expmodel.ExponentForm.PRODUCT)
