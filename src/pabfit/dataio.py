@@ -194,30 +194,30 @@ def generate_synthetic(
     if missing:
         raise InvalidSpec(f"{generator} generator needs parameters {missing}")
     rng = np.random.default_rng(seed)
-
-    if generator == "first-order":
-        # an exponent that overflows puts the concentration above c0, where
-        # the clip below sets it to c0 all the same; a c0 <= 0 and an inf or
-        # nan time give values the series rejects
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # a value that overflows (an exponent, a * (b + W), the noise) goes past
+    # [0, c0] or [0, 1], where the clip below saturates it all the same; a
+    # c0 <= 0, an inf or nan time and a nan removal give values the series
+    # rejects, so numpy need not warn
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if generator == "first-order":
             conc = np.exp(k * t + np.log(c0))
-        if noise_sd > 0:
-            conc = conc + noise_sd * rng.standard_normal(t.size)
-        conc = np.clip(conc, 0.0, c0)
-        removal = [None] * t.size
-    else:
-        t_norm = log_time_norm(t).t_norm
-        if generator == "exp-model":
-            removal = exp_model_eval(ExpModelParams(a=a, b=b), t_norm, thickness)
+            if noise_sd > 0:
+                conc = conc + noise_sd * rng.standard_normal(t.size)
+            conc = np.clip(conc, 0.0, c0)
+            removal = [None] * t.size
         else:
-            hp = GpHyperParams(v=v, w=w, epsilon=epsilon)  # its inputs named by count
-            columns = {"t_norm": t_norm, "ph": 7.0 if ph is None else ph, "thickness_cm": thickness}
-            x = design_matrix(columns, hp.inputs)
-            removal = mean + covariance_factor(hp, x).lower @ rng.standard_normal(t.size)
-        if noise_sd > 0:
-            removal = removal + noise_sd * rng.standard_normal(t.size)
-        removal = np.clip(removal, 0.0, 1.0)
-        conc = c0 * (1.0 - removal)
+            t_norm = log_time_norm(t).t_norm
+            if generator == "exp-model":
+                removal = exp_model_eval(ExpModelParams(a=a, b=b), t_norm, thickness)
+            else:
+                hp = GpHyperParams(v=v, w=w, epsilon=epsilon)  # its inputs named by count
+                columns = {"t_norm": t_norm, "ph": 7.0 if ph is None else ph, "thickness_cm": thickness}
+                x = design_matrix(columns, hp.inputs)
+                removal = mean + covariance_factor(hp, x).lower @ rng.standard_normal(t.size)
+            if noise_sd > 0:
+                removal = removal + noise_sd * rng.standard_normal(t.size)
+            removal = np.clip(removal, 0.0, 1.0)
+            conc = c0 * (1.0 - removal)
     samples = tuple(
         Sample(t_raw=ti, concentration=ci, removal_fraction=ri, thickness_w=thickness, ph=ph)
         for ti, ci, ri in zip(t, conc, removal)

@@ -13,7 +13,9 @@ The rule on times is written once, in ``_check_time``, which the
 constructor and ``log_time_norm`` (times alone, before a series exists)
 both call: each time is finite, in (1, ``MAX_TIME_MIN``] minutes and later
 than the one before. Thickness is bounded above by ``MAX_THICKNESS_CM``
-and pH lies in [0, ``MAX_PH``], so no value the models see can overflow.
+(the series-level ``barrier_thickness_cm`` too, whether or not a row falls
+back on it) and pH lies in [0, ``MAX_PH``], so no value the models see, nor
+one a report records, can overflow.
 """
 
 from __future__ import annotations
@@ -95,6 +97,14 @@ class ObservationSeries:
     def __post_init__(self):
         if not (self.c0 > 0 and math.isfinite(self.c0)):
             raise InvalidInput(f"c0 must be finite and positive, got {self.c0}")
+        # checked when given, though every row may carry its own thickness
+        if self.barrier_thickness_cm is not None and not (
+            0.0 <= self.barrier_thickness_cm <= MAX_THICKNESS_CM
+        ):
+            raise InvalidInput(
+                f"barrier thickness must lie in [0, {MAX_THICKNESS_CM:g}] cm, "
+                f"got {self.barrier_thickness_cm}"
+            )
         filled = []
         c_max = self.c0 * (1.0 + CONSISTENCY_TOL)
         for i, s in enumerate(self.samples, start=1):

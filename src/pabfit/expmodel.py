@@ -7,14 +7,17 @@ the product a * (b + W); the printed form of the model is ambiguous between
 the two, so both are provided behind a switch.
 
 ``exp_model_residual_jacobian`` is the one place the derivatives in (a, b)
-are written; ``fit_exp_model`` runs Levenberg-Marquardt on it from a start
-and its a <-> (b + W) mirror.
+are written; ``fit_exp_model`` runs Levenberg-Marquardt on it. The mirror
+a <-> (b + W) leaves the curve at one thickness unchanged and maps each
+Levenberg-Marquardt step onto itself, so on one thickness the fit runs once,
+from the branch representative of its start; on several thicknesses, where
+the mirror is no symmetry, it runs from the start and from its mirror.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -83,12 +86,6 @@ def exp_model_residual_jacobian(p: ExpModelParams, t_norm, w, removal):
     return resid, jac
 
 
-# sums of squares within this relative distance of the best, or at the
-# rounding floor n * eps^2 of an exact fit, count as equal minima
-_SSE_TIE_RTOL = 1e-9
-_EPS = float(np.finfo(float).eps)
-
-
 def fit_exp_model(
     data,
     x0: Sequence[float] = (1.0, 1.0),
@@ -103,21 +100,26 @@ def fit_exp_model(
     x0 : initial (a, b); (1, 1) when nothing better is known
     max_iters : cap on the iterations of each Levenberg-Marquardt run
 
-    The swap a <-> (b + W) leaves E and q = a * (b + W), and so the curve,
-    unchanged at any fixed thickness, so one run starts from ``x0`` and a
-    second from its mirror (b0 + mean(W), a0 - mean(W)). The lowest sum of
-    squares wins; among minima whose sums of squares are equal (within 1e-9
-    relative, or both at the rounding floor of an exact fit) the branch
-    rule picks the smallest |a - b|, then a > 0, then the smaller a.
-
+    The mirror (a, b) -> (b + mean(W), a - mean(W)) swaps a and b + W.
     With a single thickness, a and b are not identifiable
-    (``identifiable`` is False): in the literal form every minimum has an
-    equal mirror, which joins the candidates of the branch rule; in the
-    product form only q is identified and the sum of squares is flat along
-    a * (b + W) = q, so the fit reports the point of that curve with
-    a = |b + W| >= 0, where b + W takes the sign of q. No positivity
-    constraint is imposed on a or b; the fit reports whatever minimizes
-    the SSE, and ``converged`` is that of the run the answer came from.
+    (``identifiable`` is False): the swap leaves E and q = a * (b + W),
+    and so the curve, unchanged. It also maps each Levenberg-Marquardt
+    step onto itself, since at the mirrored point J has its two columns
+    swapped and J^T J and its diagonal scaling are permuted alike; a run
+    from the mirror of ``x0`` only ends at the mirror of the run from
+    ``x0``. So one run starts from the branch representative of ``x0``:
+    of ``x0`` and its mirror, the one with the smaller |a - b|, then
+    a > 0, then the smaller a. The answer is reported the same way: in
+    the literal form, the representative of the minimum and its mirror;
+    in the product form, where only q is identified and the sum of
+    squares is flat along a * (b + W) = q, the point of that curve with
+    a = |b + W| >= 0, where b + W takes the sign of q.
+
+    With several thicknesses the mirror is no symmetry, so runs start from
+    ``x0`` and from its mirror, and the lower sum of squares wins. No
+    positivity constraint is imposed on a or b; the fit reports whatever
+    minimizes the SSE, ``sse`` is the sum of squares at the reported
+    point, and ``converged`` is that of the run the answer came from.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
@@ -132,47 +134,35 @@ def fit_exp_model(
     def residual_jacobian(theta: np.ndarray):
         return exp_model_residual_jacobian(params(theta), t, w, y)
 
-    def sse(theta) -> float:
-        r = exp_model_eval(params(theta), t, w) - y
-        return float(np.dot(r, r))
-
     def mirror(theta) -> np.ndarray:
         return np.array([theta[1] + w_mean, theta[0] - w_mean])
+
+    def branch(theta) -> np.ndarray:  # the branch rule's pick of theta and its mirror
+        return min(theta, mirror(theta), key=lambda x: (abs(x[0] - x[1]), x[0] <= 0, x[0]))
 
     w_mean = float(np.mean(w))
     identifiable = bool(np.any(w != w[0]))
     runs = []
     failure = None
-    x0 = np.asarray(x0, dtype=float)
     # a trial step may overflow the exponential; the fit rejects it, so
     # numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in (x0, mirror(x0)):
+        for start in (x0, mirror(x0)) if identifiable else (branch(x0),):
             try:
                 runs.append(levenberg_marquardt(residual_jacobian, start, max_iters))
             except NonFiniteObjective as e:
                 failure = failure or e
     if not runs:
         raise failure
-    # (x, sse, converged) of each candidate answer
-    candidates = [(res.x, res.fun, res.converged) for res in runs]
+    best = min(runs, key=lambda res: res.fun)
+    x = best.x
     if not identifiable and exponent_form is ExponentForm.LITERAL:
-        mirrors = [(mirror(x), ok) for x, _, ok in candidates]
-        candidates += [(x, sse(x), ok) for x, ok in mirrors]
+        x = branch(x)
     elif not identifiable:
-        for i, (x, _, ok) in enumerate(candidates):
-            q = x[0] * (x[1] + w[0])
-            root = math.sqrt(abs(q))
-            canonical = np.array([root, math.copysign(root, q) - w[0]])
-            candidates[i] = (canonical, sse(canonical), ok)
-    best = min(f for _, f, _ in candidates)
-    tied = [c for c in candidates if c[1] <= best * (1.0 + _SSE_TIE_RTOL) + w.size * _EPS**2]
-    x, f, converged = min(tied, key=lambda c: (abs(c[0][0] - c[0][1]), c[0][0] <= 0, c[0][0]))
-    return ExpModelParams(
-        a=float(x[0]),
-        b=float(x[1]),
-        sse=f,
-        converged=converged,
-        exponent_form=exponent_form,
-        identifiable=identifiable,
+        q = x[0] * (x[1] + w[0])
+        root = math.sqrt(abs(q))
+        x = np.array([root, math.copysign(root, q) - w[0]])
+    r = exp_model_eval(params(x), t, w) - y
+    return replace(
+        params(x), sse=float(np.dot(r, r)), converged=best.converged, identifiable=identifiable
     )

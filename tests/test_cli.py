@@ -589,14 +589,27 @@ class TestOverflowScaleThickness:
         assert "RuntimeWarning" not in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "source,thickness",
+        # a file with a thickness column used to take any --thickness and
+        # record it in the report, as NaN or Infinity too
+        [
+            ("no_w.csv", "1e5"),
+            ("pcbc_run1.csv", "nan"),
+            ("pcbc_run1.csv", "inf"),
+            ("pcbc_run1.csv", "1e5"),
+        ],
+    )
     @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
-    def test_series_default_thickness_bounded(self, tmp_path, capsys, command):
+    def test_series_default_thickness_bounded(self, tmp_path, capsys, command, source, thickness):
         csv = tmp_path / "no_w.csv"
         csv.write_text("time_min,concentration_mg_l\n10,40\n60,30\n90,20\n")
+        source = str(csv) if source == "no_w.csv" else source
         out = tmp_path / "o.json"
-        code = run_cli(command, "--input", str(csv), "--thickness", "1e5", "--output", str(out))
+        code = run_cli(command, "--input", source, "--thickness", thickness, "--output", str(out))
         assert code == 3
         assert "stage=load code=3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def check_rejected(tmp_path, capsys, stage, *argv):
@@ -1247,6 +1260,21 @@ class TestSynth:
         assert {float(row[column]) for row in rows[1:]} == {50.0}
 
     @pytest.mark.parametrize(
+        "parameters", [("first-order", "--k", "-0.0006"), ("exp-model", "--a", "3.3", "--b", "0.8")]
+    )
+    def test_noise_past_the_float_range_saturates(self, tmp_path, parameters):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(
+                "synth", "--generator", *parameters, "--noise-sd", "1e308", "--output", str(out)
+            )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        column = rows[0].index("concentration_mg_l")
+        assert {float(row[column]) for row in rows[1:]} == {0.0, 50.0}
+
+    @pytest.mark.parametrize(
         "generator,option,value,kind",
         [
             ("first-order", "--c0", "0", "InvalidInput"),
@@ -1259,6 +1287,9 @@ class TestSynth:
             ("exp-model", "--schedule", "10,20,1e160", "InvalidTime: row 3: time 1e+160 min is past"),
             ("exp-model", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
             ("gp-draw", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
+            # a * (b + W) overflows, and so does e^{-t * (a + b + W)}
+            ("exp-model", "--a", "1e308", "InvalidInput: row"),
+            ("exp-model", "--a", "-1000", "InvalidInput: row"),
         ],
     )
     def test_value_the_series_rejects_warns_nothing(

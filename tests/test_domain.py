@@ -90,6 +90,14 @@ class TestSeriesValidation:
         with pytest.raises(InvalidInput, match="row 1: thickness"):
             ObservationSeries(Contaminant.PB, "x", 50.0, samples)
 
+    @pytest.mark.parametrize("thickness", [float("nan"), float("inf"), 1e5, -1e-9])
+    def test_series_thickness_outside_its_bound_rejected(self, thickness):
+        # checked even when every row carries its own thickness, since a
+        # report records it
+        samples = tuple(Sample(t, concentration=40.0, thickness_w=1.0) for t in (10, 20, 30))
+        with pytest.raises(InvalidInput, match="barrier thickness must lie in"):
+            ObservationSeries(Contaminant.PB, "x", 50.0, samples, thickness)
+
     def test_thickness_at_its_bound_accepted(self):
         samples = tuple(Sample(t, concentration=40.0) for t in (10, 20, 30))
         series = ObservationSeries(Contaminant.PB, "x", 50.0, samples, MAX_THICKNESS_CM)

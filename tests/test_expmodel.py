@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pabfit import expmodel
 from pabfit.dataio import FIXTURES, load_fixture
 from pabfit.domain import Contaminant
 from pabfit.errors import InvalidInput, NonFiniteObjective
@@ -14,6 +15,7 @@ from pabfit.expmodel import (
     fit_exp_model,
 )
 from pabfit.gp import training_set
+from pabfit.numeric import levenberg_marquardt
 
 from oracles import MB_EXP_PARAMS, PB_EXP_PARAMS, finite_difference_gradient
 
@@ -291,6 +293,42 @@ class TestFixtureFits:
         fit = fit_exp_model(two, exponent_form=form)
         assert fit.identifiable
         assert (fit.a, fit.b) == pytest.approx(PB_EXP_PARAMS, abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_a_run_from_the_mirror_ends_at_the_mirror(self, name, form):
+        # on one thickness the mirror maps each Levenberg-Marquardt step onto
+        # itself, so a second run from the mirror of x0 only repeats the first
+        _, data = fixture_data(name)
+        t, w, y = data.T
+        shift = float(np.mean(w))
+
+        def residual_jacobian(theta):
+            return exp_model_residual_jacobian(ExpModelParams(*theta, exponent_form=form), t, w, y)
+
+        first = levenberg_marquardt(residual_jacobian, (1.0, 1.0), 20000).x
+        second = levenberg_marquardt(residual_jacobian, (1.0 + shift, 1.0 - shift), 20000).x
+        mirrored = np.array([first[1] + shift, first[0] - shift])
+        assert np.linalg.norm(second - mirrored) <= 1e-9 * np.linalg.norm(mirrored)
+
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    @pytest.mark.parametrize("thicknesses,runs", [((1.0,), 1), ((0.5, 1.5), 2)])
+    def test_one_run_on_one_thickness(self, monkeypatch, form, thicknesses, runs):
+        # several thicknesses keep the mirror start: from x0 alone the literal
+        # fit of test_identifiable_needs_two_thicknesses stops at (1.976, 2.323)
+        starts = []
+
+        def counted(residual_jacobian, x0, max_iters):
+            starts.append(x0)
+            return levenberg_marquardt(residual_jacobian, x0, max_iters)
+
+        monkeypatch.setattr(expmodel, "levenberg_marquardt", counted)
+        truth = ExpModelParams(*PB_EXP_PARAMS, exponent_form=form)
+        t = np.linspace(0.05, 1.0, 20)
+        data = [(ti, wj, float(exp_model_eval(truth, ti, wj))) for ti in t for wj in thicknesses]
+        fit = fit_exp_model(data, exponent_form=form)
+        assert len(starts) == runs
+        assert fit.identifiable == (runs == 2)
 
     def test_product_valley_point_is_canonical(self):
         # one thickness identifies only q = a * (b + W); the fit reports the
