@@ -141,10 +141,11 @@ def _grid(text: str | float, flag: str) -> list[float]:
 
 
 def _parse_hyper(text: str) -> tuple[float | None, list[float]]:
-    """Parse 'v=0.3852,w=0.7839,2.8869,2.859e-9' into ``(v, w)``."""
+    """Parse 'v=0.3852,w=0.7839,2.8869,2.859e-9' into ``(v, w)``; each key once."""
     v = None
     w: list[float] = []
     current = None
+    seen = set()
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
@@ -154,6 +155,9 @@ def _parse_hyper(text: str) -> tuple[float | None, list[float]]:
             key = key.strip().lower()
             if key not in ("v", "w"):
                 raise ParseError(f"--hyper: unknown key {key!r}")
+            if key in seen:
+                raise ParseError(f"--hyper: key {key!r} given more than once")
+            seen.add(key)
             current = key
             tok = val
         elif current != "w":

@@ -18,9 +18,9 @@ the ``ObservationSeries`` constructor checks the values, times included.
 
 ``generate_synthetic`` takes the generator by its ``synth`` name and each
 option as a typed keyword; the GP draw factors its covariance with
-``gp.covariance_factor``, as ``gp_fit`` does. Synthetic series are seeded
-through numpy's default PCG64 generator, which is stable across platforms
-and releases; the seed alone reproduces a file.
+``gp.covariance_factor``, with the jitter a fit adds. Synthetic series are
+seeded through numpy's default PCG64 generator, which is stable across
+platforms and releases; the seed alone reproduces a file.
 """
 
 from __future__ import annotations
@@ -176,23 +176,32 @@ def generate_synthetic(
     ``first-order`` k, ``exp-model`` a and b, ``gp-draw`` v, w (one weight
     per input; one weight sees t_norm alone), epsilon and mean. Noise is
     additive Gaussian (sd = ``noise_sd``) applied on the generator's natural
-    scale and clamped so concentrations stay within [0, c0].
+    scale and clamped so concentrations stay within [0, c0]. k, a and b
+    must be finite. A removal curve that is NaN at finite parameters (at
+    a = 1e308, t * a * (b + W) overflows where e^{-t * (a + b + W)} is 0)
+    is an ``InvalidSpec`` that names them, not a row the series rejects.
     """
     t = np.asarray(schedule, dtype=float)  # the series checks its times
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise InvalidSpec(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if seed < 0:
         raise InvalidSpec(f"seed must be >= 0, got {seed}")
-    needs = {  # the parameters each generator reads; no weights is a missing w
+    needs = {  # the parameters each generator's curve reads; no weights is a missing w
         "first-order": {"k": k},
-        "exp-model": {"a": a, "b": b},
-        "gp-draw": {"v": v, "w": w or None},
+        "exp-model": {"a": a, "b": b, "thickness": thickness},
+        "gp-draw": {"v": v, "w": w or None, "mean": mean},
     }
     if generator not in needs:
         raise InvalidSpec(f"unknown generator {generator!r}; have {list(GENERATORS)}")
-    missing = [name for name, value in needs[generator].items() if value is None]
+    params = needs[generator]
+    missing = [name for name, value in params.items() if value is None]
     if missing:
         raise InvalidSpec(f"{generator} generator needs parameters {missing}")
+    # GpHyperParams checks v and w; the series checks thickness
+    infinite = [f"{name}={params[name]}" for name in ("k", "a", "b")
+                if name in params and not math.isfinite(params[name])]
+    if infinite:
+        raise InvalidSpec(f"{generator} generator needs finite parameters, got {', '.join(infinite)}")
     rng = np.random.default_rng(seed)
     # a value that overflows (an exponent, a * (b + W), the noise) goes past
     # [0, c0] or [0, 1], where the clip below saturates it all the same; a
@@ -214,6 +223,9 @@ def generate_synthetic(
                 columns = {"t_norm": t_norm, "ph": 7.0 if ph is None else ph, "thickness_cm": thickness}
                 x = design_matrix(columns, hp.inputs)
                 removal = mean + covariance_factor(hp, x).lower @ rng.standard_normal(t.size)
+            if np.isnan(removal).any():
+                spec = ", ".join(f"{name}={value}" for name, value in params.items())
+                raise InvalidSpec(f"{generator} generator gives a NaN removal at {spec}")
             if noise_sd > 0:
                 removal = removal + noise_sd * rng.standard_normal(t.size)
             removal = np.clip(removal, 0.0, 1.0)

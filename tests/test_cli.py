@@ -331,7 +331,9 @@ class TestFitGp:
         assert json.loads(tuned.read_text())["parameters"]["optimized"] is True
 
     # --epsilon alone sets the jitter, so eps is an unknown --hyper key
-    @pytest.mark.parametrize("hyper", ["q=3", "v=0.3,eps=1e-6", "v=0.3,epsilon=1e-6", "0.5", "v=abc"])
+    @pytest.mark.parametrize(
+        "hyper", ["q=3", "v=0.3,eps=1e-6", "v=0.3,epsilon=1e-6", "0.5", "v=abc", "v=1,v=2", "w=1,w=2"]
+    )
     def test_bad_hyper_string(self, tmp_path, capsys, hyper):
         code = run_cli(
             "fit-gp",
@@ -344,6 +346,14 @@ class TestFitGp:
         )
         assert code == 2
         assert "stage=load code=2 kind=ParseError: --hyper" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hyper,key", [("v=1,v=2", "v"), ("w=1,2,V=0.3,w=3", "w")])
+    def test_repeated_hyper_key_named(self, tmp_path, capsys, hyper, key):
+        # a second v used to win, and a second w list to extend the first
+        out = tmp_path / "o.json"
+        assert run_cli("fit-gp", "--input", "pcbc_run1.csv", "--hyper", hyper, "--output", str(out)) == 2
+        assert f"ParseError: --hyper: key {key!r} given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_weight_rejected_by_name(self, tmp_path, capsys):
         out = tmp_path / "o.json"
@@ -1287,9 +1297,6 @@ class TestSynth:
             ("exp-model", "--schedule", "10,20,1e160", "InvalidTime: row 3: time 1e+160 min is past"),
             ("exp-model", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
             ("gp-draw", "--schedule", "10,60,30", "InvalidInput: row 3: times must be strictly"),
-            # a * (b + W) overflows, and so does e^{-t * (a + b + W)}
-            ("exp-model", "--a", "1e308", "InvalidInput: row"),
-            ("exp-model", "--a", "-1000", "InvalidInput: row"),
         ],
     )
     def test_value_the_series_rejects_warns_nothing(
@@ -1313,6 +1320,26 @@ class TestSynth:
             "synth", "--generator", generator, *parameters[generator], option, value,
         )
         assert f"kind={kind}" in err
+
+    @pytest.mark.parametrize(
+        "parameters,message",
+        [
+            (["exp-model", "--a", "nan", "--b", "0.8"], "needs finite parameters, got a=nan"),
+            (["exp-model", "--a", "3.3", "--b", "inf"], "needs finite parameters, got b=inf"),
+            (["first-order", "--k", "nan"], "needs finite parameters, got k=nan"),
+            (["first-order", "--k=-inf"], "needs finite parameters, got k=-inf"),
+            # t * a * (b + W) overflows where e^{-t * (a + b + W)} is 0 or inf
+            (["exp-model", "--a", "1e308", "--b", "0.8"], "NaN removal at a=1e+308, b=0.8, thickness=3.0"),
+            (["exp-model", "--a", "-1000", "--b", "0.8"], "NaN removal at a=-1000.0, b=0.8"),
+            (["gp-draw", "--v", "0.3", "--w", "1", "--mean", "nan"], "NaN removal at v=0.3, w=[1.0], mean=nan"),
+        ],
+        ids=["a-nan", "b-inf", "k-nan", "k-minus-inf", "a-overflows", "a-negative", "mean-nan"],
+    )
+    def test_parameters_named_when_the_curve_is_not_finite(self, tmp_path, capsys, parameters, message):
+        # the error names the argument given, not a concentration derived from it
+        err = check_rejected(tmp_path, capsys, "generate", "synth", "--generator", *parameters)
+        assert f"kind=InvalidSpec: {parameters[0]} generator " in err
+        assert message in err
 
     def test_missing_parameter_is_validation_error(self, tmp_path, capsys):
         code = run_cli(

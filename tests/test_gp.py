@@ -121,6 +121,38 @@ class TestKernel:
                 assert abs(moved - base) / base < 1e-8
 
 
+class TestKernelFromSquaredDifferences:
+    """The search's K, v * exp(sum -w_p * D_p) from D formed once, is ``kernel_matrix``."""
+
+    @staticmethod
+    def search_kernel(hp, x):
+        return gp_module._kernel_from_squared_differences(hp, gp_module._squared_differences(x))
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            n, p = int(rng.integers(1, 90)), int(rng.integers(1, 4))
+            x = rng.uniform(-3.0, 3.0, (n, p)) * 10.0 ** rng.uniform(-3, 2, p)
+            hp = GpHyperParams(v=rng.uniform(0.01, 5.0), w=10.0 ** rng.uniform(-4, 3, p))
+            np.testing.assert_array_equal(self.search_kernel(hp, x), kernel_matrix(hp, x))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_point_and_repeated_points(self, p):
+        hp = GpHyperParams(v=0.7, w=(0.3, 2.0, 11.0)[:p])
+        for x in (np.full((1, p), 0.25), np.array([[0.5] * p, [0.5] * p, [1.5] * p])):
+            np.testing.assert_array_equal(self.search_kernel(hp, x), kernel_matrix(hp, x))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixtures_with_every_layout_column(self, name):
+        series = load_fixture(name)
+        columns, _, _, _ = training_set(series)
+        hp = default_hyperparams(series.contaminant)
+        x = design_matrix(columns, hp.inputs)
+        np.testing.assert_array_equal(self.search_kernel(hp, x), kernel_matrix(hp, x))
+        hp, x, _ = select_inputs(hp, columns)
+        np.testing.assert_array_equal(self.search_kernel(hp, x), kernel_matrix(hp, x))
+
+
 class TestKernelMatrixBlocks:
     """The column-by-column, row-blocked kernel matrix is bit-identical to
     the one-einsum oracle for every p a GP has, 1 to 3."""
@@ -194,6 +226,22 @@ class TestKernelMatrixBlocks:
 
 
 class TestFit:
+    def test_peak_memory_two_matrices(self):
+        # K goes once its factor is taken: LAPACK's copy of K, then the
+        # factor and its inverse, are the most n x n arrays alive at once
+        n = 300
+        rng = np.random.default_rng(24)
+        x, y = rng.uniform(0, 1, (n, 1)), rng.uniform(0, 1, n)
+        hp = GpHyperParams(v=0.5, w=(2.0,), epsilon=1e-4)
+        gp_fit(hp, x, y)
+        tracemalloc.start()
+        try:
+            gp_fit(hp, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
+
     def test_single_point_alpha(self):
         hp = GpHyperParams(v=1.0, w=(1.0,))
         model = gp_fit(hp, [[0.3]], [0.5])
@@ -710,7 +758,7 @@ class TestOptimizeWithGradients:
         # the gradient reuses the model the objective fitted at the same point
         hp0, x, y = fixture_fit("pcbc_run2.csv")
         counts = {"fits": 0, "objective": 0}
-        real_fit, real_descent = gp_module.gp_fit, gp_module.gradient_descent
+        real_fit, real_descent = gp_module.fit_covariance, gp_module.gradient_descent
 
         def counting_fit(*args, **kwargs):
             counts["fits"] += 1
@@ -723,19 +771,19 @@ class TestOptimizeWithGradients:
 
             return real_descent(counted, *args, **kwargs)
 
-        monkeypatch.setattr(gp_module, "gp_fit", counting_fit)
+        monkeypatch.setattr(gp_module, "fit_covariance", counting_fit)
         monkeypatch.setattr(gp_module, "gradient_descent", counting_descent)
         gp_optimize_hyperparams(x, y, hp0, objective="sse")
         assert counts["objective"] > 2
         assert counts["fits"] == counts["objective"]
 
     def test_one_triangular_inverse_per_fit(self, monkeypatch):
-        # only gp_fit forms L^-1; the objective, its gradient and prediction
-        # read it off the model
+        # only fit_covariance forms L^-1; the objective, its gradient and
+        # prediction read it off the model
         hp0, x, y = fixture_fit("pcbc_run2.csv")
         callers, counts = [], {"fits": 0, "gradients": 0}
-        real_inverse, real_fit = gp_module.triangular_inverse, gp_module.gp_fit
-        real_gradient = gp_module._GRADIENTS["sse"]
+        real_inverse, real_fit = gp_module.triangular_inverse, gp_module.fit_covariance
+        real_gradient = gp_module._GRADIENT_WEIGHTS["sse"]
 
         def counting_inverse(factor):
             callers.append(sys._getframe(1).f_code.co_name)
@@ -750,16 +798,70 @@ class TestOptimizeWithGradients:
             return real_gradient(model)
 
         monkeypatch.setattr(gp_module, "triangular_inverse", counting_inverse)
-        monkeypatch.setattr(gp_module, "gp_fit", counting_fit)
-        monkeypatch.setitem(gp_module._GRADIENTS, "sse", counting_gradient)
+        monkeypatch.setattr(gp_module, "fit_covariance", counting_fit)
+        monkeypatch.setitem(gp_module._GRADIENT_WEIGHTS, "sse", counting_gradient)
         hp = gp_optimize_hyperparams(x, y, hp0, objective="sse")
         assert counts["fits"] > 2 and counts["gradients"] > 1
-        assert callers == ["gp_fit"] * counts["fits"]
+        assert callers == ["fit_covariance"] * counts["fits"]
         model = gp_module.gp_fit(hp, x, y)
         for read in (gp_loo_sse, gp_nlml, gp_nlml_gradient, gp_loo_sse_gradient):
             read(model)
         gp_predict(model, x)
         assert len(callers) == counts["fits"]
+
+    @pytest.mark.parametrize("objective", ["nlml", "sse"])
+    def test_differences_once_and_no_kernel_matrix_per_search(self, monkeypatch, objective):
+        # D is formed once per search; every K of the search is built from it
+        hp0, x, y = fixture_fit("pcbc_run2.csv")
+        counts = {"differences": 0, "kernels": 0}
+        real_differences, real_kernel = gp_module._squared_differences, gp_module.kernel_matrix
+
+        def counting_differences(*args):
+            counts["differences"] += 1
+            return real_differences(*args)
+
+        def counting_kernel(*args):
+            counts["kernels"] += 1
+            return real_kernel(*args)
+
+        monkeypatch.setattr(gp_module, "_squared_differences", counting_differences)
+        monkeypatch.setattr(gp_module, "kernel_matrix", counting_kernel)
+        gp_optimize_hyperparams(x, y, hp0, objective=objective)
+        assert counts == {"differences": 1, "kernels": 0}
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_kernel_of_a_search_is_kernel_matrix(self, monkeypatch, name):
+        hp0, x, y = fixture_fit(name)
+        kernels = []
+        real_fit = gp_module.fit_covariance
+
+        def recording_fit(hp, x_fit, y_fit, cov):
+            kernels.append((hp, cov.copy()))
+            return real_fit(hp, x_fit, y_fit, cov)
+
+        monkeypatch.setattr(gp_module, "fit_covariance", recording_fit)
+        for objective in ("nlml", "sse"):
+            gp_optimize_hyperparams(x, y, hp0, objective=objective)
+        assert len(kernels) > 4
+        for hp, cov in kernels:
+            np.testing.assert_array_equal(cov, kernel_matrix(hp, x))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_search_gradient_is_the_public_gradient_at_the_endpoint(self, monkeypatch, name):
+        hp0, x, y = fixture_fit(name)
+        real_descent = gp_module.gradient_descent
+        for objective, public in (("nlml", gp_nlml_gradient), ("sse", gp_loo_sse_gradient)):
+            seen = {}
+
+            def keeping_descent(objective_fn, gradient, *args, **kwargs):
+                seen["gradient"] = gradient
+                seen["result"] = real_descent(objective_fn, gradient, *args, **kwargs)
+                return seen["result"]
+
+            monkeypatch.setattr(gp_module, "gradient_descent", keeping_descent)
+            hp = gp_optimize_hyperparams(x, y, hp0, objective=objective)
+            searched = seen["gradient"](seen["result"].x)
+            assert searched.tobytes() == public(gp_fit(hp, x, y)).tobytes()
 
     @pytest.mark.parametrize("objective", ["nlml", "sse"])
     def test_no_training_rows_rejected(self, objective):

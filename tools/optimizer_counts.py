@@ -2,7 +2,8 @@
 
 For every fixture and both GP objectives, one ``gp_optimize_hyperparams``
 call from the shipped hyperparameters (the ``fit-gp --optimize`` path):
-its ``gp_fit`` calls, descent iterations and the objective at the returned
+its fits (calls of ``gp.fit_covariance``, or of ``gp_fit`` in versions
+without it), descent iterations and the objective at the returned
 hyperparameters. For both exponent forms, one ``fit_exp_model`` call from
 the CLI's default start (1, 1), on the columns ``gp.training_set`` gives
 (as ``fit-exp`` reads them): its model evaluations, then
@@ -58,10 +59,11 @@ def gp_rows(name: str):
     if isinstance(x, dict):  # layout columns by name: fit on those that vary, as fit-gp does
         hp0, x, _ = gp.select_inputs(hp0, x)
     for objective, score in (("nlml", gp.gp_nlml), ("sse", gp.gp_loo_sse)):
-        with counting(gp, "gp_fit", "gradient_descent") as calls:
+        with counting(gp, "fit_covariance", "gp_fit", "gradient_descent") as calls:
             hp = gp.gp_optimize_hyperparams(x, y, hp0, objective=objective)
+        fits = len(calls["fit_covariance"]) or len(calls["gp_fit"])
         iterations = sum(r.iterations for r in calls["gradient_descent"] if r is not None)
-        yield f"gp {objective}", len(calls["gp_fit"]), iterations, score(gp.gp_fit(hp, x, y))
+        yield f"gp {objective}", fits, iterations, score(gp.gp_fit(hp, x, y))
 
 
 def exp_rows(name: str):
