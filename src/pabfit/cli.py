@@ -5,9 +5,9 @@ model module, and writes a report atomically. Identical options (and seed)
 produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 3 validation errors, 4 numeric failures, 5 I/O failures.
 
-``predict`` (through ``_evaluate``) and ``_rebuild_model`` are the only
-code here that tells the model families apart, and ``_ph`` the only code
-that picks a query's pH; every grid option is read through ``_grid``.
+``predict`` and ``_rebuild_model`` are the only code here that tells the
+model families apart, and ``_ph`` the only code that picks a query's pH;
+every grid option is read through ``_grid``.
 ``predict`` fails a prediction that is not finite, for the ``predict``
 command and ``report --scan-w`` alike. ``predict`` and ``report
 --scan-w`` rebuild each model at ``stage=load``, so a report that cannot
@@ -44,6 +44,7 @@ from .dataio import (
     generate_synthetic,
     load_series,
     read_report,
+    report_csv_path,
     resolve_input,
     write_comparison,
     write_report,
@@ -118,22 +119,17 @@ def _floats(text: str, flag: str) -> list[float]:
         raise ParseError(f"{flag}: cannot parse {text!r} as comma-separated numbers") from None
 
 
-# upper bound of each grid option that has one: thicknesses and pH as the
-# loader bounds them, and normalized time within the range the models are
-# fitted on
-_GRID_MAX = {
-    "--w-grid": MAX_THICKNESS_CM,
-    "--scan-w": MAX_THICKNESS_CM,
-    "--scan-t": 1.0,
-    "--ph": MAX_PH,
-    "--default-ph": MAX_PH,
-}
+# upper bound of each model input, for a grid of its values and a GP's
+# training rows: thickness and pH as the loader bounds them, and normalized
+# time within the range the models are fitted on
+_INPUT_MAX = {"t_norm": 1.0, "thickness_cm": MAX_THICKNESS_CM, "ph": MAX_PH}
 
 
-def _grid(text: str | float, flag: str) -> list[float]:
-    """Values of a grid option (its string, or the float argparse read)."""
+def _grid(text: str | float, flag: str, name: str | None = None) -> list[float]:
+    """Values of a grid option (its string, or the float argparse read) of
+    the model input ``name``, within its bound."""
     values = _floats(str(text), flag)
-    upper = _GRID_MAX.get(flag, math.inf)
+    upper = _INPUT_MAX.get(name, math.inf)
     if not values or not all(0 <= v <= upper and math.isfinite(v) for v in values):
         bound = ">= 0" if upper == math.inf else f"in [0, {upper:g}]"
         raise ValidationError(f"{flag} needs one or more finite values {bound}, got {text!r}")
@@ -173,9 +169,20 @@ def _parse_hyper(text: str) -> tuple[float | None, list[float]]:
     return v, w
 
 
+def _resolve_inputs(args, names) -> list[Path]:
+    """Each input path (``resolve_input``), once neither ``--output`` nor
+    its row CSV is the same file as one of them: the command would write over it."""
+    paths = [resolve_input(name) for name in names]
+    for out in (Path(args.output), report_csv_path(args.output)):
+        same = [path for path in paths if out.exists() and out.samefile(path)]
+        if same:
+            raise ValidationError(f"--output {args.output} would overwrite the input {same[0]}")
+    return paths
+
+
 def _load(args) -> ObservationSeries:
-    contaminant = _CONTAMINANTS[args.contaminant]
-    return load_series(resolve_input(args.input), contaminant, args.c0, args.thickness)
+    (path,) = _resolve_inputs(args, [args.input])
+    return load_series(path, _CONTAMINANTS[args.contaminant], args.c0, args.thickness)
 
 
 def _provenance(args, **extra) -> dict:
@@ -312,7 +319,7 @@ def _resolve_hyper(args, contaminant: Contaminant) -> GpHyperParams:
 
 def _cmd_fit_gp(args) -> int:
     with _stage("load"):
-        default_ph = _grid(args.default_ph, "--default-ph")[0]
+        default_ph = _grid(args.default_ph, "--default-ph", "ph")[0]
         hp = _resolve_hyper(args, _CONTAMINANTS[args.contaminant])
         series = _load(args)
         columns, y, ph_assumed, times = training_set(series, default_ph=default_ph)
@@ -351,7 +358,8 @@ def _rebuild_model(report: FitReport):
     columns after the time in minutes, as ``predict`` rows carry them (none
     for the first-order model, which takes raw minutes). A GP is refitted on
     the columns of its training rows that ``select_inputs`` picks; a report
-    without ``inputs`` holds one weight per layout column.
+    without ``inputs`` holds one weight per layout column. The training rows,
+    those with ``observed``, hold the same input columns, each in ``_INPUT_MAX``.
     """
     params = report.parameters
     if report.model_kind is ModelKind.FIRST_ORDER:
@@ -371,11 +379,18 @@ def _rebuild_model(report: FitReport):
     train = [row for row in report.predictions if row.observed is not None]
     if not train:
         raise ValidationError("GP report carries no training rows; cannot rebuild the model")
-    names = tuple(n for n in INPUT_NAMES if n != "ph" or n in train[0].inputs)  # pH: lead only
-    try:
-        columns = {name: np.array([row.inputs[name] for row in train]) for name in names}
-    except KeyError as e:
-        raise ValidationError(f"GP report rows lack input column {e}") from None
+    held = train[0].inputs.keys()
+    if any(row.inputs.keys() != held for row in train):
+        raise ValidationError("GP report training rows do not all hold the same input columns")
+    names = tuple(n for n in INPUT_NAMES if n != "ph" or n in held)  # pH: lead only
+    missing = [n for n in names if n not in held]
+    if missing:
+        raise ValidationError(f"GP report rows lack input column {missing[0]!r}")
+    columns = {name: np.array([row.inputs[name] for row in train]) for name in names}
+    for name, values in columns.items():
+        outside = values[~((0 <= values) & (values <= _INPUT_MAX[name]))]
+        if outside.size:
+            raise ValidationError(f"GP report training {name} {outside[0]:g} not in [0, {_INPUT_MAX[name]:g}]")
     hp, x, fixed = select_inputs(hp, columns)
     y = np.array([row.observed for row in train])
     return replace(gp_fit(hp, x, y), fixed_inputs=fixed), names
@@ -405,7 +420,26 @@ def predict(model, t_norm, w, ph=None):
     warning, so neither ``predict`` nor a scan writes it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, variance = _evaluate(model, t_norm, w, ph)
+        if isinstance(model, KineticFitResult):
+            if w is not None:
+                raise ValidationError("the first-order model has no thickness input")
+            mean, variance = predict_first_order(model, t_norm), None
+        elif w is None:
+            raise ValidationError("the exponential and GP models need a thickness grid")
+        elif isinstance(model, ExpModelParams):
+            mean, variance = exp_model_eval(model, t_norm, w), None
+        elif not isinstance(model, GpModel):
+            raise InvalidInput(f"cannot predict with a {type(model).__name__}")
+        else:
+            query = {"t_norm": t_norm, "thickness_cm": w, "ph": _ph(model, ph)}
+            query = {name: value for name, value in query.items() if value is not None}
+            off = [f"{n}={v:g}" for n, v in model.fixed_inputs.items() if np.any(np.asarray(query[n]) != v)]
+            if off:
+                warnings.warn(f"trained at {', '.join(off)} only; queries off it get the answer there",
+                              FixedInputWarning)
+            shape = np.broadcast_shapes(*map(np.shape, query.values()))
+            pred = gp_predict(model, design_matrix(query, model.hp.inputs))
+            mean, variance = pred.mean.reshape(shape), pred.variance.reshape(shape)
     bad = ~np.isfinite(mean) if variance is None else ~(np.isfinite(mean) & np.isfinite(variance))
     if np.any(bad):
         raise NumericError(
@@ -413,29 +447,6 @@ def predict(model, t_norm, w, ph=None):
             "grid points"
         )
     return mean, variance
-
-
-def _evaluate(model, t_norm, w, ph):
-    """``predict``'s model call, before its check that the answer is finite."""
-    if isinstance(model, KineticFitResult):
-        if w is not None:
-            raise ValidationError("the first-order model has no thickness input")
-        return predict_first_order(model, t_norm), None
-    if w is None:
-        raise ValidationError("the exponential and GP models need a thickness grid")
-    if isinstance(model, ExpModelParams):
-        return exp_model_eval(model, t_norm, w), None
-    if not isinstance(model, GpModel):
-        raise InvalidInput(f"cannot predict with a {type(model).__name__}")
-    query = {"t_norm": t_norm, "thickness_cm": w, "ph": _ph(model, ph)}
-    query = {name: value for name, value in query.items() if value is not None}
-    off = [f"{n}={v:g}" for n, v in model.fixed_inputs.items() if np.any(np.asarray(query[n]) != v)]
-    if off:
-        warnings.warn(f"trained at {', '.join(off)} only; queries off it get the answer there",
-                      FixedInputWarning)
-    shape = np.broadcast_shapes(*map(np.shape, query.values()))
-    pred = gp_predict(model, design_matrix(query, model.hp.inputs))
-    return pred.mean.reshape(shape), pred.variance.reshape(shape)
 
 
 def optimum_thickness_scan(model, w_grid, t_fixed: float, ph: float | None = None):
@@ -454,15 +465,15 @@ def optimum_thickness_scan(model, w_grid, t_fixed: float, ph: float | None = Non
 
 def _cmd_predict(args) -> int:
     with _stage("load"):
-        report = read_report(resolve_input(args.model))
+        report = read_report(*_resolve_inputs(args, [args.model]))
         model, inputs = _rebuild_model(report)
         denom = report.parameters.get("time_denominator")
         if "t_norm" in inputs and denom is None:
             raise ValidationError("report lacks time_denominator; cannot map minutes")
     with _stage("predict"):
         minutes = np.array(_grid(args.t_grid, "--t-grid"))[:, None]
-        w = None if args.w_grid is None else np.array(_grid(args.w_grid, "--w-grid"))[None, :]
-        ph = _ph(model, None if args.ph is None else _grid(args.ph, "--ph")[0])
+        w = None if args.w_grid is None else np.array(_grid(args.w_grid, "--w-grid", "thickness_cm"))[None, :]
+        ph = _ph(model, None if args.ph is None else _grid(args.ph, "--ph", "ph")[0])
         t = minutes
         if "t_norm" in inputs:  # minutes -> ln(t) / ln(t_max) of the training series
             horizon = float(np.exp(denom))
@@ -516,13 +527,14 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     entries = []
     with _stage("load"):
-        loaded = [(path, read_report(resolve_input(path))) for path in args.inputs]
+        paths = _resolve_inputs(args, args.inputs)
+        loaded = [(name, read_report(path)) for name, path in zip(args.inputs, paths)]
         # a scan reads the models: rebuilt here, so a report the rebuild rejects fails at load
         models = [(None, ()) if args.scan_w is None else _rebuild_model(r) for _, r in loaded]
     with _stage("scan"):
-        scan_w = None if args.scan_w is None else sorted(_grid(args.scan_w, "--scan-w"))
-        ph = None if args.ph is None else _grid(args.ph, "--ph")[0]
-        scan_t = _grid(args.scan_t, "--scan-t")[0]
+        scan_w = None if args.scan_w is None else sorted(_grid(args.scan_w, "--scan-w", "thickness_cm"))
+        ph = None if args.ph is None else _grid(args.ph, "--ph", "ph")[0]
+        scan_t = _grid(args.scan_t, "--scan-t", "t_norm")[0]
         for (path, report), (model, inputs) in zip(loaded, models):
             scan = None
             if "thickness_cm" in inputs:  # a scan was asked for, and not the first-order model

@@ -10,7 +10,8 @@ new file, 0666 less the umask. A report's CSV is written before its JSON:
 a failed run leaves no new JSON without its CSV, though a failure on the
 JSON itself can leave the new CSV beside the old JSON.
 
-Every input file is read as UTF-8 text; other bytes are a ``ParseError``.
+Every input file is read as UTF-8 text, less a leading byte-order mark (a
+spreadsheet's "CSV UTF-8" export writes one); other bytes are a ``ParseError``.
 ``load_series`` and ``write_series`` both read ``_COLUMNS``, the one table
 of the CSV columns. The loader checks only the CSV (a header of known
 columns, each named once; no row longer than it; a time cell in every row);
@@ -29,7 +30,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
@@ -74,9 +74,9 @@ _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 
 def _read_text(path: Path) -> str:
-    """An input file's text: FileIOError if unreadable, ParseError if not UTF-8."""
+    """An input file's text, less any byte-order mark: FileIOError if unreadable, ParseError if not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as e:
         raise FileIOError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -451,22 +451,18 @@ def read_report(path: str | Path) -> FitReport:
     )
 
 
-@dataclass(frozen=True)
-class FixtureInfo:
-    contaminant: Contaminant
-    c0: float
-    final_removal: float  # removal fraction at the last sample time
-    default_thickness_cm: float
-
-
-#: Bundled reconstructions; see fixtures/README.md for how each was built.
-FIXTURES: dict[str, FixtureInfo] = {
-    "pcp_run1.csv": FixtureInfo(Contaminant.PB, 50.0, 0.72, 3.0),
-    "pcp_run2.csv": FixtureInfo(Contaminant.PB, 50.0, 0.584, 3.0),
-    "pcbc_run1.csv": FixtureInfo(Contaminant.PB, 50.0, 0.8694, 3.0),
-    "pcbc_run2.csv": FixtureInfo(Contaminant.PB, 50.0, 0.8212, 3.0),
-    "mb_run1.csv": FixtureInfo(Contaminant.METHYLENE_BLUE, 50.0, 0.9853613053949207, 1.0),
+#: Bundled reconstructions, each mapped to its contaminant; see
+#: fixtures/README.md for how each was built. Every file has a thickness column.
+FIXTURES: dict[str, Contaminant] = {
+    "pcp_run1.csv": Contaminant.PB,
+    "pcp_run2.csv": Contaminant.PB,
+    "pcbc_run1.csv": Contaminant.PB,
+    "pcbc_run2.csv": Contaminant.PB,
+    "mb_run1.csv": Contaminant.METHYLENE_BLUE,
 }
+
+# the influent concentration of every bundled run, mg/L
+FIXTURE_C0 = 50.0
 
 
 def fixture_dir() -> Path:
@@ -492,5 +488,4 @@ def resolve_input(path: str | Path) -> Path:
 def load_fixture(name: str) -> ObservationSeries:
     if name not in FIXTURES:
         raise InvalidSpec(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
-    info = FIXTURES[name]
-    return load_series(fixture_dir() / name, info.contaminant, info.c0, info.default_thickness_cm)
+    return load_series(fixture_dir() / name, FIXTURES[name], FIXTURE_C0)

@@ -134,9 +134,7 @@ class ObservationSeries:
                     )
             if s.ph is not None and not (0.0 <= s.ph <= MAX_PH):
                 raise InvalidInput(f"row {i}: pH must lie in [0, {MAX_PH:g}], got {s.ph}")
-            thickness = s.thickness_w
-            if thickness is None:
-                thickness = self.barrier_thickness_cm
+            thickness = self.barrier_thickness_cm if s.thickness_w is None else s.thickness_w
             if thickness is None:
                 raise InvalidInput(f"row {i}: no thickness and no series-level barrier thickness")
             if not (0.0 <= thickness <= MAX_THICKNESS_CM):

@@ -49,10 +49,7 @@ def exp_model_eval(p: ExpModelParams, t_norm, w):
     """
     t = np.asarray(t_norm, dtype=float)
     w = np.asarray(w, dtype=float)
-    if p.exponent_form is ExponentForm.LITERAL:
-        exponent = p.a + p.b + w
-    else:
-        exponent = p.a * (p.b + w)
+    exponent = p.a + p.b + w if p.exponent_form is ExponentForm.LITERAL else p.a * (p.b + w)
     decay = np.exp(-t * exponent)
     return 1.0 - decay - t * p.a * (p.b + w) * decay
 

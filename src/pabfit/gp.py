@@ -237,9 +237,7 @@ def _training_arrays(hp: GpHyperParams, x_train, y_train) -> tuple[np.ndarray, n
     x = _as_input_matrix(x_train, hp.p)
     y = np.asarray(y_train, dtype=float).ravel()
     if x.shape[0] != y.size:
-        raise DimensionMismatch(
-            f"{x.shape[0]} input rows but {y.size} targets"
-        )
+        raise DimensionMismatch(f"{x.shape[0]} input rows but {y.size} targets")
     if y.size < 1:
         raise InvalidInput("need at least one training point")
     if not np.all(np.isfinite(y)):
@@ -358,9 +356,7 @@ def _log_hyper_gradient(hp: GpHyperParams, weight: np.ndarray, cov: np.ndarray,
 
 def _nlml_weight(model: GpModel) -> np.ndarray:
     """W = (C^-1 - alpha alpha^T) / 2, so that dNLML/dtheta_j = tr(W dC/dtheta_j)."""
-    linv = model.linv
-    weight = linv.T @ linv - np.outer(model.alpha, model.alpha)
-    return 0.5 * weight
+    return 0.5 * (model.linv.T @ model.linv - np.outer(model.alpha, model.alpha))
 
 
 def _loo_sse_weight(model: GpModel) -> np.ndarray:

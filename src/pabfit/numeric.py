@@ -150,6 +150,16 @@ def _checked(routine: str, result: np.ndarray, info: int) -> np.ndarray:
     return result
 
 
+def _right_hand_side(rhs, n: int) -> np.ndarray:
+    """``rhs`` as floats, checked against an n x n matrix: n rows, finite entries."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[0] != n:
+        raise DimensionMismatch(f"rhs has leading dimension {rhs.shape[0]}, matrix is {n}x{n}")
+    if not np.isfinite(rhs).all():
+        raise InvalidInput("right-hand side entries must be finite")
+    return rhs
+
+
 def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(M + jitter_used * I) x = rhs`` via two triangular solves.
 
@@ -162,14 +172,7 @@ def solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     NotPositiveDefinite
         If LAPACK finds a zero on the factor's diagonal.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    n = factor.lower.shape[0]
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(
-            f"rhs has leading dimension {rhs.shape[0]}, factor is {n}x{n}"
-        )
-    if not np.isfinite(rhs).all():
-        raise InvalidInput("right-hand side entries must be finite")
+    rhs = _right_hand_side(rhs, factor.lower.shape[0])
     # L^T is the factor's Fortran-ordered view: LAPACK reads it in place,
     # the layout scipy's solve_triangular hands it for a C-ordered L
     forward, info = _lapack().dtrtrs(factor.lower.T, rhs, lower=0, trans=1)
@@ -210,12 +213,8 @@ def multiply_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     InvalidInput
         If ``rhs`` has a non-finite entry.
     """
-    rhs = np.asarray(rhs, dtype=float)
     n = lower.shape[0]
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(f"rhs has leading dimension {rhs.shape[0]}, matrix is {n}x{n}")
-    if not np.isfinite(rhs).all():
-        raise InvalidInput("right-hand side entries must be finite")
+    rhs = _right_hand_side(rhs, n)
     # lower.T is the Fortran-ordered upper triangle U = lower^T; BLAS
     # applies U^T = lower to the columns of rhs
     out = _blas().dtrmm(1.0, lower.T, rhs.reshape(n, -1), lower=0, trans_a=1, overwrite_b=1)

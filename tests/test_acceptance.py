@@ -138,9 +138,9 @@ def test_06_gp_posterior_matches_explicit_inverse_oracle():
 
 
 def test_07_gp_reference_hyperparameters_interpolate_all_fixtures():
-    for name, info in FIXTURES.items():
+    for name, contaminant in FIXTURES.items():
         columns, y, _, _ = training_set(load_fixture(name))
-        hp, x, _ = select_inputs(default_hyperparams(info.contaminant), columns)
+        hp, x, _ = select_inputs(default_hyperparams(contaminant), columns)
         pred = gp_predict(gp_fit(hp, x, y), x)
         metrics = compute_metrics(y, pred.mean)
         assert metrics.r2 >= 0.99, (name, metrics.r2)

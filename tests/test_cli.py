@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,21 @@ def test_constant_removal_reports_r2_zero(tmp_path, capsys, command):
     assert caught == []
     assert capsys.readouterr().err == DEGENERATE_LINE
     assert json.loads(out.read_text())["metrics"]["r2"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
+def test_byte_order_mark_fits_the_same(tmp_path, command):
+    # the same file saved with the mark a spreadsheet's "CSV UTF-8" export writes
+    data = (fixture_dir() / "pcbc_run1.csv").read_bytes()
+    reports = []
+    for sub, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "run.csv").write_bytes(prefix + data)
+        out = tmp_path / sub / "fit.json"
+        assert run_cli(command, "--input", str(tmp_path / sub / "run.csv"), "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        reports.append({key: payload[key] for key in ("parameters", "metrics", "predictions")})
+    assert reports[0] == reports[1]
 
 
 def test_constant_series_prints_no_python_warning(tmp_path, cli_env):
@@ -859,6 +876,130 @@ class TestMalformedReportParameters:
             tmp_path, capsys, FIT_GP, lambda p: p["parameters"].update(v=-1.0), "report", scan_w=None
         )
         assert "signal variance must be positive" in err
+
+
+class TestGpTrainingRows:
+    """A GP is rebuilt from training rows that all hold the same input
+    columns, each within its bound; other rows go unchecked."""
+
+    COMMANDS = {
+        "predict": ["predict", "--t-grid", "600,3600", "--w-grid", "3", "--ph", "6", "--model"],
+        "report": ["report", "--scan-w", "0,1", "--inputs"],
+    }
+
+    def rejected(self, tmp_path, capsys, payload, command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        return check_rejected(tmp_path, capsys, "load", *self.COMMANDS[command], str(model))
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            ("t_norm", 1e200, "t_norm 1e+200 not in [0, 1]"),
+            ("t_norm", -0.5, "t_norm -0.5 not in [0, 1]"),
+            ("ph", 14.5, "ph 14.5 not in [0, 14]"),
+            ("thickness_cm", 2e4, "thickness_cm 20000 not in [0, 10000]"),
+        ],
+        ids=["t_norm_overflowing_the_kernel", "t_norm_negative", "ph", "thickness"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_value_out_of_bounds_rejected_at_load(self, tmp_path, capsys, column, value, message, command):
+        model = tmp_path / "gp.json"
+        assert run_cli(*FIT_GP, "--output", str(model)) == 0
+        payload = json.loads(model.read_text())
+        payload["predictions"][3]["inputs"][column] = value
+        err = self.rejected(tmp_path, capsys, payload, command)
+        assert f"GP report training {message}" in err
+
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_rows_with_other_columns_rejected_at_load(self, tmp_path, capsys, command):
+        # pH varies and is an input, but the first training row lacks it:
+        # the rebuild used to fit on t_norm alone, with no message
+        csv = tmp_path / "two_ph.csv"
+        rows = [f"{t},{50 - (0.01 if i % 2 else 0.005) * t},3.0,{6.5 if i % 2 else 7.5}"
+                for i, t in enumerate(range(60, 3601, 60))]
+        csv.write_text("time_min,concentration_mg_l,thickness_cm,ph\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "gp.json"
+        assert run_cli("fit-gp", "--input", str(csv), "--hyper", "v=0.3852,w=0.7839,2.8869,5",
+                       "--output", str(model)) == 0
+        payload = json.loads(model.read_text())
+        assert payload["parameters"]["inputs"] == ["t_norm", "ph"]
+        del payload["predictions"][0]["inputs"]["ph"]
+        err = self.rejected(tmp_path, capsys, payload, command)
+        assert "training rows do not all hold the same input columns" in err
+
+    def test_rows_without_observed_are_not_checked(self, tmp_path, capsys):
+        model = tmp_path / "gp.json"
+        assert run_cli(*FIT_GP, "--output", str(model)) == 0
+        payload = json.loads(model.read_text())
+        payload["predictions"].append({"inputs": {"t_norm": 5.0}, "predicted": 0.5})
+        model.write_text(json.dumps(payload))
+        for command in self.COMMANDS.values():
+            assert run_cli(*command, str(model), "--output", str(tmp_path / "o.json")) == 0
+
+    def test_benchmark_reports_pass(self, tmp_path):
+        # the lead GP reports the benchmark builds: 65 rows at pH 7 and W = 3
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+        )
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        model = tmp_path / "gp.json"
+        for seed in range(3):
+            params, rows, _, _ = inputs.gp_report(seed, 3)
+            payload = {"model_kind": "gaussian_process", "parameters": params, "metrics": None,
+                       "predictions": rows, "provenance": {}}
+            model.write_text(json.dumps(payload))
+            for command in self.COMMANDS.values():
+                assert run_cli(*command, str(model), "--output", str(tmp_path / "o.json")) == 0
+
+
+class TestOutputIsNotAnInput:
+    """No file a command writes may be one of its inputs: it fails at load,
+    with code 3 and one error line, and the input keeps its bytes."""
+
+    def refused(self, tmp_path, capsys, argv, inputs):
+        before = {path: path.read_bytes() for path in inputs}
+        listing = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=load code=3 kind=ValidationError: --output ")
+        assert "would overwrite the input" in err
+        assert len(err.strip().splitlines()) == 1
+        assert {path: path.read_bytes() for path in inputs} == before
+        assert sorted(tmp_path.rglob("*")) == listing
+
+    @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
+    @pytest.mark.parametrize("output", ["data.json", "data.csv", "link/data.json"])
+    def test_fit_output_or_its_csv_at_the_input(self, tmp_path, capsys, monkeypatch, command, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path)  # resolves to the input's directory
+        data = tmp_path / "data.csv"
+        data.write_bytes((fixture_dir() / "pcbc_run1.csv").read_bytes())
+        self.refused(tmp_path, capsys, [command, "--input", "data.csv", "--output", output], [data])
+
+    def test_predict_output_at_its_model(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("fit-kinetics", "--input", "pcbc_run1.csv", "--output", "m.json") == 0
+        for output in ("m.json", "./m.json"):
+            self.refused(tmp_path, capsys, ["predict", "--model", "m.json", "--t-grid", "60",
+                                            "--output", output], [tmp_path / "m.json"])
+        # a model saved under a .csv name is the row CSV of the .json beside it
+        (tmp_path / "r.csv").write_bytes((tmp_path / "m.json").read_bytes())
+        self.refused(tmp_path, capsys, ["predict", "--model", "r.csv", "--t-grid", "60",
+                                        "--output", "r.json"], [tmp_path / "r.csv"])
+
+    def test_report_output_at_one_of_its_inputs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("a", "b"):
+            assert run_cli("fit-kinetics", "--input", "pcbc_run1.csv", "--output", f"{name}.json") == 0
+        inputs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for output in ("a.json", "b.json"):
+            self.refused(tmp_path, capsys, ["report", "--inputs", "a.json", "b.json",
+                                            "--output", output], inputs)
+        # a merge written under the .csv name of an input's stem is no clash
+        assert run_cli("report", "--inputs", "a.json", "--output", "a.csv") == 0
 
 
 class TestFailedWrite:

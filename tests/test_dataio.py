@@ -8,6 +8,7 @@ import pytest
 
 from pabfit.dataio import (
     DEFAULT_SCHEDULE,
+    FIXTURE_C0,
     FIXTURES,
     fixture_dir,
     generate_synthetic,
@@ -120,13 +121,29 @@ class TestLoadSeries:
 
 
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        bom = tmp_path / "pcbc_run1.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (fixture_dir() / "pcbc_run1.csv").read_bytes())
+        assert load_series(bom, Contaminant.PB, FIXTURE_C0) == load_fixture("pcbc_run1.csv")
+        bom.write_bytes(b"\xef\xbb\xbftime_min,concentration_mg_l\n10,40\n60,30\xff\n90,20\n")
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_series(bom, Contaminant.PB, FIXTURE_C0)
+
+
 class TestFixtures:
     def test_all_fixture_anchors(self):
-        for name, info in FIXTURES.items():
+        final_removal = {  # removal fraction at the last sample time (fixtures/README.md)
+            "pcp_run1.csv": 0.72,
+            "pcp_run2.csv": 0.584,
+            "pcbc_run1.csv": 0.8694,
+            "pcbc_run2.csv": 0.8212,
+            "mb_run1.csv": 0.9853613053949207,
+        }
+        assert set(final_removal) == set(FIXTURES)
+        for name, removal in final_removal.items():
             series = load_fixture(name)
-            assert series.removal_fractions()[-1] == pytest.approx(
-                info.final_removal, abs=1e-4
-            ), name
+            assert series.removal_fractions()[-1] == pytest.approx(removal, abs=1e-4), name
             assert len(series.samples) == len(DEFAULT_SCHEDULE)
 
     def test_pcbc_run1_final_concentration(self):
@@ -232,13 +249,11 @@ class TestGenerateSynthetic:
 
 class TestSeriesRoundTrip:
     def test_load_write_load_idempotent_fixtures(self, tmp_path):
-        for name, info in FIXTURES.items():
+        for name, contaminant in FIXTURES.items():
             s1 = load_fixture(name)
             out1 = tmp_path / f"one_{name}"
             write_series(s1, out1)
-            s2 = load_series(
-                out1, info.contaminant, info.c0, default_thickness_cm=info.default_thickness_cm
-            )
+            s2 = load_series(out1, contaminant, FIXTURE_C0)
             out2 = tmp_path / f"two_{name}"
             write_series(s2, out2)
             assert out1.read_bytes() == out2.read_bytes(), name
@@ -347,6 +362,13 @@ class TestReports:
         payload = json.loads(path.read_text())
         assert payload["parameters"]["v"] == 0.3852
         assert payload["parameters"]["w"] == [0.7839, 2.8869, 2.859e-9]
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report(minimal_report(), path)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_report(bom) == read_report(path)
 
     @pytest.mark.parametrize(
         "data",

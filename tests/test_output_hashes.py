@@ -29,19 +29,41 @@ def test_command_set_outputs_match_the_listed_hashes(capsys):
 def test_a_mismatch_names_the_blas_thread_settings(tmp_path, capsys, monkeypatch):
     output_hashes = load_tool("output_hashes")
     monkeypatch.setattr(output_hashes, "output_hashes", lambda keep: {"gp.json": "ab"})
+    monkeypatch.setattr(output_hashes, "simd_targets", lambda: "exp=X86_V3 log=X86_V3")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
     listing = tmp_path / "hashes.txt"
     listing.write_text("cd  gp.json\n")
     assert output_hashes.main(["--check", str(listing)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "gp.json: hash ab differs from the listed cd",
         "BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=2",
+        "numpy SIMD: exp=X86_V3 log=X86_V3 NPY_DISABLE_CPU_FEATURES=X86_V4 AVX512_ICL AVX512_SPR",
     ]
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES")
+    assert output_hashes.main(["--check", str(listing)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "numpy SIMD: exp=X86_V3 log=X86_V3 NPY_DISABLE_CPU_FEATURES=unset"
+    )
     listing.write_text("ab  gp.json\n")
     assert output_hashes.main(["--check", str(listing)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_simd_targets_read_numpy_or_say_unknown(monkeypatch):
+    output_hashes = load_tool("output_hashes")
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    if hasattr(introspect, "opt_func_info"):
+        names = [pair.split("=") for pair in output_hashes.simd_targets().split()]
+        assert [name for name, _ in names] == ["exp", "log"]
+        assert "unknown" not in [target for _, target in names]
+        one_loop = {"exp": {"dd": {"current": "X86_V3", "available": "X86_V3"}}}
+        monkeypatch.setattr(introspect, "opt_func_info", lambda func_name, signature: one_loop)
+        assert output_hashes.simd_targets() == "exp=X86_V3 log=unknown"
+        monkeypatch.delattr(introspect, "opt_func_info")
+    assert output_hashes.simd_targets() == "exp=unknown log=unknown"
 
 
 def test_output_diff_counts_changed_numbers(tmp_path, capsys):

@@ -29,6 +29,13 @@ on a 2-vCPU host, with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``gp.json``: its ``predictions[59].variance`` reads 1.0385535209600505e-09,
 against 1.0385534654488993e-09 at the default. So on a mismatch
 ``--check`` also prints the values of those variables it ran with.
+
+The outputs also depend on the SIMD kernels numpy dispatches ``exp`` and
+``log`` to: ``output_hashes.txt`` holds the AVX-512 values (``X86_V4``).
+Under ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` numpy
+picks ``X86_V3`` and 25 of the 28 files change by rounding. So a mismatch
+also prints numpy's float64 ``exp`` and ``log`` targets (``unknown`` where
+numpy cannot report them) and that variable's value.
 """
 
 from __future__ import annotations
@@ -114,6 +121,17 @@ def output_hashes(keep: Path | None = None) -> dict[str, str]:
         return hashes_of(Path(tmp))
 
 
+def simd_targets() -> str:
+    """numpy's dispatch target for float64 ``exp`` and ``log``, by function."""
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.2
+    except ImportError:
+        return "exp=unknown log=unknown"
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")  # name -> loop -> targets
+    current = {name: loop["current"] for name, loops in info.items() for loop in loops.values()}
+    return " ".join(f"{name}={current.get(name, 'unknown')}" for name in ("exp", "log"))
+
+
 def mismatches(hashes: dict[str, str], listing: str) -> list[str]:
     """One line per file whose hash is not the one ``listing`` gives for it."""
     expected = {}
@@ -148,6 +166,8 @@ def main(argv=None) -> int:
     if problems:
         threads = (f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREADS)
         print("BLAS threads: " + " ".join(threads))
+        disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "unset")
+        print(f"numpy SIMD: {simd_targets()} NPY_DISABLE_CPU_FEATURES={disabled}")
     return 1 if problems else 0
 
 

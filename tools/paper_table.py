@@ -22,7 +22,6 @@ from pathlib import Path
 
 from pabfit import cli
 from pabfit.dataio import FIXTURES
-from pabfit.domain import Contaminant
 
 # (label, subcommand and options, the paper's R^2 threshold)
 MODELS = [
@@ -35,13 +34,11 @@ MODELS = [
 
 def fit_metrics(workdir: Path, fixture: str, argv: list[str]) -> dict:
     """The ``metrics`` of the report one CLI fit writes on ``fixture``."""
-    info = FIXTURES[fixture]
-    contaminant = "pb" if info.contaminant is Contaminant.PB else "mb"
     out = workdir / "fit.json"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([
-            *argv, "--input", fixture, "--contaminant", contaminant,
-            "--thickness", repr(info.default_thickness_cm), "--output", str(out),
+            *argv, "--input", fixture, "--contaminant", FIXTURES[fixture].value,
+            "--output", str(out),
         ])
     if code != 0:
         raise SystemExit(f"exit code {code} from: pabfit {' '.join(argv)} on {fixture}")
