@@ -5,20 +5,22 @@ model module, and writes a report atomically. Identical options (and seed)
 produce byte-identical outputs. Exit codes: 0 success, 2 parse errors,
 3 validation errors, 4 numeric failures, 5 I/O failures.
 
-``predict`` and ``_rebuild_model`` are the only code here that tells the
-model families apart, and ``_ph`` the only code that picks a query's pH;
-every grid option is read through ``_grid``.
-``predict`` fails a prediction that is not finite, for the ``predict``
-command and ``report --scan-w`` alike. ``predict`` and ``report
---scan-w`` rebuild each model at ``stage=load``, so a report that cannot
-be rebuilt fails there under both; a bad grid option fails at the stage
-after. A GP reads the columns ``gp.select_inputs`` picks, in ``fit-gp``
-and ``_rebuild_model`` alike.
-``_rows`` builds the prediction rows of every report, and ``_write_fit``
-writes the report of each fit command. ``_stage`` tags an error with the
-stage it came from and prints a ``DegenerateFitWarning`` or a
-``FixedInputWarning`` (a GP query off a column's one training value,
-answered at that value) as one ``warning: stage=...`` line.
+``_rebuild_model`` and ``predict`` tell the three model families apart.
+Other code asks one thing at most: whether a model is the first-order one,
+which reads raw minutes and no W (``predict_minutes`` and the ``predict``
+and ``report`` commands), or a GP of lead, which reads a pH (``_ph``, the
+one code that picks a query's pH). ``predict_minutes`` answers every fit
+command and ``predict`` at raw minutes, so a model rebuilt from its report
+gives back the report's rows; ``_rows`` builds those rows, and
+``_write_fit`` writes each fit's report. ``predict`` fails a prediction
+that is not finite, under ``predict`` and ``report --scan-w`` alike; both
+rebuild each model at ``stage=load``, and a bad grid option, read through
+``_grid``, fails at the stage after. A GP reads the columns
+``gp.select_inputs`` picks, in ``fit-gp`` and ``_rebuild_model`` alike.
+``_stage`` tags an error with the stage it came from and prints a
+``DegenerateFitWarning`` or a ``FixedInputWarning`` (a GP query off a
+column's one training value, answered at that value) as one ``warning:
+stage=...`` line.
 
 ``_COMMANDS`` maps each subcommand to its help, its options builder and its
 handler. ``main`` parses once, with the invoked command's parser alone,
@@ -32,7 +34,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -250,16 +252,11 @@ def _cmd_fit_kinetics(args) -> int:
         t = series.times()
         observed = series.concentrations()
         metrics = compute_metrics(np.log(observed), fit.k * t + fit.ln_c0_fit)
-    parameters = {
-        "k": fit.k,
-        "ln_c0_fit": fit.ln_c0_fit,
-        "n_points": fit.n_points,
-        "degenerate": fit.degenerate,
-    }
-    rows = _rows({"time_min": t}, predict_first_order(fit, t), observed)
+        inputs, predicted, _ = predict_minutes(fit, None, t)
+    rows = _rows(inputs, predicted, observed)
     final_removal = series.removal_fractions()[-1]
     summary = f"k={fit.k:.6g} 1/min, R^2={metrics.r2:.4f}, final removal {100.0 * final_removal:.2f}%"
-    return _write_fit(args, series, ModelKind.FIRST_ORDER, parameters, metrics, rows, summary)
+    return _write_fit(args, series, ModelKind.FIRST_ORDER, asdict(fit), metrics, rows, summary)
 
 
 def _cmd_fit_exp(args) -> int:
@@ -274,26 +271,20 @@ def _cmd_fit_exp(args) -> int:
         series = _load(args)
     with _stage("fit"):
         columns, observed, _, times = training_set(series)
-        t_norm, w = columns["t_norm"], columns["thickness_cm"]
         params = fit_exp_model(
-            np.column_stack([t_norm, w, observed]),
+            np.column_stack([columns["t_norm"], columns["thickness_cm"], observed]),
             x0=x0,
             exponent_form=ExponentForm(args.exponent_form),
             max_iters=args.max_iters,
         )
-        predicted, _ = predict(params, t_norm, w)
+        inputs, predicted, _ = predict_minutes(params, times.denominator, times.t_raw, columns["thickness_cm"])
         metrics = compute_metrics(observed, predicted)
     parameters = {
-        "a": params.a,
-        "b": params.b,
-        "sse": params.sse,
-        "converged": params.converged,
-        "negative_parameters": bool(params.a < 0 or params.b < 0),
-        "identifiable": params.identifiable,
+        **asdict(params),
         "exponent_form": params.exponent_form.value,
+        "negative_parameters": bool(params.a < 0 or params.b < 0),
         "time_denominator": times.denominator,
     }
-    inputs = {"time_min": times.t_raw, "t_norm": t_norm, "thickness_cm": w}
     rows = _rows(inputs, predicted, observed)
     summary = (
         f"a={params.a:.6g}, b={params.b:.6g}, sse={params.sse:.3g}, "
@@ -329,15 +320,13 @@ def _cmd_fit_gp(args) -> int:
     with _stage("fit"):
         if args.optimize:
             hp = gp_optimize_hyperparams(x, y, hp, objective=args.objective)
-        model = gp_fit(hp, x, y)
-        pred = gp_predict(model, x)
-        metrics = compute_metrics(y, pred.mean)
+        model = replace(gp_fit(hp, x, y), fixed_inputs=fixed)
+        inputs, mean, variance = predict_minutes(model, times.denominator, times.t_raw,
+                                                 columns["thickness_cm"], columns.get("ph"))
+        metrics = compute_metrics(y, mean)
     parameters = {
-        "v": hp.v,
-        "w": list(hp.w),
-        "inputs": list(hp.inputs),
+        **asdict(hp),
         "fixed_inputs": fixed,
-        "epsilon": hp.epsilon,
         "p": hp.p,
         "time_denominator": times.denominator,
         "jitter_used": model.jitter_used,
@@ -346,7 +335,7 @@ def _cmd_fit_gp(args) -> int:
         "optimized": bool(args.optimize),
         "objective": args.objective if args.optimize else None,
     }
-    rows = _rows({"time_min": times.t_raw, **columns}, pred.mean, y, pred.variance)
+    rows = _rows(inputs, mean, y, variance)
     summary = f"v={hp.v:.6g}, R^2={metrics.r2:.4f}, slope={metrics.obs_pred_slope:.4f}"
     return _write_fit(args, series, ModelKind.GAUSSIAN_PROCESS, parameters, metrics, rows, summary)
 
@@ -354,12 +343,11 @@ def _cmd_fit_gp(args) -> int:
 def _rebuild_model(report: FitReport):
     """Reconstruct a fitted model from its report.
 
-    Returns ``(model, inputs)``: ``inputs`` names the model's layout
-    columns after the time in minutes, as ``predict`` rows carry them (none
-    for the first-order model, which takes raw minutes). A GP is refitted on
-    the columns of its training rows that ``select_inputs`` picks; a report
-    without ``inputs`` holds one weight per layout column. The training rows,
-    those with ``observed``, hold the same input columns, each in ``_INPUT_MAX``.
+    A GP is refitted on the columns of its training rows that
+    ``select_inputs`` picks, and records the others as ``fixed_inputs``, as
+    ``fit-gp`` does; a report without ``inputs`` holds one weight per layout
+    column. The training rows, those with ``observed``, hold the same input
+    columns, each in ``_INPUT_MAX``.
     """
     params = report.parameters
     if report.model_kind is ModelKind.FIRST_ORDER:
@@ -368,13 +356,13 @@ def _rebuild_model(report: FitReport):
             ln_c0_fit=params["ln_c0_fit"],
             n_points=params.get("n_points", 3),
             degenerate=params.get("degenerate", False),
-        ), ()
+        )
     if report.model_kind is ModelKind.EXPONENTIAL:
         return ExpModelParams(
             a=params["a"],
             b=params["b"],
             exponent_form=ExponentForm(params.get("exponent_form", "literal")),
-        ), ("t_norm", "thickness_cm")
+        )
     hp = GpHyperParams(params["v"], params["w"], params["epsilon"], params.get("inputs"))
     train = [row for row in report.predictions if row.observed is not None]
     if not train:
@@ -393,10 +381,10 @@ def _rebuild_model(report: FitReport):
             raise ValidationError(f"GP report training {name} {outside[0]:g} not in [0, {_INPUT_MAX[name]:g}]")
     hp, x, fixed = select_inputs(hp, columns)
     y = np.array([row.observed for row in train])
-    return replace(gp_fit(hp, x, y), fixed_inputs=fixed), names
+    return replace(gp_fit(hp, x, y), fixed_inputs=fixed)
 
 
-def _ph(model, ph: float | None) -> float | None:
+def _ph(model, ph):
     """The pH a query of ``model`` reads: ``ph``, by default the model's mean
     training pH, for a GP of lead; None for every other model."""
     if not isinstance(model, GpModel):
@@ -449,6 +437,31 @@ def predict(model, t_norm, w, ph=None):
     return mean, variance
 
 
+def predict_minutes(model, time_denominator, minutes, w=None, ph=None):
+    """``(columns, mean, variance)`` of a fitted model at raw ``minutes``.
+
+    Every model but the first-order one reads t_norm = ln(t) /
+    ``time_denominator``, for t in (1, e^``time_denominator``], and the pH
+    ``_ph`` picks; ``minutes``, ``w`` and ``ph`` broadcast as in ``predict``.
+    ``columns`` maps ``time_min`` and each input the model reads to its
+    values, ready for ``_rows``: a model rebuilt from its report and asked
+    at its rows' minutes, W and pH gives back those rows bit for bit.
+    """
+    minutes = np.asarray(minutes, dtype=float)
+    if isinstance(model, KineticFitResult):
+        return {"time_min": minutes}, *predict(model, minutes, w)
+    horizon = float(np.exp(time_denominator))
+    outside = (minutes <= 1.0) | (minutes > horizon * (1.0 + 1e-12))
+    if np.any(outside):
+        raise ValidationError(
+            f"time {float(minutes[outside][0])} min outside the model's range (1, {horizon:.0f}]"
+        )
+    t_norm, ph = np.log(minutes) / time_denominator, _ph(model, ph)
+    mean, variance = predict(model, t_norm, w, ph)
+    query = {"time_min": minutes, "t_norm": t_norm, "ph": ph, "thickness_cm": w}
+    return {name: value for name, value in query.items() if value is not None}, mean, variance
+
+
 def optimum_thickness_scan(model, w_grid, t_fixed: float, ph: float | None = None):
     """Best thickness on the grid at a fixed normalized time.
 
@@ -466,27 +479,16 @@ def optimum_thickness_scan(model, w_grid, t_fixed: float, ph: float | None = Non
 def _cmd_predict(args) -> int:
     with _stage("load"):
         report = read_report(*_resolve_inputs(args, [args.model]))
-        model, inputs = _rebuild_model(report)
+        model = _rebuild_model(report)
         denom = report.parameters.get("time_denominator")
-        if "t_norm" in inputs and denom is None:
+        if denom is None and not isinstance(model, KineticFitResult):
             raise ValidationError("report lacks time_denominator; cannot map minutes")
     with _stage("predict"):
         minutes = np.array(_grid(args.t_grid, "--t-grid"))[:, None]
         w = None if args.w_grid is None else np.array(_grid(args.w_grid, "--w-grid", "thickness_cm"))[None, :]
-        ph = _ph(model, None if args.ph is None else _grid(args.ph, "--ph", "ph")[0])
-        t = minutes
-        if "t_norm" in inputs:  # minutes -> ln(t) / ln(t_max) of the training series
-            horizon = float(np.exp(denom))
-            outside = (minutes <= 1.0) | (minutes > horizon * (1.0 + 1e-12))
-            if np.any(outside):
-                raise ValidationError(
-                    f"time {float(minutes[outside][0])} min outside the model's range "
-                    f"(1, {horizon:.0f}]"
-                )
-            t = np.log(minutes) / denom
-        mean, variance = predict(model, t, w, ph)
-        values = {"time_min": minutes, "t_norm": t, "thickness_cm": w, "ph": ph}
-        rows = _rows({n: values[n] for n in ("time_min", *inputs)}, mean, variance=variance)
+        ph = None if args.ph is None else _grid(args.ph, "--ph", "ph")[0]
+        inputs, mean, variance = predict_minutes(model, denom, minutes, w, ph)
+        rows = _rows(inputs, mean, variance=variance)
     # the model's report, its rows replaced by the predictions
     provenance = _provenance(args, model_report=str(args.model))
     out = replace(report, metrics=None, predictions=rows, provenance=provenance)
@@ -530,14 +532,14 @@ def _cmd_report(args) -> int:
         paths = _resolve_inputs(args, args.inputs)
         loaded = [(name, read_report(path)) for name, path in zip(args.inputs, paths)]
         # a scan reads the models: rebuilt here, so a report the rebuild rejects fails at load
-        models = [(None, ()) if args.scan_w is None else _rebuild_model(r) for _, r in loaded]
+        models = [None if args.scan_w is None else _rebuild_model(r) for _, r in loaded]
     with _stage("scan"):
         scan_w = None if args.scan_w is None else sorted(_grid(args.scan_w, "--scan-w", "thickness_cm"))
         ph = None if args.ph is None else _grid(args.ph, "--ph", "ph")[0]
         scan_t = _grid(args.scan_t, "--scan-t", "t_norm")[0]
-        for (path, report), (model, inputs) in zip(loaded, models):
+        for (path, report), model in zip(loaded, models):
             scan = None
-            if "thickness_cm" in inputs:  # a scan was asked for, and not the first-order model
+            if model is not None and not isinstance(model, KineticFitResult):  # no W in first-order
                 w_star, removal = optimum_thickness_scan(model, scan_w, scan_t, ph=ph)
                 scan = {
                     "t_norm": scan_t,
@@ -639,9 +641,7 @@ def _synth_options(p) -> None:
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", default=None, help="override sample times (minutes)")
-    p.add_argument(
-        "--contaminant", choices=sorted(_CONTAMINANTS), default="pb"
-    )
+    p.add_argument("--contaminant", choices=sorted(_CONTAMINANTS), default="pb")
     p.add_argument("--output", required=True, help="output CSV path")
 
 

@@ -30,7 +30,6 @@ import csv
 import json
 import math
 import os
-from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -470,7 +469,7 @@ def fixture_dir() -> Path:
     env = os.environ.get(FIXTURE_DIR_ENV)
     if env:
         return Path(env)
-    return Path(str(resources.files("pabfit").joinpath("fixtures")))
+    return Path(__file__).parent / "fixtures"
 
 
 def resolve_input(path: str | Path) -> Path:

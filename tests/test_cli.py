@@ -10,8 +10,15 @@ import numpy as np
 import pytest
 
 from pabfit import dataio
-from pabfit.cli import FixedInputWarning, main, optimum_thickness_scan, predict
-from pabfit.dataio import fixture_dir, load_fixture, report_csv_path
+from pabfit.cli import (
+    FixedInputWarning,
+    _rebuild_model,
+    main,
+    optimum_thickness_scan,
+    predict,
+    predict_minutes,
+)
+from pabfit.dataio import fixture_dir, load_fixture, read_report, report_csv_path
 from pabfit.errors import InvalidInput, ValidationError
 from pabfit.expmodel import ExpModelParams, ExponentForm, exp_model_eval
 from pabfit.domain import Contaminant
@@ -565,6 +572,53 @@ class TestPredict:
         assert code == 3
 
 
+class TestRebuiltReportGivesItsRows:
+    """A fit's report, rebuilt and asked through ``predict_minutes`` at its
+    own rows' minutes, W and pH, gives back the rows' ``predicted``,
+    ``variance`` and query columns bit for bit."""
+
+    @staticmethod
+    def varying_csv(path):
+        """A lead series whose W and pH alternate, so each is a per-row input."""
+        rows = [f"{t},{50 * np.exp(-0.0005 * t) * (1.02 if i % 2 else 1.0)},{2.0 + i % 2},{6.5 + i % 2}"
+                for i, t in enumerate(range(60, 3601, 60))]
+        path.write_text("time_min,concentration_mg_l,thickness_cm,ph\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-kinetics", "--input", "pcbc_run1.csv"],
+        ["fit-exp", "--input", "pcp_run1.csv"],
+        ["fit-exp", "--input", "pcp_run1.csv", "--exponent-form", "product"],
+        ["fit-exp", "--input", "mb_run1.csv", "--contaminant", "mb"],
+        ["fit-exp", "--input", "varying.csv"],
+        ["fit-gp", "--input", "pcp_run1.csv"],
+        ["fit-gp", "--input", "mb_run1.csv", "--contaminant", "mb"],
+        ["fit-gp", "--input", "pcbc_run2.csv", "--optimize", "--objective", "sse"],
+        ["fit-gp", "--input", "varying.csv"],
+    ], ids=["kinetics", "exp-literal", "exp-product", "exp-mb", "exp-varying",
+            "gp-lead", "gp-mb", "gp-sse", "gp-varying"])
+    def test_fit_rows(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        self.varying_csv(tmp_path / "varying.csv")
+        assert run_cli(*argv, "--output", "fit.json") == 0
+        report = read_report(tmp_path / "fit.json")
+        rows = report.predictions
+        held = rows[0].inputs.keys()
+        column = {name: np.array([row.inputs[name] for row in rows]) for name in held}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # each row sits at the training values
+            inputs, mean, variance = predict_minutes(
+                _rebuild_model(report), report.parameters.get("time_denominator"),
+                column["time_min"], column.get("thickness_cm"), column.get("ph"),
+            )
+        assert inputs.keys() == held
+        assert all(np.array_equal(inputs[name], column[name]) for name in held)
+        assert np.array_equal(mean, [row.predicted for row in rows])
+        if argv[0] == "fit-gp":
+            assert np.array_equal(variance, [row.variance for row in rows])
+        else:
+            assert variance is None and all(row.variance is None for row in rows)
+
+
 def corrupted_fixture(tmp_path, column, value):
     """pcbc_run1.csv with the cell of ``column`` in data row 5 set to ``value``."""
     lines = (fixture_dir() / "pcbc_run1.csv").read_text().splitlines()
@@ -1051,6 +1105,21 @@ class TestOverflowingPrediction:
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage={stage} code=4 kind=NumericError:")
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists() and not report_csv_path(out).exists()
+
+    def test_first_order_fit_row(self, tmp_path, capsys):
+        # ln c of -690, 709, 709: the fitted line reaches 942 at the last
+        # row, past ln(float max), so that row's prediction is not finite
+        csv = tmp_path / "steep.csv"
+        csv.write_text("time_min,concentration_mg_l\n2,1e-300\n3,8e307\n4,8e307\n")
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("fit-kinetics", "--input", str(csv), "--c0", "1e308", "--output", str(out)) == 4
+        assert capsys.readouterr().err == (
+            "error: stage=fit code=4 kind=NumericError: "
+            "the model's prediction is not finite at 1 of 3 grid points\n"
+        )
         assert not out.exists() and not report_csv_path(out).exists()
 
 

@@ -2,10 +2,12 @@ import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pabfit
 from pabfit.dataio import (
     DEFAULT_SCHEDULE,
     FIXTURE_C0,
@@ -172,6 +174,21 @@ class TestFixtures:
         assert fixture_dir() == tmp_path
         with pytest.raises(FileIOError):
             resolve_input("pcbc_run1.csv")
+
+    def test_a_bare_name_resolves_from_the_fixture_dir(self, tmp_path, monkeypatch):
+        # the override's file of a bundled name, three rows of pcbc_run1.csv
+        monkeypatch.chdir(tmp_path)
+        override = tmp_path / "fixtures"
+        override.mkdir()
+        bundled = Path(pabfit.__file__).parent / "fixtures"
+        head = (bundled / "pcbc_run1.csv").read_text().splitlines()[:4]
+        (override / "pcbc_run1.csv").write_text("\n".join(head) + "\n")
+        monkeypatch.setenv("PABFIT_FIXTURE_DIR", str(override))
+        assert resolve_input("pcbc_run1.csv") == override / "pcbc_run1.csv"
+        assert len(load_fixture("pcbc_run1.csv").samples) == 3
+        monkeypatch.delenv("PABFIT_FIXTURE_DIR")
+        assert resolve_input("pcbc_run1.csv") == bundled / "pcbc_run1.csv"
+        assert len(load_fixture("pcbc_run1.csv").samples) == 65
 
     def test_only_a_bare_name_falls_back_to_a_fixture(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
