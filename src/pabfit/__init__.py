@@ -22,7 +22,7 @@ _EXPORTS = {
     "gp_loo_sse_gradient gp_nlml gp_nlml_gradient gp_optimize_hyperparams gp_predict kernel_matrix",
     "kinetics": "KineticFitResult fit_first_order predict_first_order",
     "metrics": "FitMetrics compute_metrics obs_pred_slope r_squared rmse",
-    "numeric": "CholeskyFactor DescentConfig DescentResult cholesky gradient_descent solve",
+    "numeric": "CholeskyFactor DescentResult cholesky gradient_descent solve",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = ["__version__", *_MODULE_OF]

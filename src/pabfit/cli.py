@@ -446,12 +446,20 @@ def predict_minutes(model, time_denominator, minutes, w=None, ph=None):
     ``columns`` maps ``time_min`` and each input the model reads to its
     values, ready for ``_rows``: a model rebuilt from its report and asked
     at its rows' minutes, W and pH gives back those rows bit for bit.
+    A time not inside that range (NaN included), a ``time_denominator`` of
+    None for those models, or a minute that is not finite for the
+    first-order model raises :class:`ValidationError`.
     """
     minutes = np.asarray(minutes, dtype=float)
     if isinstance(model, KineticFitResult):
+        bad = ~np.isfinite(minutes)
+        if bad.any():
+            raise ValidationError(f"time {float(minutes[bad][0])} min is not finite")
         return {"time_min": minutes}, *predict(model, minutes, w)
+    if time_denominator is None:
+        raise ValidationError("no time_denominator; cannot map minutes")
     horizon = float(np.exp(time_denominator))
-    outside = (minutes <= 1.0) | (minutes > horizon * (1.0 + 1e-12))
+    outside = ~((minutes > 1.0) & (minutes <= horizon * (1.0 + 1e-12)))
     if np.any(outside):
         raise ValidationError(
             f"time {float(minutes[outside][0])} min outside the model's range (1, {horizon:.0f}]"

@@ -94,7 +94,7 @@ def fit_exp_model(
     Parameters
     ----------
     data : sequence of (t_norm, w, removal_fraction) triples
-    x0 : initial (a, b); (1, 1) when nothing better is known
+    x0 : initial (a, b), two finite numbers; (1, 1) when nothing better is known
     max_iters : cap on the iterations of each Levenberg-Marquardt run
 
     The mirror (a, b) -> (b + mean(W), a - mean(W)) swaps a and b + W.
@@ -124,6 +124,9 @@ def fit_exp_model(
     t, w, y = arr[:, 0], arr[:, 1], arr[:, 2]
     if np.any((t < 0.0) | (t > 1.0)):
         raise InvalidInput("t_norm values must lie in [0, 1]")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2,) or not np.isfinite(x0).all():
+        raise InvalidInput(f"x0 must hold exactly two finite numbers (a, b), got {x0.tolist()}")
 
     def params(theta) -> ExpModelParams:
         return ExpModelParams(a=float(theta[0]), b=float(theta[1]), exponent_form=exponent_form)

@@ -14,10 +14,12 @@ files by path on first use, without running the ``scipy.linalg`` package
 import, so commands that factor no matrix load nothing of scipy.
 ``gradient_descent`` is plain steepest descent on a caller-supplied
 gradient with a backtracking (halving) line search; the GP hyperparameter
-search uses it. ``levenberg_marquardt`` minimizes a sum of squares from
-its residuals and their Jacobian (More 1978, "The Levenberg-Marquardt
-algorithm: implementation and theory"); the exponential-model fit uses it.
-Both return a ``DescentResult``.
+search uses it. It has one stopping rule: the first step is 0.1, and the
+descent stops when an accepted step lowers the objective by less than
+1e-9, or after 200 iterations. ``levenberg_marquardt`` minimizes a sum of
+squares from its residuals and their Jacobian (More 1978, "The
+Levenberg-Marquardt algorithm: implementation and theory"); the
+exponential-model fit uses it. Both return a ``DescentResult``.
 """
 
 from __future__ import annotations
@@ -222,13 +224,6 @@ def multiply_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DescentConfig:
-    step: float = 0.1
-    tolerance: float = 1e-10
-    max_iters: int = 1000
-
-
-@dataclass(frozen=True)
 class DescentResult:
     x: np.ndarray
     fun: float
@@ -236,6 +231,9 @@ class DescentResult:
     converged: bool
 
 
+_STEP = 0.1  # the first trial step, as a multiple of the gradient
+_TOLERANCE = 1e-9  # an accepted decrease below this ends the descent
+_MAX_ITERS = 200
 _MIN_STEP = 1e-18
 _MAX_MOVE = 1.0  # per-iteration cap on the largest coordinate move
 _MAX_STEP_GROWTH = 1024.0  # keeps the doubled step bounded on flat objectives
@@ -245,7 +243,6 @@ def gradient_descent(
     objective: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float] | np.ndarray,
-    config: DescentConfig | None = None,
 ) -> DescentResult:
     """Minimize a scalar objective by backtracking steepest descent.
 
@@ -255,29 +252,24 @@ def gradient_descent(
 
     Each iteration takes a step ``-step * grad`` (rescaled so no coordinate
     moves more than ``_MAX_MOVE``, which keeps a huge early gradient
-    from tunneling into a flat far-away region); the step halves until the
-    objective strictly decreases and doubles after an accepted move.
-    Terminates when an accepted decrease falls below ``config.tolerance``,
-    when no decrease can be found, or at ``config.max_iters``.
+    from tunneling into a flat far-away region); the step starts at 0.1,
+    halves until the objective strictly decreases and doubles after an
+    accepted move. Converged when an accepted decrease falls below 1e-9
+    or when no decrease can be found; not converged after 200 iterations.
 
     The returned point never has a higher objective than ``x0``. A NaN
     objective anywhere, or a non-finite gradient, raises
     :class:`NonFiniteObjective`; an overflowing (infinite) objective at a
     trial point is treated as an ordinary increase and backtracked.
     """
-    config = config or DescentConfig()
-    if config.max_iters < 1:
-        raise InvalidInput("max_iters must be at least 1")
     x = np.asarray(x0, dtype=float).copy()
     f = float(objective(x))
     if not math.isfinite(f):
         raise NonFiniteObjective("objective not finite at the starting point")
 
-    step = config.step
-    iterations = 0
+    step = _STEP
     converged = False
-    for _ in range(config.max_iters):
-        iterations += 1
+    for iterations in range(1, _MAX_ITERS + 1):
         grad = np.asarray(gradient(x), dtype=float)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteObjective(f"gradient not finite at iteration {iterations}: {grad}")
@@ -302,8 +294,8 @@ def gradient_descent(
             break
         delta = f - f_trial
         x, f = trial, f_trial
-        step = min(step * 2.0, _MAX_STEP_GROWTH * config.step)
-        if delta < config.tolerance:
+        step = min(step * 2.0, _MAX_STEP_GROWTH * _STEP)
+        if delta < _TOLERANCE:
             converged = True
             break
     return DescentResult(x=x, fun=f, iterations=iterations, converged=converged)

@@ -32,7 +32,7 @@ from pabfit.gp import (
 )
 from pabfit.kinetics import fit_first_order
 from pabfit.metrics import compute_metrics
-from pabfit.numeric import DescentConfig, gradient_descent
+from pabfit.numeric import gradient_descent
 
 from oracles import MB_EXP_PARAMS, PB_EXP_PARAMS, kinetic_r2
 
@@ -191,12 +191,7 @@ def test_10_optimizer_contract_and_hyperparameter_search():
             return float(np.sum((z - center) ** 2))
 
         x0 = rng.standard_normal(dim) * 2
-        res = gradient_descent(
-            quad,
-            lambda z, center=center: 2.0 * (z - center),
-            x0,
-            DescentConfig(max_iters=int(rng.integers(1, 60))),
-        )
+        res = gradient_descent(quad, lambda z, center=center: 2.0 * (z - center), x0)
         assert res.fun <= quad(x0)
 
     wins = 0
@@ -209,9 +204,7 @@ def test_10_optimizer_contract_and_hyperparameter_search():
         y = np.linalg.cholesky(cov) @ trial_rng.standard_normal(15)
         hp0 = GpHyperParams(v=1.0, w=(1.0,))
         before = gp_nlml(gp_fit(hp0, x, y))
-        hp_opt = gp_optimize_hyperparams(
-            x, y, hp0, config=DescentConfig(step=0.1, tolerance=1e-9, max_iters=100)
-        )
+        hp_opt = gp_optimize_hyperparams(x, y, hp0)
         after = gp_nlml(gp_fit(hp_opt, x, y))
         assert after <= before  # the contract: never worse than the start
         wins += after < before

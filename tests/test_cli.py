@@ -619,6 +619,40 @@ class TestRebuiltReportGivesItsRows:
             assert variance is None and all(row.variance is None for row in rows)
 
 
+class TestPredictMinutesChecks:
+    """``predict_minutes`` refuses minutes it cannot map with a ``ValidationError``."""
+
+    kinetics = KineticFitResult(k=-0.0006, ln_c0_fit=3.9, n_points=3)
+
+    @staticmethod
+    def model(kind):
+        if kind == "exp":
+            return ExpModelParams(a=2.068, b=3.486)
+        return TestPredictDispatch.fixture_model("pcp_run1.csv")
+
+    @pytest.mark.parametrize("kind", ["exp", "gp"])
+    def test_no_time_denominator(self, kind):
+        with pytest.raises(ValidationError, match="no time_denominator; cannot map minutes"):
+            predict_minutes(self.model(kind), None, [60.0], 3.0)
+
+    @pytest.mark.parametrize("kind", ["exp", "gp"])
+    def test_nan_minute_is_outside_the_range(self, kind):
+        with pytest.raises(ValidationError, match=r"time nan min outside the model's range \(1, 2981\]"):
+            predict_minutes(self.model(kind), 8.0, [60.0, float("nan")], 3.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_first_order_refuses_a_non_finite_minute(self, bad):
+        with pytest.raises(ValidationError, match=f"time {bad} min is not finite"):
+            predict_minutes(self.kinetics, None, [60.0, bad])
+
+    def test_first_order_needs_no_time_denominator(self):
+        minutes = np.array([0.0, 3600.0])
+        inputs, mean, variance = predict_minutes(self.kinetics, None, minutes)
+        assert inputs.keys() == {"time_min"} and np.array_equal(inputs["time_min"], minutes)
+        assert np.array_equal(mean, np.exp(-0.0006 * minutes + 3.9))
+        assert variance is None
+
+
 def corrupted_fixture(tmp_path, column, value):
     """pcbc_run1.csv with the cell of ``column`` in data row 5 set to ``value``."""
     lines = (fixture_dir() / "pcbc_run1.csv").read_text().splitlines()

@@ -156,6 +156,13 @@ class TestFit:
         with pytest.raises(NonFiniteObjective):
             fit_exp_model([(0.5, 0.0, float("nan"))])
 
+    @pytest.mark.parametrize(
+        "x0", [(1.0,), (1.0, 2.0, 3.0), (1.0, float("nan"))], ids=["short", "long", "nan"]
+    )
+    def test_rejects_bad_start(self, x0):
+        with pytest.raises(InvalidInput, match="x0 must hold exactly two finite numbers"):
+            fit_exp_model(make_grid_data(*PB_EXP_PARAMS), x0=x0)
+
 
 def fixture_data(name):
     series = load_fixture(name)

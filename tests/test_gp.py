@@ -29,7 +29,7 @@ from pabfit.gp import (
     select_inputs,
     training_set,
 )
-from pabfit.numeric import DescentConfig, triangular_inverse
+from pabfit.numeric import triangular_inverse
 
 from oracles import (
     finite_difference_gradient,
@@ -534,9 +534,7 @@ class TestOptimize:
         x = np.linspace(0, 1, 20)[:, None]
         y = 0.3 * np.sin(2 * np.pi * x[:, 0]) + 0.01 * rng.standard_normal(20)
         hp0 = GpHyperParams(v=1.0, w=(1.0,))
-        hp_opt = gp_optimize_hyperparams(
-            x, y, hp0, config=DescentConfig(step=0.1, tolerance=1e-12, max_iters=500)
-        )
+        hp_opt = gp_optimize_hyperparams(x, y, hp0)
         log_w_grid = np.linspace(math.log(0.5), math.log(200.0), 9)
         log_v_grid = np.linspace(math.log(0.05), math.log(5.0), 7)
         best = min(

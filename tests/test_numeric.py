@@ -18,7 +18,6 @@ from pabfit.errors import (
 )
 from pabfit.numeric import (
     CholeskyFactor,
-    DescentConfig,
     cholesky,
     gradient_descent,
     levenberg_marquardt,
@@ -309,28 +308,16 @@ class TestGradientDescent:
             lambda x: x[0] ** 2 + 10.0 * x[1] ** 2,
             lambda x: np.array([2.0 * x[0], 20.0 * x[1]]),
             [1.0, 1.0],
-            DescentConfig(step=0.1, tolerance=1e-16, max_iters=5000),
         )
         np.testing.assert_allclose(res.x, [0.0, 0.0], atol=1e-4)
 
-    def test_rosenbrock_beats_grid_oracle(self):
-        def rosen(x):
-            return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-
-        def rosen_gradient(x):
-            inner = x[1] - x[0] ** 2
-            return np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * inner, 200.0 * inner])
-
-        res = gradient_descent(
-            rosen,
-            rosen_gradient,
-            [-1.2, 1.0],
-            DescentConfig(step=0.1, tolerance=1e-16, max_iters=10000),
-        )
-        assert res.fun < rosen(np.array([-1.2, 1.0]))
-        grid = np.linspace(-2.0, 2.0, 50)
-        oracle = min(rosen(np.array([gx, gy])) for gx in grid for gy in grid)
-        assert res.fun <= oracle
+    def test_unbounded_descent_stops_at_the_cap(self):
+        # every step lowers -x by more than the tolerance, so only the
+        # 200-iteration cap ends the descent
+        res = gradient_descent(lambda x: -x[0], lambda x: np.array([-1.0]), [0.0])
+        assert res.iterations == 200
+        assert not res.converged
+        assert res.fun < 0.0
 
     def test_never_increases_objective(self):
         rng = np.random.default_rng(3)
@@ -346,23 +333,19 @@ class TestGradientDescent:
                 return 2.0 * scale * (x - center)
 
             x0 = rng.standard_normal(dim) * 3
-            res = gradient_descent(f, grad, x0, DescentConfig(max_iters=int(rng.integers(1, 50))))
+            res = gradient_descent(f, grad, x0)
             assert res.fun <= f(x0)
 
     def test_non_finite_start_raises(self):
         with pytest.raises(NonFiniteObjective):
             gradient_descent(lambda x: float("nan"), lambda x: np.zeros(1), [0.0])
 
-    def test_no_iterations_is_invalid_input(self):
-        with pytest.raises(InvalidInput, match="max_iters"):
-            gradient_descent(lambda x: 0.0, lambda x: np.zeros(1), [0.0], DescentConfig(max_iters=0))
-
     def test_nan_during_descent_raises(self):
         def trap(x):
             return float("nan") if x[0] < 0.5 else (x[0] - 0.4) ** 2
 
         with pytest.raises(NonFiniteObjective):
-            gradient_descent(trap, lambda x: 2.0 * (x - 0.4), [0.6], DescentConfig(step=1.0))
+            gradient_descent(trap, lambda x: 2.0 * (x - 0.4), [0.6])
 
     def test_non_finite_gradient_raises(self):
         # the analytic gradient keeps the contract the finite differences

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "gp_predict", "kernel_matrix",
     "KineticFitResult", "fit_first_order", "predict_first_order",
     "FitMetrics", "compute_metrics", "obs_pred_slope", "r_squared", "rmse",
-    "CholeskyFactor", "DescentConfig", "DescentResult", "cholesky", "gradient_descent", "solve",
+    "CholeskyFactor", "DescentResult", "cholesky", "gradient_descent", "solve",
 ]
 
 

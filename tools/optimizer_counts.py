@@ -3,16 +3,22 @@
 For every fixture and both GP objectives, one ``gp_optimize_hyperparams``
 call from the shipped hyperparameters (the ``fit-gp --optimize`` path):
 its fits (calls of ``gp.fit_covariance``, or of ``gp_fit`` in versions
-without it), descent iterations and the objective at the returned
-hyperparameters. For both exponent forms, one ``fit_exp_model`` call from
-the CLI's default start (1, 1), on the columns ``gp.training_set`` gives
-(as ``fit-exp`` reads them): its model evaluations, then
-residual-and-Jacobian evaluations ("+Nj"), the iterations of its
-Levenberg-Marquardt runs, and the final SSE. Each residual-and-Jacobian
-evaluation makes one model evaluation. The counts come from wrapping the
-module-level functions the optimizers look up, and a function the package
-lacks counts 0, so the same script compares any two versions of the
-package. Run from the repo root:
+without it), descent iterations, how the descent stopped and the objective
+at the returned hyperparameters. For both exponent forms, one
+``fit_exp_model`` call from the CLI's default start (1, 1), on the columns
+``gp.training_set`` gives (as ``fit-exp`` reads them): its model
+evaluations, then residual-and-Jacobian evaluations ("+Nj"), the
+iterations of its Levenberg-Marquardt runs, how they stopped, and the
+final SSE. Each residual-and-Jacobian evaluation makes one model
+evaluation.
+
+The ``stop`` column reads ``converged`` when every optimizer run met its
+stopping rule (``DescentResult.converged``) and ``cap`` when one ran out
+of iterations: 200 for the GP search's descent, so a search that the cap
+cuts short shows. The counts come from wrapping the module-level
+functions the optimizers look up, and a function the package lacks
+counts 0 (its ``stop`` reads ``-``), so the same script compares any two
+versions of the package. Run from the repo root:
 
     PYTHONPATH=src python tools/optimizer_counts.py
 """
@@ -52,6 +58,14 @@ def counting(module, *names):
             setattr(module, name, fn)
 
 
+def stop(results) -> str:
+    """``converged`` if every run met its stopping rule, ``cap`` if one ran out of iterations."""
+    results = [r for r in results if r is not None]
+    if not results:
+        return "-"
+    return "converged" if all(r.converged for r in results) else "cap"
+
+
 def gp_rows(name: str):
     series = load_fixture(name)
     x, y, _, _ = gp.training_set(series)
@@ -63,7 +77,8 @@ def gp_rows(name: str):
             hp = gp.gp_optimize_hyperparams(x, y, hp0, objective=objective)
         fits = len(calls["fit_covariance"]) or len(calls["gp_fit"])
         iterations = sum(r.iterations for r in calls["gradient_descent"] if r is not None)
-        yield f"gp {objective}", fits, iterations, score(gp.gp_fit(hp, x, y))
+        final = score(gp.gp_fit(hp, x, y))
+        yield f"gp {objective}", fits, iterations, stop(calls["gradient_descent"]), final
 
 
 def exp_rows(name: str):
@@ -76,15 +91,15 @@ def exp_rows(name: str):
             fit = expmodel.fit_exp_model(data, exponent_form=form)
         evals = "{}+{}j".format(*(len(calls[name]) for name in names))
         iterations = sum(r.iterations for r in calls["levenberg_marquardt"] if r is not None)
-        yield f"exp {form.value}", evals, iterations, fit.sse
+        yield f"exp {form.value}", evals, iterations, stop(calls["levenberg_marquardt"]), fit.sse
 
 
 def main() -> None:
-    header = ("fixture", "optimizer", "evaluations", "iterations")
-    print("{:<14} {:<12} {:>12} {:>10}  final objective".format(*header))
+    header = ("fixture", "optimizer", "evaluations", "iterations", "stop")
+    print("{:<14} {:<12} {:>12} {:>10}  {:<9}  final objective".format(*header))
     for name in FIXTURES:
-        for label, evals, iterations, final in [*gp_rows(name), *exp_rows(name)]:
-            print(f"{name:<14} {label:<12} {evals!s:>12} {iterations:>10}  {final!r}")
+        for label, evals, iterations, stopped, final in [*gp_rows(name), *exp_rows(name)]:
+            print(f"{name:<14} {label:<12} {evals!s:>12} {iterations:>10}  {stopped:<9}  {final!r}")
 
 
 if __name__ == "__main__":
