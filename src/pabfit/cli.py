@@ -140,45 +140,38 @@ def _grid(text: str | float, flag: str, name: str | None = None) -> list[float]:
 
 def _parse_hyper(text: str) -> tuple[float | None, list[float]]:
     """Parse 'v=0.3852,w=0.7839,2.8869,2.859e-9' into ``(v, w)``; each key once."""
-    v = None
-    w: list[float] = []
-    current = None
-    seen = set()
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    values: dict[str, list[float]] = {}  # key -> its numbers, in the order given
+    key = None
+    for tok in filter(None, map(str.strip, text.split(","))):
         if "=" in tok:
-            key, _, val = tok.partition("=")
+            key, _, tok = tok.partition("=")
             key = key.strip().lower()
             if key not in ("v", "w"):
                 raise ParseError(f"--hyper: unknown key {key!r}")
-            if key in seen:
+            if key in values:
                 raise ParseError(f"--hyper: key {key!r} given more than once")
-            seen.add(key)
-            current = key
-            tok = val
-        elif current != "w":
+            values[key] = []
+        elif key != "w":
             raise ParseError(f"--hyper: bare value {tok!r} outside the w list")
         try:
-            num = float(tok)
+            values[key].append(float(tok))
         except ValueError:
             raise ParseError(f"--hyper: cannot parse {tok!r} as a number") from None
-        if current == "v":
-            v = num
-        else:
-            w.append(num)
-    return v, w
+    return values.get("v", [None])[0], values.get("w", [])
 
 
 def _resolve_inputs(args, names) -> list[Path]:
     """Each input path (``resolve_input``), once neither ``--output`` nor
-    its row CSV is the same file as one of them: the command would write over it."""
+    its row CSV is the same file as one of them: the command would write over
+    it. A command that writes rows (all but ``report``) also refuses an
+    ``--output`` that is its own row CSV, which the report would replace."""
     paths = [resolve_input(name) for name in names]
     for out in (Path(args.output), report_csv_path(args.output)):
         same = [path for path in paths if out.exists() and out.samefile(path)]
         if same:
             raise ValidationError(f"--output {args.output} would overwrite the input {same[0]}")
+    if args.command != "report" and report_csv_path(args.output) == Path(args.output):
+        raise ValidationError(f"--output {args.output} is its own row CSV; give the report another suffix")
     return paths
 
 
@@ -266,8 +259,6 @@ def _cmd_fit_exp(args) -> int:
             raise ValidationError(f"--x0 needs exactly two values, got {len(x0)}")
         if not all(map(math.isfinite, x0)):
             raise ValidationError(f"--x0 needs finite values, got {args.x0!r}")
-        if args.max_iters < 1:
-            raise ValidationError(f"--max-iters needs a value >= 1, got {args.max_iters}")
         series = _load(args)
     with _stage("fit"):
         columns, observed, _, times = training_set(series)
@@ -275,7 +266,6 @@ def _cmd_fit_exp(args) -> int:
             np.column_stack([columns["t_norm"], columns["thickness_cm"], observed]),
             x0=x0,
             exponent_form=ExponentForm(args.exponent_form),
-            max_iters=args.max_iters,
         )
         inputs, predicted, _ = predict_minutes(params, times.denominator, times.t_raw, columns["thickness_cm"])
         metrics = compute_metrics(observed, predicted)
@@ -596,9 +586,6 @@ def _fit_exp_options(p) -> None:
         choices=[f.value for f in ExponentForm],
         default=ExponentForm.LITERAL.value,
         help="read the model exponent as a+b+W (literal) or a*(b+W) (product)",
-    )
-    p.add_argument(
-        "--max-iters", type=int, default=20000, help="Levenberg-Marquardt iteration cap per start"
     )
 
 

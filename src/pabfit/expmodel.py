@@ -87,7 +87,6 @@ def fit_exp_model(
     data,
     x0: Sequence[float] = (1.0, 1.0),
     exponent_form: ExponentForm = ExponentForm.LITERAL,
-    max_iters: int = 20000,
 ) -> ExpModelParams:
     """Least-squares (a, b) by Levenberg-Marquardt on the residuals.
 
@@ -95,7 +94,6 @@ def fit_exp_model(
     ----------
     data : sequence of (t_norm, w, removal_fraction) triples
     x0 : initial (a, b), two finite numbers; (1, 1) when nothing better is known
-    max_iters : cap on the iterations of each Levenberg-Marquardt run
 
     The mirror (a, b) -> (b + mean(W), a - mean(W)) swaps a and b + W.
     With a single thickness, a and b are not identifiable
@@ -116,7 +114,8 @@ def fit_exp_model(
     ``x0`` and from its mirror, and the lower sum of squares wins. No
     positivity constraint is imposed on a or b; the fit reports whatever
     minimizes the SSE, ``sse`` is the sum of squares at the reported
-    point, and ``converged`` is that of the run the answer came from.
+    point, and ``converged`` is that of the run the answer came from
+    (False when it ran out of Levenberg-Marquardt's 20000 iterations).
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
@@ -149,7 +148,7 @@ def fit_exp_model(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in (x0, mirror(x0)) if identifiable else (branch(x0),):
             try:
-                runs.append(levenberg_marquardt(residual_jacobian, start, max_iters))
+                runs.append(levenberg_marquardt(residual_jacobian, start))
             except NonFiniteObjective as e:
                 failure = failure or e
     if not runs:

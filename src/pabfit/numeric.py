@@ -19,7 +19,8 @@ descent stops when an accepted step lowers the objective by less than
 1e-9, or after 200 iterations. ``levenberg_marquardt`` minimizes a sum of
 squares from its residuals and their Jacobian (More 1978, "The
 Levenberg-Marquardt algorithm: implementation and theory"); the
-exponential-model fit uses it. Both return a ``DescentResult``.
+exponential-model fit uses it, at most 20000 iterations per run. Neither
+optimizer takes a setting. Both return a ``DescentResult``.
 """
 
 from __future__ import annotations
@@ -309,12 +310,12 @@ _LM_DAMPING = 1.0
 _LM_FACTOR = 10.0
 _LM_MAX_DAMPING = 1e16
 _LM_XTOL = 1e-10  # relative step below which the fit has converged
+_LM_MAX_ITERS = 20000  # iterations of one run; no bundled fit uses more than 15
 
 
 def levenberg_marquardt(
     residual_jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: Sequence[float] | np.ndarray,
-    max_iters: int = 100,
 ) -> DescentResult:
     """Minimize the sum of squares ``r(x) . r(x)`` by Levenberg-Marquardt.
 
@@ -331,13 +332,11 @@ def levenberg_marquardt(
 
     Converged when a step moves x by at most 1e-10 relative to |x|,
     when an accepted decrease is at the rounding level of the sum of
-    squares, or when no damping up to 1e16 lowers it; not converged at
-    ``max_iters``. The returned point never has a higher sum of squares
+    squares, or when no damping up to 1e16 lowers it; not converged after
+    20000 iterations. The returned point never has a higher sum of squares
     than ``x0``. A NaN residual raises :class:`NonFiniteObjective`; an
     infinite sum of squares at a trial point is rejected like any increase.
     """
-    if max_iters < 1:
-        raise InvalidInput("max_iters must be at least 1")
     x = np.asarray(x0, dtype=float).copy()
     r, jac = residual_jacobian(x)
     f = float(np.dot(r, r))
@@ -346,7 +345,7 @@ def levenberg_marquardt(
     damping = _LM_DAMPING
     iterations = 0
     converged = False
-    while not converged and iterations < max_iters:
+    while not converged and iterations < _LM_MAX_ITERS:
         iterations += 1
         grad = jac.T @ r
         normal = jac.T @ jac

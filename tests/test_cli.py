@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pabfit import dataio
+from pabfit import dataio, numeric
 from pabfit.cli import (
     FixedInputWarning,
     _rebuild_model,
@@ -232,12 +232,28 @@ class TestFitExp:
         assert params["negative_parameters"] is True
         assert params["identifiable"] is False  # one thickness
 
-    def test_max_iters_caps_the_fit(self, tmp_path):
+    def test_max_iters_caps_the_fit(self, tmp_path, monkeypatch):
         out = tmp_path / "exp.json"
-        argv = ["fit-exp", "--input", "pcp_run1.csv", "--max-iters", "1", "--output", str(out)]
-        assert run_cli(*argv) == 0
+        monkeypatch.setattr(numeric, "_LM_MAX_ITERS", 1)
+        assert run_cli("fit-exp", "--input", "pcp_run1.csv", "--output", str(out)) == 0
         assert json.loads(out.read_text())["parameters"]["converged"] is False
-        assert run_cli(*argv[:3], "--max-iters", "0", "--output", str(out)) == 3
+
+    def test_max_iters_is_no_option(self, tmp_path):
+        out = tmp_path / "exp.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("fit-exp", "--input", "pcp_run1.csv", "--max-iters", "5", "--output", str(out))
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
+    def test_product_form_reaches_its_lower_minimum_from_an_explicit_start(self, tmp_path):
+        # the default start (1, 1) stops at SSE 1.682; a start with
+        # q = a * (b + W) < 0 reaches a = 0.9488, b = -3.9488, SSE 0.413
+        out = tmp_path / "exp.json"
+        argv = ["--input", "pcp_run1.csv", "--exponent-form", "product", "--x0", "1,-5"]
+        assert run_cli("fit-exp", *argv, "--output", str(out)) == 0
+        params = json.loads(out.read_text())["parameters"]
+        assert params["sse"] < 0.42
+        assert params["converged"] is True
 
     def test_bad_x0(self, tmp_path, capsys):
         code = run_cli(
@@ -266,7 +282,6 @@ class TestFitExp:
             ("--x0", "nan,1", "--x0 needs finite values"),
             ("--x0", "inf,1", "--x0 needs finite values"),
             ("--x0", "1,-inf", "--x0 needs finite values"),
-            ("--max-iters", "0", "--max-iters needs a value >= 1"),
         ],
     )
     def test_bad_option_rejected_at_load(self, tmp_path, capsys, option, value, message):
@@ -1088,6 +1103,31 @@ class TestOutputIsNotAnInput:
                                             "--output", output], inputs)
         # a merge written under the .csv name of an input's stem is no clash
         assert run_cli("report", "--inputs", "a.json", "--output", "a.csv") == 0
+
+
+class TestOutputIsItsOwnRowCsv:
+    """A command that writes rows refuses an ``--output`` that is its own row
+    CSV, which the report JSON would replace: it fails at load, with code 3
+    and one error line, and writes no file."""
+
+    def refused(self, tmp_path, capsys, argv):
+        listing = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli(*argv, "--output", "out.csv") == 3
+        err = capsys.readouterr().err
+        assert err == ("error: stage=load code=3 kind=ValidationError: "
+                       "--output out.csv is its own row CSV; give the report another suffix\n")
+        assert sorted(tmp_path.rglob("*")) == listing
+
+    @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
+    def test_fit(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        self.refused(tmp_path, capsys, [command, "--input", "pcbc_run1.csv"])
+
+    def test_predict(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("fit-exp", "--input", "pcbc_run1.csv", "--output", "m.json") == 0
+        self.refused(tmp_path, capsys, ["predict", "--model", "m.json", "--t-grid", "60"])
 
 
 class TestFailedWrite:

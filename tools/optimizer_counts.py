@@ -3,14 +3,17 @@
 For every fixture and both GP objectives, one ``gp_optimize_hyperparams``
 call from the shipped hyperparameters (the ``fit-gp --optimize`` path):
 its fits (calls of ``gp.fit_covariance``, or of ``gp_fit`` in versions
-without it), descent iterations, how the descent stopped and the objective
-at the returned hyperparameters. For both exponent forms, one
+without it), descent iterations, how the descent stopped, the held-out
+score ``loo_r2`` and the objective at the returned hyperparameters.
+``loo_r2`` is 1 - ``gp_loo_sse`` / TSS there, with TSS the targets' sum of
+squares about their mean, so both objectives' answers are judged on the
+same leave-one-out error. For both exponent forms, one
 ``fit_exp_model`` call from the CLI's default start (1, 1), on the columns
 ``gp.training_set`` gives (as ``fit-exp`` reads them): its model
 evaluations, then residual-and-Jacobian evaluations ("+Nj"), the
-iterations of its Levenberg-Marquardt runs, how they stopped, and the
-final SSE. Each residual-and-Jacobian evaluation makes one model
-evaluation.
+iterations of its Levenberg-Marquardt runs, how they stopped, ``-`` for
+``loo_r2``, and the final SSE. Each residual-and-Jacobian evaluation makes
+one model evaluation.
 
 The ``stop`` column reads ``converged`` when every optimizer run met its
 stopping rule (``DescentResult.converged``) and ``cap`` when one ran out
@@ -72,13 +75,15 @@ def gp_rows(name: str):
     hp0 = gp.default_hyperparams(series.contaminant)
     if isinstance(x, dict):  # layout columns by name: fit on those that vary, as fit-gp does
         hp0, x, _ = gp.select_inputs(hp0, x)
+    tss = float(np.sum((y - np.mean(y)) ** 2))
     for objective, score in (("nlml", gp.gp_nlml), ("sse", gp.gp_loo_sse)):
         with counting(gp, "fit_covariance", "gp_fit", "gradient_descent") as calls:
             hp = gp.gp_optimize_hyperparams(x, y, hp0, objective=objective)
         fits = len(calls["fit_covariance"]) or len(calls["gp_fit"])
         iterations = sum(r.iterations for r in calls["gradient_descent"] if r is not None)
-        final = score(gp.gp_fit(hp, x, y))
-        yield f"gp {objective}", fits, iterations, stop(calls["gradient_descent"]), final
+        model = gp.gp_fit(hp, x, y)
+        loo_r2 = 1.0 - gp.gp_loo_sse(model) / tss
+        yield f"gp {objective}", fits, iterations, stop(calls["gradient_descent"]), loo_r2, score(model)
 
 
 def exp_rows(name: str):
@@ -91,15 +96,16 @@ def exp_rows(name: str):
             fit = expmodel.fit_exp_model(data, exponent_form=form)
         evals = "{}+{}j".format(*(len(calls[name]) for name in names))
         iterations = sum(r.iterations for r in calls["levenberg_marquardt"] if r is not None)
-        yield f"exp {form.value}", evals, iterations, stop(calls["levenberg_marquardt"]), fit.sse
+        yield f"exp {form.value}", evals, iterations, stop(calls["levenberg_marquardt"]), None, fit.sse
 
 
 def main() -> None:
-    header = ("fixture", "optimizer", "evaluations", "iterations", "stop")
-    print("{:<14} {:<12} {:>12} {:>10}  {:<9}  final objective".format(*header))
+    header = ("fixture", "optimizer", "evaluations", "iterations", "stop", "loo_r2")
+    print("{:<14} {:<12} {:>12} {:>10}  {:<9}  {:>6}  final objective".format(*header))
     for name in FIXTURES:
-        for label, evals, iterations, stopped, final in [*gp_rows(name), *exp_rows(name)]:
-            print(f"{name:<14} {label:<12} {evals!s:>12} {iterations:>10}  {stopped:<9}  {final!r}")
+        for label, evals, iterations, stopped, loo_r2, final in [*gp_rows(name), *exp_rows(name)]:
+            loo = "-" if loo_r2 is None else f"{loo_r2:.4f}"
+            print(f"{name:<14} {label:<12} {evals!s:>12} {iterations:>10}  {stopped:<9}  {loo:>6}  {final!r}")
 
 
 if __name__ == "__main__":
