@@ -160,23 +160,24 @@ def _parse_hyper(text: str) -> tuple[float | None, list[float]]:
     return values.get("v", [None])[0], values.get("w", [])
 
 
-def _resolve_inputs(args, names) -> list[Path]:
-    """Each input path (``resolve_input``), once neither ``--output`` nor
-    its row CSV is the same file as one of them: the command would write over
-    it. A command that writes rows (all but ``report``) also refuses an
-    ``--output`` that is its own row CSV, which the report would replace."""
+def _resolve_inputs(args, names, writes: list[Path]) -> list[Path]:
+    """Each input path (``resolve_input``), once none of the files the
+    command ``writes`` (``--output``, and the fits' and ``predict``'s row
+    CSV) is the same file as one of them: the command would write over it.
+    Two of ``writes`` at one path, an ``--output`` that is its own row CSV,
+    are refused too: the report would replace its rows."""
     paths = [resolve_input(name) for name in names]
-    for out in (Path(args.output), report_csv_path(args.output)):
+    for out in writes:
         same = [path for path in paths if out.exists() and out.samefile(path)]
         if same:
             raise ValidationError(f"--output {args.output} would overwrite the input {same[0]}")
-    if args.command != "report" and report_csv_path(args.output) == Path(args.output):
+    if len(set(writes)) < len(writes):
         raise ValidationError(f"--output {args.output} is its own row CSV; give the report another suffix")
     return paths
 
 
 def _load(args) -> ObservationSeries:
-    (path,) = _resolve_inputs(args, [args.input])
+    (path,) = _resolve_inputs(args, [args.input], [Path(args.output), report_csv_path(args.output)])
     return load_series(path, _CONTAMINANTS[args.contaminant], args.c0, args.thickness)
 
 
@@ -254,17 +255,11 @@ def _cmd_fit_kinetics(args) -> int:
 
 def _cmd_fit_exp(args) -> int:
     with _stage("load"):
-        x0 = _floats(args.x0, "--x0")
-        if len(x0) != 2:
-            raise ValidationError(f"--x0 needs exactly two values, got {len(x0)}")
-        if not all(map(math.isfinite, x0)):
-            raise ValidationError(f"--x0 needs finite values, got {args.x0!r}")
         series = _load(args)
     with _stage("fit"):
         columns, observed, _, times = training_set(series)
         params = fit_exp_model(
             np.column_stack([columns["t_norm"], columns["thickness_cm"], observed]),
-            x0=x0,
             exponent_form=ExponentForm(args.exponent_form),
         )
         inputs, predicted, _ = predict_minutes(params, times.denominator, times.t_raw, columns["thickness_cm"])
@@ -476,7 +471,8 @@ def optimum_thickness_scan(model, w_grid, t_fixed: float, ph: float | None = Non
 
 def _cmd_predict(args) -> int:
     with _stage("load"):
-        report = read_report(*_resolve_inputs(args, [args.model]))
+        (path,) = _resolve_inputs(args, [args.model], [Path(args.output), report_csv_path(args.output)])
+        report = read_report(path)
         model = _rebuild_model(report)
         denom = report.parameters.get("time_denominator")
         if denom is None and not isinstance(model, KineticFitResult):
@@ -527,7 +523,7 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     entries = []
     with _stage("load"):
-        paths = _resolve_inputs(args, args.inputs)
+        paths = _resolve_inputs(args, args.inputs, [Path(args.output)])
         loaded = [(name, read_report(path)) for name, path in zip(args.inputs, paths)]
         # a scan reads the models: rebuilt here, so a report the rebuild rejects fails at load
         models = [None if args.scan_w is None else _rebuild_model(r) for _, r in loaded]
@@ -580,7 +576,6 @@ def _series_options(sub) -> None:
 
 def _fit_exp_options(p) -> None:
     _series_options(p)
-    p.add_argument("--x0", default="1,1", help="initial a,b for the fit")
     p.add_argument(
         "--exponent-form",
         choices=[f.value for f in ExponentForm],

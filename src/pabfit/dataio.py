@@ -382,7 +382,8 @@ def read_report(path: str | Path) -> FitReport:
     """Load a report written by :func:`write_report`.
 
     Every check a report needs before a model is rebuilt from it runs
-    here, in one pass: a known model kind; each parameter the kind requires
+    here, in one pass, but those of a GP's training rows: a known model
+    kind; each parameter the kind requires
     (a finite number; the GP's ``w`` a list, and its ``v``, ``w``,
     ``epsilon`` and ``inputs``, a list when present, within
     ``GpHyperParams``'s domain, which takes one weight per input, by
@@ -392,7 +393,10 @@ def read_report(path: str | Path) -> FitReport:
     ``default_ph`` in [0, ``MAX_PH``]; the four metrics, unless null,
     finite; and in each prediction row ``inputs`` an object of finite
     numbers, a finite ``predicted``, and a finite or null ``observed`` and
-    ``variance``.
+    ``variance``. ``cli._rebuild_model`` checks the rows a GP is refitted
+    on: at least one training row (a row with ``observed``), the same input
+    columns in each, and each value within the loader's bound for its
+    column (``cli._INPUT_MAX``).
     """
     path = Path(path)
     try:

@@ -7,11 +7,13 @@ the product a * (b + W); the printed form of the model is ambiguous between
 the two, so both are provided behind a switch.
 
 ``exp_model_residual_jacobian`` is the one place the derivatives in (a, b)
-are written; ``fit_exp_model`` runs Levenberg-Marquardt on it. The mirror
-a <-> (b + W) leaves the curve at one thickness unchanged and maps each
-Levenberg-Marquardt step onto itself, so on one thickness the fit runs once,
-from the branch representative of its start; on several thicknesses, where
-the mirror is no symmetry, it runs from the start and from its mirror.
+are written; ``fit_exp_model`` runs Levenberg-Marquardt on it from starts it
+picks itself. The mirror a <-> (b + W) leaves the curve at one thickness
+unchanged and maps each Levenberg-Marquardt step onto itself, so on one
+thickness the literal form runs once, from (1, 1), and the product form also
+from (1, -1 - W), across the ridge q = a * (b + W) = 0 where its model and
+its q-derivative vanish; on several thicknesses, where the mirror is no
+symmetry, the fit runs from (1, 1) and from its mirror.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -83,39 +84,37 @@ def exp_model_residual_jacobian(p: ExpModelParams, t_norm, w, removal):
     return resid, jac
 
 
-def fit_exp_model(
-    data,
-    x0: Sequence[float] = (1.0, 1.0),
-    exponent_form: ExponentForm = ExponentForm.LITERAL,
-) -> ExpModelParams:
+def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> ExpModelParams:
     """Least-squares (a, b) by Levenberg-Marquardt on the residuals.
 
     Parameters
     ----------
     data : sequence of (t_norm, w, removal_fraction) triples
-    x0 : initial (a, b), two finite numbers; (1, 1) when nothing better is known
 
-    The mirror (a, b) -> (b + mean(W), a - mean(W)) swaps a and b + W.
-    With a single thickness, a and b are not identifiable
-    (``identifiable`` is False): the swap leaves E and q = a * (b + W),
-    and so the curve, unchanged. It also maps each Levenberg-Marquardt
-    step onto itself, since at the mirrored point J has its two columns
-    swapped and J^T J and its diagonal scaling are permuted alike; a run
-    from the mirror of ``x0`` only ends at the mirror of the run from
-    ``x0``. So one run starts from the branch representative of ``x0``:
-    of ``x0`` and its mirror, the one with the smaller |a - b|, then
-    a > 0, then the smaller a. The answer is reported the same way: in
-    the literal form, the representative of the minimum and its mirror;
-    in the product form, where only q is identified and the sum of
+    The fit picks its own starts, beginning at (1, 1). The mirror
+    (a, b) -> (b + mean(W), a - mean(W)) swaps a and b + W. With a single
+    thickness, a and b are not identifiable (``identifiable`` is False):
+    the swap leaves E and q = a * (b + W), and so the curve, unchanged. It
+    also maps each Levenberg-Marquardt step onto itself, since at the
+    mirrored point J has its two columns swapped and J^T J and its diagonal
+    scaling are permuted alike, so a run from the mirror of (1, 1) would
+    only end at the mirror of the run from (1, 1). In the product form the
+    model is 0 at q = 0 and so is its derivative in q, a ridge no run from
+    q > 0 crosses, so a second run starts at (1, -1 - W), where q = -1. The
+    literal form has no such ridge (its runs from (1, 1) on the lead
+    fixtures end at q < 0), so it runs once. The answer is reported as the
+    branch representative: in the literal form, of the minimum and its
+    mirror, the one with the smaller |a - b|, then a > 0, then the smaller
+    a; in the product form, where only q is identified and the sum of
     squares is flat along a * (b + W) = q, the point of that curve with
     a = |b + W| >= 0, where b + W takes the sign of q.
 
     With several thicknesses the mirror is no symmetry, so runs start from
-    ``x0`` and from its mirror, and the lower sum of squares wins. No
-    positivity constraint is imposed on a or b; the fit reports whatever
-    minimizes the SSE, ``sse`` is the sum of squares at the reported
-    point, and ``converged`` is that of the run the answer came from
-    (False when it ran out of Levenberg-Marquardt's 20000 iterations).
+    (1, 1) and from its mirror. Of the runs, the lower sum of squares wins.
+    No positivity constraint is imposed on a or b; the fit reports whatever
+    minimizes the SSE, ``sse`` is the sum of squares at the reported point,
+    and ``converged`` is that of the run the answer came from (False when
+    it ran out of Levenberg-Marquardt's 20000 iterations).
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
@@ -123,9 +122,6 @@ def fit_exp_model(
     t, w, y = arr[:, 0], arr[:, 1], arr[:, 2]
     if np.any((t < 0.0) | (t > 1.0)):
         raise InvalidInput("t_norm values must lie in [0, 1]")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2,) or not np.isfinite(x0).all():
-        raise InvalidInput(f"x0 must hold exactly two finite numbers (a, b), got {x0.tolist()}")
 
     def params(theta) -> ExpModelParams:
         return ExpModelParams(a=float(theta[0]), b=float(theta[1]), exponent_form=exponent_form)
@@ -136,19 +132,23 @@ def fit_exp_model(
     def mirror(theta) -> np.ndarray:
         return np.array([theta[1] + w_mean, theta[0] - w_mean])
 
-    def branch(theta) -> np.ndarray:  # the branch rule's pick of theta and its mirror
-        return min(theta, mirror(theta), key=lambda x: (abs(x[0] - x[1]), x[0] <= 0, x[0]))
-
     w_mean = float(np.mean(w))
     identifiable = bool(np.any(w != w[0]))
+    start = np.array([1.0, 1.0])
+    if identifiable:
+        starts = (start, mirror(start))
+    elif exponent_form is ExponentForm.PRODUCT:
+        starts = (start, np.array([1.0, -1.0 - w_mean]))
+    else:
+        starts = (start,)
     runs = []
     failure = None
-    # a trial step may overflow the exponential; the fit rejects it, so
-    # numpy need not warn
+    # a trial step may overflow the exponential; the fit rejects the step or
+    # drops the run, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in (x0, mirror(x0)) if identifiable else (branch(x0),):
+        for x0 in starts:
             try:
-                runs.append(levenberg_marquardt(residual_jacobian, start))
+                runs.append(levenberg_marquardt(residual_jacobian, x0))
             except NonFiniteObjective as e:
                 failure = failure or e
     if not runs:
@@ -156,7 +156,7 @@ def fit_exp_model(
     best = min(runs, key=lambda res: res.fun)
     x = best.x
     if not identifiable and exponent_form is ExponentForm.LITERAL:
-        x = branch(x)
+        x = min(x, mirror(x), key=lambda z: (abs(z[0] - z[1]), z[0] <= 0, z[0]))
     elif not identifiable:
         q = x[0] * (x[1] + w[0])
         root = math.sqrt(abs(q))

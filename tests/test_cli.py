@@ -207,21 +207,6 @@ class TestFitExp:
         assert code == 0
         assert json.loads(out.read_text())["parameters"]["exponent_form"] == "product"
 
-    @pytest.mark.parametrize("fixture,mirror_x0", [("mb_run1.csv", "2,0"), ("pcp_run2.csv", "4,-2")])
-    @pytest.mark.parametrize("form", ["literal", "product"])
-    def test_start_and_its_mirror_give_identical_reports(self, tmp_path, fixture, mirror_x0, form):
-        # the mirror of (1, 1) is (1 + W, 1 - W); only the provenance, which
-        # records --x0, may differ
-        outs = []
-        for x0 in ("1,1", mirror_x0):
-            out = tmp_path / f"exp_{x0}.json"
-            argv = ["fit-exp", "--input", fixture, "--exponent-form", form, "--x0", x0]
-            assert run_cli(*argv, "--output", str(out)) == 0
-            payload = json.loads(out.read_text())
-            assert payload.pop("provenance")["options"]["x0"] == x0
-            outs.append((json.dumps(payload, sort_keys=True), report_csv_path(out).read_bytes()))
-        assert outs[0] == outs[1]
-
     def test_pb_literal_reports_the_least_squares_minimum(self, tmp_path):
         out = tmp_path / "exp.json"
         assert run_cli("fit-exp", "--input", "pcp_run1.csv", "--output", str(out)) == 0
@@ -238,60 +223,23 @@ class TestFitExp:
         assert run_cli("fit-exp", "--input", "pcp_run1.csv", "--output", str(out)) == 0
         assert json.loads(out.read_text())["parameters"]["converged"] is False
 
-    def test_max_iters_is_no_option(self, tmp_path):
+    @pytest.mark.parametrize("option,value", [("--max-iters", "5"), ("--x0", "1,1")])
+    def test_iteration_cap_and_start_are_no_options(self, tmp_path, option, value):
         out = tmp_path / "exp.json"
         with pytest.raises(SystemExit) as exit_info:
-            run_cli("fit-exp", "--input", "pcp_run1.csv", "--max-iters", "5", "--output", str(out))
+            run_cli("fit-exp", "--input", "pcp_run1.csv", option, value, "--output", str(out))
         assert exit_info.value.code == 2
         assert not out.exists()
 
-    def test_product_form_reaches_its_lower_minimum_from_an_explicit_start(self, tmp_path):
-        # the default start (1, 1) stops at SSE 1.682; a start with
-        # q = a * (b + W) < 0 reaches a = 0.9488, b = -3.9488, SSE 0.413
+    def test_product_form_reaches_its_lower_minimum(self, tmp_path):
+        # a run from (1, 1) alone stops at SSE 1.682; the fit's second start,
+        # at q = a * (b + W) < 0, reaches a = 0.9488, b = -3.9488, SSE 0.413
         out = tmp_path / "exp.json"
-        argv = ["--input", "pcp_run1.csv", "--exponent-form", "product", "--x0", "1,-5"]
+        argv = ["--input", "pcp_run1.csv", "--exponent-form", "product"]
         assert run_cli("fit-exp", *argv, "--output", str(out)) == 0
         params = json.loads(out.read_text())["parameters"]
         assert params["sse"] < 0.42
         assert params["converged"] is True
-
-    def test_bad_x0(self, tmp_path, capsys):
-        code = run_cli(
-            "fit-exp",
-            "--input",
-            "mb_run1.csv",
-            "--x0",
-            "1,2,3",
-            "--output",
-            str(tmp_path / "o.json"),
-        )
-        assert code == 3
-        assert "stage=load code=3" in capsys.readouterr().err
-
-    def test_unparsable_x0_is_a_parse_error_at_load(self, tmp_path, capsys):
-        out = tmp_path / "o.json"
-        assert run_cli("fit-exp", "--input", "mb_run1.csv", "--x0", "a,b", "--output", str(out)) == 2
-        err = capsys.readouterr().err
-        assert err == "error: stage=load code=2 kind=ParseError: --x0: cannot parse 'a,b' as comma-separated numbers\n"
-        assert not out.exists()
-
-    # "1,-inf": argparse reads a value that starts "-inf" as an option
-    @pytest.mark.parametrize(
-        "option,value,message",
-        [
-            ("--x0", "nan,1", "--x0 needs finite values"),
-            ("--x0", "inf,1", "--x0 needs finite values"),
-            ("--x0", "1,-inf", "--x0 needs finite values"),
-        ],
-    )
-    def test_bad_option_rejected_at_load(self, tmp_path, capsys, option, value, message):
-        argv = ["fit-exp", "--input", "pcp_run1.csv", option, value]
-        assert message in check_rejected(tmp_path, capsys, "load", *argv)
-
-    def test_huge_finite_x0_is_a_numeric_failure(self, tmp_path, capsys):
-        argv = ["fit-exp", "--input", "pcp_run1.csv", "--x0", "1e308,1"]
-        assert run_cli(*argv, "--output", str(tmp_path / "o.json")) == 4
-        assert "stage=fit code=4 kind=NonFiniteObjective" in capsys.readouterr().err
 
 
 class TestFitGp:
@@ -1103,6 +1051,17 @@ class TestOutputIsNotAnInput:
                                             "--output", output], inputs)
         # a merge written under the .csv name of an input's stem is no clash
         assert run_cli("report", "--inputs", "a.json", "--output", "a.csv") == 0
+
+    def test_report_reads_an_input_at_its_output_csv_name(self, tmp_path, capsys, monkeypatch):
+        # report writes no row CSV, so a fit report saved as r.csv is no clash
+        # with --output r.json
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("fit-kinetics", "--input", "pcbc_run1.csv", "--output", "m.json") == 0
+        (tmp_path / "r.csv").write_bytes((tmp_path / "m.json").read_bytes())
+        listing = sorted(tmp_path.iterdir())
+        assert run_cli("report", "--inputs", "r.csv", "--output", "r.json") == 0
+        assert sorted(tmp_path.iterdir()) == sorted([*listing, tmp_path / "r.json"])
+        assert json.loads((tmp_path / "r.json").read_text())["comparison"][0]["source"] == "r.csv"
 
 
 class TestOutputIsItsOwnRowCsv:

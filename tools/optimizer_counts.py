@@ -8,7 +8,7 @@ score ``loo_r2`` and the objective at the returned hyperparameters.
 ``loo_r2`` is 1 - ``gp_loo_sse`` / TSS there, with TSS the targets' sum of
 squares about their mean, so both objectives' answers are judged on the
 same leave-one-out error. For both exponent forms, one
-``fit_exp_model`` call from the CLI's default start (1, 1), on the columns
+``fit_exp_model`` call, which picks its own starts, on the columns
 ``gp.training_set`` gives (as ``fit-exp`` reads them): its model
 evaluations, then residual-and-Jacobian evaluations ("+Nj"), the
 iterations of its Levenberg-Marquardt runs, how they stopped, ``-`` for
