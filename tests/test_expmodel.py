@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -152,6 +153,10 @@ class TestFit:
                 assert fit.fun < 1e-8
                 assert fit.x == pytest.approx((a, b), abs=1e-3)
 
+    def test_takes_no_start(self):
+        # the fit picks its own starts
+        assert list(inspect.signature(fit_exp_model).parameters) == ["data", "exponent_form"]
+
     def test_rejects_bad_data(self):
         with pytest.raises(InvalidInput):
             fit_exp_model([])
@@ -301,6 +306,23 @@ class TestFixtureFits:
         assert -1.0 < fit.a * (fit.b + w) < -0.8
         assert fit.b + w == pytest.approx(-fit.a, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["pcp_run1.csv", "pcp_run2.csv", "pcbc_run1.csv", "pcbc_run2.csv"])
+    def test_literal_lead_fits_cross_the_ridge_in_one_run(self, monkeypatch, name):
+        # the literal form needs no second start: its one run, from (1, 1)
+        # where q = a * (b + W) > 0, ends at q < 0
+        _, data = fixture_data(name)
+        starts = []
+
+        def counted(residual_jacobian, x0):
+            starts.append(tuple(x0))
+            return levenberg_marquardt(residual_jacobian, x0)
+
+        monkeypatch.setattr(expmodel, "levenberg_marquardt", counted)
+        fit = fit_exp_model(data)
+        assert starts == [(1.0, 1.0)]
+        assert -1.0 < fit.a * (fit.b + data[0, 1]) < -0.8
+        assert fit.converged
+
     @pytest.mark.parametrize("form", list(ExponentForm))
     def test_identifiable_needs_two_thicknesses(self, form):
         truth = ExpModelParams(*PB_EXP_PARAMS, exponent_form=form)
@@ -311,6 +333,25 @@ class TestFixtureFits:
         fit = fit_exp_model(two, exponent_form=form)
         assert fit.identifiable
         assert (fit.a, fit.b) == pytest.approx(PB_EXP_PARAMS, abs=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    def test_mirrored_starts_give_the_same_fit(self, monkeypatch, name, form):
+        # with every run started at the mirror of the fit's own start, the
+        # runs end on the other branch, and the fit reports the same branch
+        # representative up to the rounding of the runs
+        _, data = fixture_data(name)
+        w = float(np.mean(data[:, 1]))
+        fit = fit_exp_model(data, exponent_form=form)
+
+        def from_the_mirror(residual_jacobian, x0):
+            return levenberg_marquardt(residual_jacobian, np.array([x0[1] + w, x0[0] - w]))
+
+        monkeypatch.setattr(expmodel, "levenberg_marquardt", from_the_mirror)
+        mirrored = fit_exp_model(data, exponent_form=form)
+        assert (mirrored.a, mirrored.b) == pytest.approx((fit.a, fit.b), rel=1e-9)
+        assert mirrored.sse == pytest.approx(fit.sse, rel=1e-9, abs=1e-28)
+        assert (mirrored.converged, mirrored.identifiable) == (fit.converged, fit.identifiable)
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     @pytest.mark.parametrize("form", list(ExponentForm))
@@ -357,15 +398,17 @@ class TestFixtureFits:
         assert len(starts) == runs
         assert fit.identifiable == (len(thicknesses) == 2)
 
-    def test_product_valley_point_is_canonical(self):
+    @pytest.mark.parametrize("b,w", [(1.0, 0.5), (1.0, 0.0), (1.0, 3.0), (-1.5, 0.5)])
+    def test_product_valley_point_is_canonical(self, b, w):
         # one thickness identifies only q = a * (b + W); the fit reports the
-        # point of that curve with a = b + W
-        truth = ExpModelParams(2.0, 1.0, exponent_form=ExponentForm.PRODUCT)
+        # point of that curve with a = |b + W|, where b + W takes the sign of q
+        truth = ExpModelParams(2.0, b, exponent_form=ExponentForm.PRODUCT)
+        q = 2.0 * (b + w)
         t = np.linspace(0.05, 1.0, 20)
-        data = [(ti, 0.5, float(exp_model_eval(truth, ti, 0.5))) for ti in t]
+        data = [(ti, w, float(exp_model_eval(truth, ti, w))) for ti in t]
         fit = fit_exp_model(data, exponent_form=ExponentForm.PRODUCT)
-        assert fit.a == pytest.approx(math.sqrt(3.0), rel=1e-9)
-        assert fit.b + 0.5 == pytest.approx(fit.a, rel=1e-12)
+        assert fit.a == pytest.approx(math.sqrt(abs(q)), rel=1e-9)
+        assert fit.b + w == pytest.approx(math.copysign(fit.a, q), rel=1e-12)
 
     def test_product_second_start_that_overflows_is_skipped(self, monkeypatch):
         # removal -0.5 (effluent above influent) at the largest thickness a
