@@ -7,13 +7,12 @@ the product a * (b + W); the printed form of the model is ambiguous between
 the two, so both are provided behind a switch.
 
 ``exp_model_residual_jacobian`` is the one place the derivatives in (a, b)
-are written; ``fit_exp_model`` runs Levenberg-Marquardt on it from starts it
-picks itself. The mirror a <-> (b + W) leaves the curve at one thickness
-unchanged and maps each Levenberg-Marquardt step onto itself, so on one
-thickness the literal form runs once, from (1, 1), and the product form also
-from (1, -1 - W), across the ridge q = a * (b + W) = 0 where its model and
-its q-derivative vanish; on several thicknesses, where the mirror is no
-symmetry, the fit runs from (1, 1) and from its mirror.
+are written; ``fit_exp_model`` runs Levenberg-Marquardt on it in
+(a, b + min W), with W measured from its smallest value, from the same two
+starts for every form and every set of thicknesses: one on each side of the
+product form's ridge q = a * (b + W) = 0, where its model and its
+q-derivative vanish, and of the swap line a = b + W. On one thickness the
+curve depends on a and b + W alone, so the fit does not depend on W.
 """
 
 from __future__ import annotations
@@ -26,6 +25,15 @@ import numpy as np
 
 from .errors import InvalidInput, NonFiniteObjective
 from .numeric import levenberg_marquardt
+
+# In (a, b + min W). (1, 2) has q = a * (b + W) > 0 at every row and (1, -1)
+# has q < 0 at the thinnest rows: the product form's model and q-derivative
+# vanish on the ridge q = 0, which its runs do not cross. The two also lie on
+# either side of the swap line a = b + W: on close thicknesses the literal
+# form's minimum and its near-swap lie one on each side, and a run started on
+# the line leaves it only through rounding.
+_STARTS = ((1.0, 2.0), (1.0, -1.0))
+
 
 class ExponentForm(Enum):
     LITERAL = "literal"  # E = a + b + W
@@ -91,26 +99,20 @@ def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> E
     ----------
     data : sequence of (t_norm, w, removal_fraction) triples
 
-    The fit picks its own starts, beginning at (1, 1). The mirror
-    (a, b) -> (b + mean(W), a - mean(W)) swaps a and b + W. With a single
-    thickness, a and b are not identifiable (``identifiable`` is False):
-    the swap leaves E and q = a * (b + W), and so the curve, unchanged. It
-    also maps each Levenberg-Marquardt step onto itself, since at the
-    mirrored point J has its two columns swapped and J^T J and its diagonal
-    scaling are permuted alike, so a run from the mirror of (1, 1) would
-    only end at the mirror of the run from (1, 1). In the product form the
-    model is 0 at q = 0 and so is its derivative in q, a ridge no run from
-    q > 0 crosses, so a second run starts at (1, -1 - W), where q = -1. The
-    literal form has no such ridge (its runs from (1, 1) on the lead
-    fixtures end at q < 0), so it runs once. The answer is reported as the
+    The runs descend in (a, c), with c = b + min(W), on the residuals at
+    W - min(W), and the answer reports b = c - min(W). On one thickness
+    the curve depends on (a, c) alone, so the fit does not depend on W, and
+    a and b are not identifiable (``identifiable`` is False): the swap
+    a <-> c leaves E and q = a * (b + W), and so the curve, unchanged. The
+    runs start from ``_STARTS`` whatever the form and thicknesses, and the
+    lower sum of squares wins; a run that meets residuals or a Jacobian that
+    are not finite is dropped. On one thickness the answer is reported as the
     branch representative: in the literal form, of the minimum and its
-    mirror, the one with the smaller |a - b|, then a > 0, then the smaller
-    a; in the product form, where only q is identified and the sum of
-    squares is flat along a * (b + W) = q, the point of that curve with
+    swap, the one with the smaller |a - b|, then a > 0, then the smaller a;
+    in the product form, where only q is identified and the sum of squares
+    is flat along a * (b + W) = q, the point of that curve with
     a = |b + W| >= 0, where b + W takes the sign of q.
 
-    With several thicknesses the mirror is no symmetry, so runs start from
-    (1, 1) and from its mirror. Of the runs, the lower sum of squares wins.
     No positivity constraint is imposed on a or b; the fit reports whatever
     minimizes the SSE, ``sse`` is the sum of squares at the reported point,
     and ``converged`` is that of the run the answer came from (False when
@@ -127,26 +129,17 @@ def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> E
         return ExpModelParams(a=float(theta[0]), b=float(theta[1]), exponent_form=exponent_form)
 
     def residual_jacobian(theta: np.ndarray):
-        return exp_model_residual_jacobian(params(theta), t, w, y)
+        return exp_model_residual_jacobian(params(theta), t, w_shifted, y)
 
-    def mirror(theta) -> np.ndarray:
-        return np.array([theta[1] + w_mean, theta[0] - w_mean])
-
-    w_mean = float(np.mean(w))
+    w_min = float(np.min(w))
+    w_shifted = w - w_min
     identifiable = bool(np.any(w != w[0]))
-    start = np.array([1.0, 1.0])
-    if identifiable:
-        starts = (start, mirror(start))
-    elif exponent_form is ExponentForm.PRODUCT:
-        starts = (start, np.array([1.0, -1.0 - w_mean]))
-    else:
-        starts = (start,)
     runs = []
     failure = None
     # a trial step may overflow the exponential; the fit rejects the step or
     # drops the run, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for x0 in starts:
+        for x0 in _STARTS:
             try:
                 runs.append(levenberg_marquardt(residual_jacobian, x0))
             except NonFiniteObjective as e:
@@ -154,14 +147,13 @@ def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> E
     if not runs:
         raise failure
     best = min(runs, key=lambda res: res.fun)
-    x = best.x
+    a, c = best.x
     if not identifiable and exponent_form is ExponentForm.LITERAL:
-        x = min(x, mirror(x), key=lambda z: (abs(z[0] - z[1]), z[0] <= 0, z[0]))
+        a, c = min((a, c), (c, a), key=lambda z: (abs(z[0] - z[1] + w_min), z[0] <= 0, z[0]))
     elif not identifiable:
-        q = x[0] * (x[1] + w[0])
-        root = math.sqrt(abs(q))
-        x = np.array([root, math.copysign(root, q) - w[0]])
-    r = exp_model_eval(params(x), t, w) - y
-    return replace(
-        params(x), sse=float(np.dot(r, r)), converged=best.converged, identifiable=identifiable
-    )
+        q = a * c
+        a = math.sqrt(abs(q))
+        c = math.copysign(a, q)
+    fit = params((a, c - w_min))
+    r = exp_model_eval(fit, t, w) - y
+    return replace(fit, sse=float(np.dot(r, r)), converged=best.converged, identifiable=identifiable)

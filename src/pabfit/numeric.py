@@ -334,8 +334,10 @@ def levenberg_marquardt(
     when an accepted decrease is at the rounding level of the sum of
     squares, or when no damping up to 1e16 lowers it; not converged after
     20000 iterations. The returned point never has a higher sum of squares
-    than ``x0``. A NaN residual raises :class:`NonFiniteObjective`; an
-    infinite sum of squares at a trial point is rejected like any increase.
+    than ``x0``. Residuals that are not finite at ``x0``, or a Jacobian that
+    is not finite at ``x0`` or at an accepted point, raise
+    :class:`NonFiniteObjective`; a trial point whose sum of squares is
+    infinite or NaN is rejected like any increase.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jac = residual_jacobian(x)
@@ -364,8 +366,6 @@ def levenberg_marquardt(
             trial = x + step
             r_trial, jac_trial = residual_jacobian(trial)
             f_trial = float(np.dot(r_trial, r_trial))
-            if math.isnan(f_trial):
-                raise NonFiniteObjective(f"residuals NaN at a trial point of iteration {iterations}")
             small = math.hypot(*step) <= min_move
             if f_trial < f:
                 converged = small or f - f_trial <= 4.0 * _EPS * f

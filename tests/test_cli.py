@@ -217,6 +217,22 @@ class TestFitExp:
         assert params["negative_parameters"] is True
         assert params["identifiable"] is False  # one thickness
 
+    def test_literal_fit_does_not_depend_on_the_thickness(self, tmp_path):
+        # pcp_run1 moved to 30 cm used to exit 4 at stage=fit (NaN residuals
+        # at a trial point); on one thickness the curve depends on b + W only
+        lines = (fixture_dir() / "pcp_run1.csv").read_text().splitlines()
+        column = lines[0].split(",").index("thickness_cm")
+        rows = [line.split(",") for line in lines[1:]]
+        for cells in rows:
+            cells[column] = "30.0"
+        moved = tmp_path / "pcp_30cm.csv"
+        moved.write_text("\n".join([lines[0]] + [",".join(cells) for cells in rows]) + "\n")
+        out = tmp_path / "exp.json"
+        assert run_cli("fit-exp", "--input", str(moved), "--output", str(out)) == 0
+        params = json.loads(out.read_text())["parameters"]
+        assert params["sse"] == pytest.approx(0.07702, rel=1e-4)
+        assert params["converged"] is True
+
     def test_max_iters_caps_the_fit(self, tmp_path, monkeypatch):
         out = tmp_path / "exp.json"
         monkeypatch.setattr(numeric, "_LM_MAX_ITERS", 1)
@@ -241,8 +257,8 @@ class TestFitExp:
         ],
     )
     def test_product_form_reaches_its_lower_minimum(self, tmp_path, fixture, sse):
-        # a run from (1, 1) alone stops at SSE 1.682, 0.622, 1.981, 1.767; the
-        # fit's second start, at q = a * (b + W) < 0, reaches the minimum
+        # a run from q = a * (b + W) > 0 alone stops at SSE 1.682, 0.622,
+        # 1.981, 1.767; the fit's start at q < 0 reaches the minimum
         # (on pcp_run1 a = 0.9488, b = -3.9488)
         out = tmp_path / "exp.json"
         argv = ["--input", fixture, "--exponent-form", "product"]

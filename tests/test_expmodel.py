@@ -198,7 +198,7 @@ class TestSseGradient:
         if name == "mb_run1.csv" and form is ExponentForm.LITERAL:
             # mb_run1 is this model at these parameters without noise, so the
             # SSE sits at its minimum there and only a zero can be checked;
-            # the comparison moves to the CLI's default start
+            # the comparison moves to (1, 1)
             t, w, y = data.T
             assert np.max(np.abs(exp_model_sse_gradient(ExpModelParams(a, b), t, w, y))) < 1e-15
             a, b = 1.0, 1.0
@@ -297,7 +297,7 @@ class TestFixtureFits:
     )
     def test_lead_product_fits_reach_the_lower_minimum(self, name, sse):
         # the minimum lies at q = a * (b + W) < 0, across the ridge q = 0
-        # that a run from (1, 1) stops at (SSE 1.682, 0.622, 1.981, 1.767)
+        # that a run from q > 0 stops at (SSE 1.682, 0.622, 1.981, 1.767)
         _, data = fixture_data(name)
         fit = fit_exp_model(data, exponent_form=ExponentForm.PRODUCT)
         assert fit.sse == pytest.approx(sse, rel=1e-4)
@@ -307,9 +307,9 @@ class TestFixtureFits:
         assert fit.b + w == pytest.approx(-fit.a, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["pcp_run1.csv", "pcp_run2.csv", "pcbc_run1.csv", "pcbc_run2.csv"])
-    def test_literal_lead_fits_cross_the_ridge_in_one_run(self, monkeypatch, name):
-        # the literal form needs no second start: its one run, from (1, 1)
-        # where q = a * (b + W) > 0, ends at q < 0
+    def test_literal_lead_fits_end_past_the_ridge(self, monkeypatch, name):
+        # the literal fit runs the same two starts as the product fit, and
+        # ends at q = a * (b + W) < 0
         _, data = fixture_data(name)
         starts = []
 
@@ -319,39 +319,61 @@ class TestFixtureFits:
 
         monkeypatch.setattr(expmodel, "levenberg_marquardt", counted)
         fit = fit_exp_model(data)
-        assert starts == [(1.0, 1.0)]
+        assert starts == list(expmodel._STARTS)
         assert -1.0 < fit.a * (fit.b + data[0, 1]) < -0.8
         assert fit.converged
+
+    @pytest.mark.parametrize("form,sse", [(ExponentForm.LITERAL, 0.07702), (ExponentForm.PRODUCT, 0.41280)])
+    def test_one_thickness_fit_does_not_depend_on_w(self, form, sse):
+        # on one thickness the curve depends on a and b + W alone; pcp_run1
+        # moved to 10 cm used to fit the literal form to SSE 2.28, and at
+        # 30 cm to raise. The literal branch rule compares a with b, so
+        # which of the swapped pair (a, b + W) is reported as a depends on W
+        _, data = fixture_data("pcp_run1.csv")
+        fits = []
+        for w in (0.0, 3.0, 10.0, 30.0, 1e4):
+            moved = data.copy()
+            moved[:, 1] = w
+            fit = fit_exp_model(moved, exponent_form=form)
+            fits.append((fit.sse, sorted((fit.a, fit.b + w))))
+        for got_sse, got_pair in fits:
+            assert got_sse == pytest.approx(fits[0][0], rel=1e-9)
+            assert got_pair == pytest.approx(fits[0][1], rel=1e-9)
+        assert fits[0][0] == pytest.approx(sse, rel=1e-4)
 
     @pytest.mark.parametrize("form", list(ExponentForm))
     def test_identifiable_needs_two_thicknesses(self, form):
         truth = ExpModelParams(*PB_EXP_PARAMS, exponent_form=form)
         t = np.linspace(0.05, 1.0, 20)
         one = [(ti, 1.0, float(exp_model_eval(truth, ti, 1.0))) for ti in t]
-        two = [(ti, wj, float(exp_model_eval(truth, ti, wj))) for ti in t for wj in (0.5, 1.5)]
         assert not fit_exp_model(one, exponent_form=form).identifiable
-        fit = fit_exp_model(two, exponent_form=form)
-        assert fit.identifiable
-        assert (fit.a, fit.b) == pytest.approx(PB_EXP_PARAMS, abs=1e-8)
+        # with W measured from its mean, both starts have q = a * (b + W) < 0
+        # at the 0 cm rows of (0, 5), and the product fit stops at SSE 0.49;
+        # from two starts on one side of the swap line a = b + W, as (2, 1)
+        # and (1, -1) are, the literal fit of (2.75, 3) stops at SSE 5.8e-5
+        for thicknesses in ((0.5, 1.5), (0.0, 5.0), (2.75, 3.0)):
+            two = [(ti, wj, float(exp_model_eval(truth, ti, wj))) for ti in t for wj in thicknesses]
+            fit = fit_exp_model(two, exponent_form=form)
+            assert fit.identifiable
+            assert (fit.a, fit.b) == pytest.approx(PB_EXP_PARAMS, abs=1e-8), thicknesses
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     @pytest.mark.parametrize("form", list(ExponentForm))
-    def test_mirrored_starts_give_the_same_fit(self, monkeypatch, name, form):
-        # with every run started at the mirror of the fit's own start, the
-        # runs end on the other branch, and the fit reports the same branch
-        # representative up to the rounding of the runs
+    def test_swapped_starts_give_the_same_fit(self, monkeypatch, name, form):
+        # with every run started at the swap of the fit's own start in
+        # (a, b + W), the runs end on the other branch, and the fit reports
+        # the same branch representative up to the rounding of the runs
         _, data = fixture_data(name)
-        w = float(np.mean(data[:, 1]))
         fit = fit_exp_model(data, exponent_form=form)
 
-        def from_the_mirror(residual_jacobian, x0):
-            return levenberg_marquardt(residual_jacobian, np.array([x0[1] + w, x0[0] - w]))
+        def from_the_swap(residual_jacobian, x0):
+            return levenberg_marquardt(residual_jacobian, (x0[1], x0[0]))
 
-        monkeypatch.setattr(expmodel, "levenberg_marquardt", from_the_mirror)
-        mirrored = fit_exp_model(data, exponent_form=form)
-        assert (mirrored.a, mirrored.b) == pytest.approx((fit.a, fit.b), rel=1e-9)
-        assert mirrored.sse == pytest.approx(fit.sse, rel=1e-9, abs=1e-28)
-        assert (mirrored.converged, mirrored.identifiable) == (fit.converged, fit.identifiable)
+        monkeypatch.setattr(expmodel, "levenberg_marquardt", from_the_swap)
+        swapped = fit_exp_model(data, exponent_form=form)
+        assert (swapped.a, swapped.b) == pytest.approx((fit.a, fit.b), rel=1e-9)
+        assert swapped.sse == pytest.approx(fit.sse, rel=1e-9, abs=1e-28)
+        assert (swapped.converged, swapped.identifiable) == (fit.converged, fit.identifiable)
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     @pytest.mark.parametrize("form", list(ExponentForm))
@@ -370,24 +392,14 @@ class TestFixtureFits:
         mirrored = np.array([first[1] + shift, first[0] - shift])
         assert np.linalg.norm(second - mirrored) <= 1e-9 * np.linalg.norm(mirrored)
 
-    @pytest.mark.parametrize(
-        "form,thicknesses,runs",
-        [
-            (ExponentForm.LITERAL, (1.0,), 1),
-            (ExponentForm.PRODUCT, (1.0,), 2),
-            (ExponentForm.LITERAL, (0.5, 1.5), 2),
-            (ExponentForm.PRODUCT, (0.5, 1.5), 2),
-        ],
-    )
-    def test_runs_by_thickness_and_form(self, monkeypatch, form, thicknesses, runs):
-        # several thicknesses keep the mirror start: from (1, 1) alone the
-        # literal fit of test_identifiable_needs_two_thicknesses stops at
-        # (1.976, 2.323); one thickness adds a start with q < 0 to the
-        # product form only
+    @pytest.mark.parametrize("form", list(ExponentForm))
+    @pytest.mark.parametrize("thicknesses", [(1.0,), (0.5, 1.5)])
+    def test_runs_by_thickness_and_form(self, monkeypatch, form, thicknesses):
+        # every form and every thickness layout runs the same two starts
         starts = []
 
         def counted(residual_jacobian, x0):
-            starts.append(x0)
+            starts.append(tuple(x0))
             return levenberg_marquardt(residual_jacobian, x0)
 
         monkeypatch.setattr(expmodel, "levenberg_marquardt", counted)
@@ -395,7 +407,7 @@ class TestFixtureFits:
         t = np.linspace(0.05, 1.0, 20)
         data = [(ti, wj, float(exp_model_eval(truth, ti, wj))) for ti in t for wj in thicknesses]
         fit = fit_exp_model(data, exponent_form=form)
-        assert len(starts) == runs
+        assert starts == list(expmodel._STARTS)
         assert fit.identifiable == (len(thicknesses) == 2)
 
     @pytest.mark.parametrize("b,w", [(1.0, 0.5), (1.0, 0.0), (1.0, 3.0), (-1.5, 0.5)])
@@ -410,27 +422,28 @@ class TestFixtureFits:
         assert fit.a == pytest.approx(math.sqrt(abs(q)), rel=1e-9)
         assert fit.b + w == pytest.approx(math.copysign(fit.a, q), rel=1e-12)
 
-    def test_product_second_start_that_overflows_is_skipped(self, monkeypatch):
-        # removal -0.5 (effluent above influent) at the largest thickness a
-        # series may hold: the run from (1, -1 - W) overflows e^{-t*q} at
-        # a trial point and is dropped, silently, for the run from (1, 1)
-        data = [(ti, 1e4, -0.5) for ti in np.linspace(0.05, 1.0, 20)]
-        failed = []
+    def test_a_start_whose_residuals_are_not_finite_is_dropped(self, monkeypatch):
+        # E >= -1 at both starts, so finite data gives them finite residuals;
+        # the first run is handed NaN residuals instead. It raises at its
+        # start and is dropped, silently, for the run from the second start
+        # (SSE 0.022 on mb_run1, where the first start reaches 2e-31)
+        _, data = fixture_data("mb_run1.csv")
+        nan = (np.full(len(data), np.nan), np.ones((len(data), 2)))
 
-        def recorded(residual_jacobian, x0):
-            try:
-                return levenberg_marquardt(residual_jacobian, x0)
-            except NonFiniteObjective:
-                failed.append(tuple(x0))
-                raise
+        def poisoned(residual_jacobian, x0):
+            if x0 == expmodel._STARTS[0]:
+                return levenberg_marquardt(lambda theta: nan, x0)
+            return levenberg_marquardt(residual_jacobian, x0)
 
-        monkeypatch.setattr(expmodel, "levenberg_marquardt", recorded)
+        monkeypatch.setattr(expmodel, "levenberg_marquardt", poisoned)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_exp_model(data, exponent_form=ExponentForm.PRODUCT)
-        assert failed == [(1.0, -1.0 - 1e4)]
-        first = levenberg_marquardt(grid_residual_jacobian(data, ExponentForm.PRODUCT), (1.0, 1.0))
-        assert fit.sse == pytest.approx(first.fun, rel=1e-12)
+            fit = fit_exp_model(data)
+        at_zero = data.copy()
+        at_zero[:, 1] = 0.0  # the residuals the runs see: W - min(W)
+        second = levenberg_marquardt(grid_residual_jacobian(at_zero), expmodel._STARTS[1])
+        assert fit.sse == pytest.approx(second.fun, rel=1e-9)
+        assert fit.sse > 0.02
         assert fit.converged
 
     def test_iteration_cap_reaches_the_report(self, monkeypatch):

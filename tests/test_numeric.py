@@ -439,12 +439,16 @@ class TestLevenbergMarquardt:
         with pytest.raises(NonFiniteObjective):
             levenberg_marquardt(lambda x: (np.array([np.nan]), np.ones((1, 1))), [0.0])
 
-        def trap(x):  # finite at the start, NaN wherever the first step lands
-            value = np.nan if x[0] < 0.5 else x[0] - 0.4
-            return np.array([value]), np.ones((1, 1))
+    def test_nan_trial_is_rejected(self):
+        def edge(x):  # e^x - 2, NaN past x = 1.5, where the undamped step from -3 lands
+            e = math.exp(x[0])
+            value = np.nan if x[0] > 1.5 else e - 2.0
+            return np.array([value]), np.array([[e]])
 
-        with pytest.raises(NonFiniteObjective):
-            levenberg_marquardt(trap, [0.6])
+        res = levenberg_marquardt(edge, [-3.0])
+        assert res.converged
+        assert res.x[0] == pytest.approx(math.log(2.0), rel=1e-10)
+        assert res.fun < 1e-20
 
     def test_infinite_jacobian_raises(self):
         with pytest.raises(NonFiniteObjective, match="Jacobian not finite at iteration 1"):
