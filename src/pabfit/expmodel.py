@@ -8,11 +8,11 @@ the two, so both are provided behind a switch.
 
 ``exp_model_residual_jacobian`` is the one place the derivatives in (a, b)
 are written; ``fit_exp_model`` runs Levenberg-Marquardt on it in
-(a, b + min W), with W measured from its smallest value, from the same two
-starts for every form and every set of thicknesses: one on each side of the
-product form's ridge q = a * (b + W) = 0, where its model and its
-q-derivative vanish, and of the swap line a = b + W. On one thickness the
-curve depends on a and b + W alone, so the fit does not depend on W.
+(a, b + min W), with W measured from its smallest value, from the same four
+starts for every form and every set of thicknesses: on both sides of the
+product form's ridges q = a * (b + W) = 0 and a = 0, where its model and
+its q-derivative vanish, and of the swap line a = b + W. On one thickness
+the curve depends on a and b + W alone, so the fit does not depend on W.
 """
 
 from __future__ import annotations
@@ -26,13 +26,17 @@ import numpy as np
 from .errors import InvalidInput, NonFiniteObjective
 from .numeric import levenberg_marquardt
 
-# In (a, b + min W). (1, 2) has q = a * (b + W) > 0 at every row and (1, -1)
-# has q < 0 at the thinnest rows: the product form's model and q-derivative
-# vanish on the ridge q = 0, which its runs do not cross. The two also lie on
-# either side of the swap line a = b + W: on close thicknesses the literal
-# form's minimum and its near-swap lie one on each side, and a run started on
-# the line leaves it only through rounding.
-_STARTS = ((1.0, 2.0), (1.0, -1.0))
+# In (a, b + min W). (1, 4), the start (a, b) = (1, 1) at the bundled runs'
+# 3 cm, and its swap (4, 1) have q = a * (b + W) > 0 at every row and lie
+# on either side of the swap line a = b + W: on close thicknesses the
+# literal form's minimum and its near-swap lie one on each side, and a run
+# started on the line leaves it only through rounding. (1, -1) has q < 0 on
+# one thickness, past the product form's ridge q = 0, where its model and
+# q-derivative vanish and which its runs do not cross. At a = 0 that ridge
+# holds at every row at once, so on several thicknesses the product form
+# also needs a start with a < 0, (-1, -1); on one thickness its curve is
+# the same at (a, b + W) and (-a, -b - W).
+_STARTS = ((1.0, 4.0), (4.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
 
 
 class ExponentForm(Enum):
@@ -105,7 +109,7 @@ def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> E
     a and b are not identifiable (``identifiable`` is False): the swap
     a <-> c leaves E and q = a * (b + W), and so the curve, unchanged. The
     runs start from ``_STARTS`` whatever the form and thicknesses, and the
-    lower sum of squares wins; a run that meets residuals or a Jacobian that
+    lowest sum of squares wins; a run that meets residuals or a Jacobian that
     are not finite is dropped. On one thickness the answer is reported as the
     branch representative: in the literal form, of the minimum and its
     swap, the one with the smaller |a - b|, then a > 0, then the smaller a;
@@ -116,7 +120,8 @@ def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> E
     No positivity constraint is imposed on a or b; the fit reports whatever
     minimizes the SSE, ``sse`` is the sum of squares at the reported point,
     and ``converged`` is that of the run the answer came from (False when
-    it ran out of Levenberg-Marquardt's 20000 iterations).
+    it ran out of Levenberg-Marquardt's 20000 iterations or stopped as a
+    drift toward a minimum at infinity).
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:

@@ -19,8 +19,9 @@ descent stops when an accepted step lowers the objective by less than
 1e-9, or after 200 iterations. ``levenberg_marquardt`` minimizes a sum of
 squares from its residuals and their Jacobian (More 1978, "The
 Levenberg-Marquardt algorithm: implementation and theory"); the
-exponential-model fit uses it, at most 20000 iterations per run. Neither
-optimizer takes a setting. Both return a ``DescentResult``.
+exponential-model fit uses it, at most 20000 iterations per run, and fewer
+for a run that only drifts. Neither optimizer takes a setting. Both return
+a ``DescentResult``.
 """
 
 from __future__ import annotations
@@ -310,7 +311,11 @@ _LM_DAMPING = 1.0
 _LM_FACTOR = 10.0
 _LM_MAX_DAMPING = 1e16
 _LM_XTOL = 1e-10  # relative step below which the fit has converged
-_LM_MAX_ITERS = 20000  # iterations of one run; no bundled fit uses more than 15
+_LM_MAX_ITERS = 20000  # iterations of one run; no bundled fit's run uses over 62
+# a run whose sum of squares falls by at most this share over this many
+# iterations only drifts, toward a minimum at infinity, and stops
+_LM_STALL_ITERS = 50
+_LM_STALL_RTOL = 1e-4
 
 
 def levenberg_marquardt(
@@ -332,8 +337,11 @@ def levenberg_marquardt(
 
     Converged when a step moves x by at most 1e-10 relative to |x|,
     when an accepted decrease is at the rounding level of the sum of
-    squares, or when no damping up to 1e16 lowers it; not converged after
-    20000 iterations. The returned point never has a higher sum of squares
+    squares, or when no damping up to 1e16 lowers it. Not converged after
+    20000 iterations, or when the 50 iterations since the last multiple of
+    50 lowered the sum of squares by at most 1e-4 of it: a run that only
+    drifts, toward an infimum at infinity, stops there rather than creep
+    on for the 20000. The returned point never has a higher sum of squares
     than ``x0``. Residuals that are not finite at ``x0``, or a Jacobian that
     is not finite at ``x0`` or at an accepted point, raise
     :class:`NonFiniteObjective`; a trial point whose sum of squares is
@@ -347,7 +355,12 @@ def levenberg_marquardt(
     damping = _LM_DAMPING
     iterations = 0
     converged = False
+    mark = f  # the sum of squares at the last multiple of _LM_STALL_ITERS
     while not converged and iterations < _LM_MAX_ITERS:
+        if iterations and iterations % _LM_STALL_ITERS == 0:
+            if mark - f <= _LM_STALL_RTOL * mark:
+                break
+            mark = f
         iterations += 1
         grad = jac.T @ r
         normal = jac.T @ jac

@@ -218,8 +218,8 @@ class TestFitExp:
         assert params["identifiable"] is False  # one thickness
 
     def test_literal_fit_does_not_depend_on_the_thickness(self, tmp_path):
-        # pcp_run1 moved to 30 cm used to exit 4 at stage=fit (NaN residuals
-        # at a trial point); on one thickness the curve depends on b + W only
+        # pcp_run1 moved to 30 cm fits as at 3 cm: on one thickness the
+        # curve depends on a and b + W only
         lines = (fixture_dir() / "pcp_run1.csv").read_text().splitlines()
         column = lines[0].split(",").index("thickness_cm")
         rows = [line.split(",") for line in lines[1:]]

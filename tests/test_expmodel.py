@@ -308,8 +308,8 @@ class TestFixtureFits:
 
     @pytest.mark.parametrize("name", ["pcp_run1.csv", "pcp_run2.csv", "pcbc_run1.csv", "pcbc_run2.csv"])
     def test_literal_lead_fits_end_past_the_ridge(self, monkeypatch, name):
-        # the literal fit runs the same two starts as the product fit, and
-        # ends at q = a * (b + W) < 0
+        # the literal fit runs the same starts as the product fit, and ends
+        # at q = a * (b + W) < 0
         _, data = fixture_data(name)
         starts = []
 
@@ -325,10 +325,10 @@ class TestFixtureFits:
 
     @pytest.mark.parametrize("form,sse", [(ExponentForm.LITERAL, 0.07702), (ExponentForm.PRODUCT, 0.41280)])
     def test_one_thickness_fit_does_not_depend_on_w(self, form, sse):
-        # on one thickness the curve depends on a and b + W alone; pcp_run1
-        # moved to 10 cm used to fit the literal form to SSE 2.28, and at
-        # 30 cm to raise. The literal branch rule compares a with b, so
-        # which of the swapped pair (a, b + W) is reported as a depends on W
+        # on one thickness the curve depends on a and b + W alone, so the
+        # fit's SSE and the pair {a, b + W} do not depend on W. The literal
+        # branch rule compares a with b, so which member of the pair is
+        # reported as a does
         _, data = fixture_data("pcp_run1.csv")
         fits = []
         for w in (0.0, 3.0, 10.0, 30.0, 1e4):
@@ -347,15 +347,18 @@ class TestFixtureFits:
         t = np.linspace(0.05, 1.0, 20)
         one = [(ti, 1.0, float(exp_model_eval(truth, ti, 1.0))) for ti in t]
         assert not fit_exp_model(one, exponent_form=form).identifiable
-        # with W measured from its mean, both starts have q = a * (b + W) < 0
-        # at the 0 cm rows of (0, 5), and the product fit stops at SSE 0.49;
-        # from two starts on one side of the swap line a = b + W, as (2, 1)
-        # and (1, -1) are, the literal fit of (2.75, 3) stops at SSE 5.8e-5
-        for thicknesses in ((0.5, 1.5), (0.0, 5.0), (2.75, 3.0)):
+        # layouts where a run can end away from the minimum: on (0, 5) cm
+        # q = a * (b + W) changes sign between the rows at some starts, and
+        # on close thicknesses the literal minimum and its near-swap lie one
+        # on each side of the swap line a = b + W
+        cases = [(PB_EXP_PARAMS, w) for w in ((0.5, 1.5), (0.0, 5.0), (2.75, 3.0))]
+        cases.append(((0.5, 2.5), (2.9, 3.0)))
+        for params, thicknesses in cases:
+            truth = ExpModelParams(*params, exponent_form=form)
             two = [(ti, wj, float(exp_model_eval(truth, ti, wj))) for ti in t for wj in thicknesses]
             fit = fit_exp_model(two, exponent_form=form)
             assert fit.identifiable
-            assert (fit.a, fit.b) == pytest.approx(PB_EXP_PARAMS, abs=1e-8), thicknesses
+            assert (fit.a, fit.b) == pytest.approx(params, abs=1e-8), thicknesses
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     @pytest.mark.parametrize("form", list(ExponentForm))
@@ -395,7 +398,7 @@ class TestFixtureFits:
     @pytest.mark.parametrize("form", list(ExponentForm))
     @pytest.mark.parametrize("thicknesses", [(1.0,), (0.5, 1.5)])
     def test_runs_by_thickness_and_form(self, monkeypatch, form, thicknesses):
-        # every form and every thickness layout runs the same two starts
+        # every form and every thickness layout runs the same starts
         starts = []
 
         def counted(residual_jacobian, x0):
@@ -423,15 +426,18 @@ class TestFixtureFits:
         assert fit.b + w == pytest.approx(math.copysign(fit.a, q), rel=1e-12)
 
     def test_a_start_whose_residuals_are_not_finite_is_dropped(self, monkeypatch):
-        # E >= -1 at both starts, so finite data gives them finite residuals;
-        # the first run is handed NaN residuals instead. It raises at its
-        # start and is dropped, silently, for the run from the second start
-        # (SSE 0.022 on mb_run1, where the first start reaches 2e-31)
+        # on one thickness E >= -2 at every start, so finite data gives them
+        # finite residuals; every run but the one from (1, -1) is handed NaN
+        # residuals instead. Each raises at its start and is dropped,
+        # silently, for the run from (1, -1) (SSE 0.022 on mb_run1, where
+        # the others reach 2e-31)
         _, data = fixture_data("mb_run1.csv")
         nan = (np.full(len(data), np.nan), np.ones((len(data), 2)))
+        kept = (1.0, -1.0)
+        assert kept in expmodel._STARTS
 
         def poisoned(residual_jacobian, x0):
-            if x0 == expmodel._STARTS[0]:
+            if x0 != kept:
                 return levenberg_marquardt(lambda theta: nan, x0)
             return levenberg_marquardt(residual_jacobian, x0)
 
@@ -441,10 +447,32 @@ class TestFixtureFits:
             fit = fit_exp_model(data)
         at_zero = data.copy()
         at_zero[:, 1] = 0.0  # the residuals the runs see: W - min(W)
-        second = levenberg_marquardt(grid_residual_jacobian(at_zero), expmodel._STARTS[1])
-        assert fit.sse == pytest.approx(second.fun, rel=1e-9)
+        kept_run = levenberg_marquardt(grid_residual_jacobian(at_zero), kept)
+        assert fit.sse == pytest.approx(kept_run.fun, rel=1e-9)
         assert fit.sse > 0.02
         assert fit.converged
+
+    @pytest.mark.parametrize("thicknesses", [(0.5, 1.5), (2.75, 3.0)])
+    def test_runs_that_only_drift_stop_early(self, monkeypatch, thicknesses):
+        # on close thicknesses the runs from q = a * (b + W) < 0 at every row
+        # drift toward a -> 0, b -> -inf, where their sum of squares has its
+        # infimum; each stops a few hundred iterations in, far below the
+        # 20000-iteration cap, and a run from q > 0 gives the exact fit
+        runs = []
+
+        def counted(residual_jacobian, x0):
+            runs.append(levenberg_marquardt(residual_jacobian, x0))
+            return runs[-1]
+
+        monkeypatch.setattr(expmodel, "levenberg_marquardt", counted)
+        truth = ExpModelParams(*PB_EXP_PARAMS, exponent_form=ExponentForm.PRODUCT)
+        t = np.linspace(0.05, 1.0, 20)
+        data = [(ti, wj, float(exp_model_eval(truth, ti, wj))) for ti in t for wj in thicknesses]
+        fit = fit_exp_model(data, exponent_form=ExponentForm.PRODUCT)
+        assert fit.sse < 1e-20
+        assert fit.converged
+        assert not all(run.converged for run in runs)
+        assert sum(run.iterations for run in runs) < 2000
 
     def test_iteration_cap_reaches_the_report(self, monkeypatch):
         _, data = fixture_data("pcp_run1.csv")

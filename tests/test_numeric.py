@@ -435,6 +435,20 @@ class TestLevenbergMarquardt:
             assert res.iterations == cap
             assert not res.converged
 
+    def test_a_run_that_only_drifts_stops_not_converged(self, monkeypatch):
+        def valley(x):  # 1 + x0^2 along x0 * x1 = 1: the infimum 1 lies at x1 -> inf
+            r = np.array([x[0] * x[1] - 1.0, x[0], 1.0])
+            return r, np.array([[x[1], x[0]], [1.0, 0.0], [0.0, 0.0]])
+
+        res = levenberg_marquardt(valley, [1.0, 1.0])
+        assert not res.converged
+        assert res.iterations <= 200
+        assert 1.0 < res.fun < 1.0 + 1e-4
+        # without the stall rule the run creeps on past 1000 iterations
+        monkeypatch.setattr(numeric, "_LM_STALL_ITERS", numeric._LM_MAX_ITERS)
+        monkeypatch.setattr(numeric, "_LM_MAX_ITERS", 1000)
+        assert levenberg_marquardt(valley, [1.0, 1.0]).iterations == 1000
+
     def test_nan_residual_raises(self):
         with pytest.raises(NonFiniteObjective):
             levenberg_marquardt(lambda x: (np.array([np.nan]), np.ones((1, 1))), [0.0])
