@@ -18,8 +18,8 @@ _EXPORTS = {
     "domain": "Contaminant FitReport ModelKind ObservationSeries PredictionRow Sample "
     "TransformedInputs log_time_norm transform_time",
     "expmodel": "ExpModelParams ExponentForm exp_model_eval fit_exp_model",
-    "gp": "GpHyperParams GpModel GpPrediction default_hyperparams gp_fit gp_loo_sse "
-    "gp_loo_sse_gradient gp_nlml gp_nlml_gradient gp_optimize_hyperparams gp_predict kernel_matrix",
+    "gp": "GpHyperParams GpModel GpPrediction default_hyperparams gp_fit gp_loo_sse gp_nlml "
+    "gp_optimize_hyperparams gp_predict kernel_matrix",
     "kinetics": "KineticFitResult fit_first_order predict_first_order",
     "metrics": "FitMetrics compute_metrics obs_pred_slope r_squared rmse",
     "numeric": "CholeskyFactor DescentResult cholesky gradient_descent solve",

@@ -493,9 +493,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    w = () if args.w is None else _floats(args.w, "--w")
-    schedule = DEFAULT_SCHEDULE if args.schedule is None else _floats(args.schedule, "--schedule")
     with _stage("generate"):
+        w = () if args.w is None else _floats(args.w, "--w")
+        schedule = DEFAULT_SCHEDULE if args.schedule is None else _floats(args.schedule, "--schedule")
         series = generate_synthetic(
             args.generator,
             k=args.k,

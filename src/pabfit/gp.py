@@ -343,7 +343,9 @@ def _log_hyper_gradient(hp: GpHyperParams, weight: np.ndarray, cov: np.ndarray,
     """sum(weight * dC/dtheta_j) for theta = (log v, log w_1, ..., log w_p).
 
     C = K + eps*I with K = ``cov`` and the squared differences D_p = ``sq[p]``,
-    so dC/dlog v = K and dC/dlog w_p = -w_p * D_p * K (elementwise).
+    so dC/dlog v = K and dC/dlog w_p = -w_p * D_p * K (elementwise, GPML
+    eq. 5.9). With the weight W of an objective, this is its gradient in
+    log space, tr(W dC/dtheta_j) for the symmetric C.
     """
     wk = weight * cov
     grad = np.zeros(hp.p + 1)
@@ -354,12 +356,22 @@ def _log_hyper_gradient(hp: GpHyperParams, weight: np.ndarray, cov: np.ndarray,
 
 
 def _nlml_weight(model: GpModel) -> np.ndarray:
-    """W = (C^-1 - alpha alpha^T) / 2, so that dNLML/dtheta_j = tr(W dC/dtheta_j)."""
+    """W = (C^-1 - alpha alpha^T) / 2, so that dNLML/dtheta_j = tr(W dC/dtheta_j).
+
+    This is GPML eq. 5.9, with C^-1 = L^-T L^-1 from the model's ``linv``.
+    """
     return 0.5 * (model.linv.T @ model.linv - np.outer(model.alpha, model.alpha))
 
 
 def _loo_sse_weight(model: GpModel) -> np.ndarray:
-    """W with dSSE/dtheta_j = tr(W dC/dtheta_j); see ``gp_loo_sse_gradient``."""
+    """W with dSSE/dtheta_j = tr(W dC/dtheta_j) for the leave-one-out SSE.
+
+    With c = diag(C^-1) and LOO residuals r = alpha / c, the derivatives
+    d alpha = -C^-1 dC alpha and d C^-1 = -C^-1 dC C^-1 (GPML section
+    5.4.2; Sundararajan & Keerthi, 2001) give
+    W = 2 (C^-1 diag(r^2 / c) C^-1 - (C^-1 (r / c)) alpha^T), all from the
+    model's ``linv``.
+    """
     linv = model.linv
     cinv = linv.T @ linv
     c = np.einsum("ij,ij->j", linv, linv)
@@ -367,34 +379,6 @@ def _loo_sse_weight(model: GpModel) -> np.ndarray:
     weight = cinv @ ((resid * resid / c)[:, None] * cinv)
     weight -= np.outer(cinv @ (resid / c), model.alpha)
     return 2.0 * weight
-
-
-def _model_gradient(model: GpModel, weight: np.ndarray) -> np.ndarray:
-    x = model.x_train
-    return _log_hyper_gradient(model.hp, weight, kernel_matrix(model.hp, x), _squared_differences(x))
-
-
-def gp_nlml_gradient(model: GpModel) -> np.ndarray:
-    """Gradient of ``gp_nlml`` in (log v, log w_1, ..., log w_p).
-
-    dNLML/dtheta_j = 1/2 tr((C^-1 - alpha alpha^T) dC/dtheta_j) with
-    C = K + eps*I (GPML eq. 5.9); C^-1 = L^-T L^-1 comes from the model's
-    ``linv``.
-    """
-    return _model_gradient(model, _nlml_weight(model))
-
-
-def gp_loo_sse_gradient(model: GpModel) -> np.ndarray:
-    """Gradient of ``gp_loo_sse`` in (log v, log w_1, ..., log w_p).
-
-    With c = diag(C^-1) and LOO residuals r = alpha / c, the derivatives
-    d alpha = -C^-1 dC alpha and d C^-1 = -C^-1 dC C^-1 (GPML section
-    5.4.2; Sundararajan & Keerthi, 2001) give
-    dSSE/dtheta_j = 2 tr(W dC/dtheta_j) with
-    W = C^-1 diag(r^2 / c) C^-1 - (C^-1 (r / c)) alpha^T, all from the
-    model's ``linv``.
-    """
-    return _model_gradient(model, _loo_sse_weight(model))
 
 
 _OBJECTIVES = {"nlml": gp_nlml, "sse": gp_loo_sse}
@@ -413,11 +397,11 @@ def gp_optimize_hyperparams(
     The log reparameterization keeps v and the weights positive. The
     returned hyperparameters never score worse than ``hp0`` on the chosen
     objective ("nlml" or "sse", the latter meaning held-out leave-one-out
-    squared error). The descent follows the closed-form gradients,
-    ``gp_nlml_gradient`` (GPML eq. 5.9) and ``gp_loo_sse_gradient`` (GPML
-    section 5.4.2), by ``gradient_descent``: a first step of 0.1, a stop
-    when an accepted step lowers the objective by less than 1e-9, and at
-    most 200 iterations.
+    squared error). The descent follows the objective's closed-form
+    gradient in log space, ``_log_hyper_gradient`` with the objective's
+    weight from ``_GRADIENT_WEIGHTS`` (GPML eq. 5.9 and section 5.4.2), by
+    ``gradient_descent``: a first step of 0.1, a stop when an accepted step
+    lowers the objective by less than 1e-9, and at most 200 iterations.
 
     The training set is checked once, as ``gp_fit`` checks it, and the
     squared differences D_p of each input column are formed once per

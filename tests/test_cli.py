@@ -362,7 +362,7 @@ class TestFitGp:
 
     @pytest.mark.parametrize("hyper,key", [("v=1,v=2", "v"), ("w=1,2,V=0.3,w=3", "w")])
     def test_repeated_hyper_key_named(self, tmp_path, capsys, hyper, key):
-        # a second v used to win, and a second w list to extend the first
+        # a repeated v, or a repeated w list, is named, not merged or overridden
         out = tmp_path / "o.json"
         assert run_cli("fit-gp", "--input", "pcbc_run1.csv", "--hyper", hyper, "--output", str(out)) == 2
         assert f"ParseError: --hyper: key {key!r} given more than once" in capsys.readouterr().err
@@ -695,8 +695,8 @@ class TestOverflowScaleThickness:
 
     @pytest.mark.parametrize(
         "source,thickness",
-        # a file with a thickness column used to take any --thickness and
-        # record it in the report, as NaN or Infinity too
+        # --thickness is bounded as a thickness cell is, whether or not the
+        # file has a thickness column: NaN, Infinity and 1e5 never reach a report
         [
             ("no_w.csv", "1e5"),
             ("pcbc_run1.csv", "nan"),
@@ -716,15 +716,15 @@ class TestOverflowScaleThickness:
         assert not out.exists()
 
 
-def check_rejected(tmp_path, capsys, stage, *argv):
-    """The command exits 3 at ``stage`` with one error line and no output."""
+def check_rejected(tmp_path, capsys, stage, *argv, code=3):
+    """The command exits ``code`` at ``stage`` with one error line and no output."""
     out = tmp_path / "o.json"
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no overflow reaches numpy
-        assert run_cli(*argv, "--output", str(out)) == 3
+        assert run_cli(*argv, "--output", str(out)) == code
     err = capsys.readouterr().err
-    assert f"stage={stage} code=3" in err
+    assert f"stage={stage} code={code}" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
     return err
@@ -736,20 +736,23 @@ class TestCsvShape:
     @pytest.mark.parametrize(
         "text,message",
         [
-            # the last of two same-named columns used to win in silence
+            # two same-named columns are rejected, not one chosen in silence
             ("time_min,concentration_mg_l,concentration_mg_l\n10,40,41\n60,30,31\n90,20,21\n",
              "repeated columns ['concentration_mg_l']"),
-            # the extra cell used to be dropped in silence
+            # a row longer than the header is rejected, not cut in silence
             ("time_min,concentration_mg_l\n10,40\n20,30,5\n90,20\n",
              "row 2: 3 cells, the header has 2"),
             ("time_min,concentration_mg_l\n10,40\n,30\n90,20\n", "row 2: missing time"),
             ("time_min,concentration_mg_l\n10,40\n20,nan\n90,20\n",
              "row 2: concentration must be finite"),
-            # such times used to overflow the kinetic fit, which exited 0 with k = -0
+            # times past the bound are rejected at load, before any fit can overflow on them
             ("time_min,concentration_mg_l\n1e160,40\n2e160,30\n3e160,20\n",
              "row 1: time 1e+160 min is past the bound of 1e+09 min"),
+            ("time_min,removal_pct\n10,150\n60,40\n90,20\n",
+             "row 1: removal fraction outside [0, 1]: 1.5"),
         ],
-        ids=["repeated-column", "long-row", "empty-time", "nan-concentration", "time-past-the-bound"],
+        ids=["repeated-column", "long-row", "empty-time", "nan-concentration", "time-past-the-bound",
+             "removal-past-100-percent"],
     )
     def test_rejected_at_load(self, tmp_path, capsys, text, message):
         csv = tmp_path / "shape.csv"
@@ -991,7 +994,7 @@ class TestGpTrainingRows:
     @pytest.mark.parametrize("command", ["predict", "report"])
     def test_rows_with_other_columns_rejected_at_load(self, tmp_path, capsys, command):
         # pH varies and is an input, but the first training row lacks it:
-        # the rebuild used to fit on t_norm alone, with no message
+        # the rebuild must not fit on t_norm alone in silence
         csv = tmp_path / "two_ph.csv"
         rows = [f"{t},{50 - (0.01 if i % 2 else 0.005) * t},3.0,{6.5 if i % 2 else 7.5}"
                 for i, t in enumerate(range(60, 3601, 60))]
@@ -1225,6 +1228,12 @@ class TestBadGrids:
     def test_bad_time_grid(self, tmp_path, capsys, t_grid):
         model = self.kinetics(tmp_path)
         check_rejected(tmp_path, capsys, "predict", "predict", "--model", model, "--t-grid", t_grid)
+
+    def test_unparsable_time_grid(self, tmp_path, capsys):
+        model = self.kinetics(tmp_path)
+        err = check_rejected(tmp_path, capsys, "predict",
+                             "predict", "--model", model, "--t-grid", "60,abc", code=2)
+        assert "kind=ParseError: --t-grid: cannot parse '60,abc'" in err
 
     def test_nan_ph(self, tmp_path, capsys):
         model = self.gp(tmp_path)
@@ -1501,6 +1510,16 @@ class TestSynth:
             "synth", "--generator", "gp-draw", "--v", "0.3", "--w", "1,2,3,4",
         )
         assert "kind=InvalidInput" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--generator", "gp-draw", "--v", "0.3", "--w", "1,x"],
+         ["--generator", "first-order", "--k", "-0.001", "--schedule", "10,x"]],
+        ids=["w", "schedule"],
+    )
+    def test_unparsable_option_fails_at_generate(self, tmp_path, capsys, argv):
+        err = check_rejected(tmp_path, capsys, "generate", "synth", *argv, code=2)
+        assert f"kind=ParseError: {argv[-2]}: cannot parse" in err
 
     @pytest.mark.parametrize(
         "generator,parameters",

@@ -159,6 +159,10 @@ class TestTransformTime:
         tr = log_time_norm([3600.0])
         assert tr.t_norm.tolist() == [1.0]
 
+    def test_rejects_no_times(self):
+        with pytest.raises(InvalidTime, match="one or more times"):
+            log_time_norm([])
+
     def test_rejects_time_at_or_below_one(self):
         with pytest.raises(InvalidTime, match="row 1: time 1.0 min is <= 1"):
             log_time_norm([1.0, 10.0])

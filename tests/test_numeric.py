@@ -478,6 +478,22 @@ class TestLevenbergMarquardt:
         assert res.fun < 4.0
         assert res.x[0] >= 1.5
 
+    def test_singular_damped_solve_raises_the_damping(self, monkeypatch):
+        clean = levenberg_marquardt(rosenbrock_residuals, [-1.2, 1.0])
+        real_solve, faults = np.linalg.solve, []
+
+        def solve_failing_once(*args):
+            if not faults:
+                faults.append(args)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_failing_once)
+        res = levenberg_marquardt(rosenbrock_residuals, [-1.2, 1.0])
+        assert len(faults) == 1
+        assert res.converged
+        np.testing.assert_allclose(res.x, clean.x, atol=1e-8)
+
     def test_flat_valley_converges(self):
         # one residual in two parameters: J^T J has rank 1 everywhere
         def valley(x):

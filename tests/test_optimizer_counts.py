@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pabfit import gp
+from pabfit import gp, numeric
 from pabfit.dataio import load_fixture
 from pabfit.numeric import DescentResult
 
@@ -21,16 +21,23 @@ def load_tool():
     return module
 
 
-def result(converged):
-    return DescentResult(x=None, fun=0.0, iterations=1, converged=converged)
+def result(converged, iterations=1):
+    return DescentResult(x=None, fun=0.0, iterations=iterations, converged=converged)
 
 
-def test_stop_reads_converged_cap_or_dash():
+def test_stop_reads_converged_cap_or_dash(monkeypatch):
     stop = load_tool().stop
-    assert stop([result(True), result(True)]) == "converged"
-    assert stop([result(True), result(False)]) == "cap"
-    assert stop([None]) == "-"  # a run that raised
-    assert stop([]) == "-"  # the optimizer is not there to wrap
+    assert stop([result(True), result(True)], "_MAX_ITERS") == "converged"
+    assert stop([result(True), result(False, numeric._MAX_ITERS)], "_MAX_ITERS") == "cap"
+    assert stop([None], "_MAX_ITERS") == "-"  # a run that raised
+    assert stop([], "_MAX_ITERS") == "-"  # the optimizer is not there to wrap
+    # an unconverged run short of its optimizer's cap stopped because it only drifted
+    assert stop([result(True), result(False, 150)], "_LM_MAX_ITERS") == "drift"
+    assert stop([result(False, 150), result(False, numeric._LM_MAX_ITERS)], "_LM_MAX_ITERS") == "cap"
+    monkeypatch.setattr(numeric, "_LM_MAX_ITERS", 150)  # the cap is read at each call
+    assert stop([result(False, 150)], "_LM_MAX_ITERS") == "cap"
+    monkeypatch.delattr(numeric, "_LM_MAX_ITERS")  # a version without the cap
+    assert stop([result(False, 150)], "_LM_MAX_ITERS") == "cap"
 
 
 def test_the_pcp_run2_sse_search_stops_at_the_cap():

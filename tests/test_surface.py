@@ -22,8 +22,7 @@ PUBLIC_NAMES = [
     "TransformedInputs", "log_time_norm", "transform_time",
     "ExpModelParams", "ExponentForm", "exp_model_eval", "fit_exp_model",
     "GpHyperParams", "GpModel", "GpPrediction", "default_hyperparams", "gp_fit", "gp_loo_sse",
-    "gp_loo_sse_gradient", "gp_nlml", "gp_nlml_gradient", "gp_optimize_hyperparams",
-    "gp_predict", "kernel_matrix",
+    "gp_nlml", "gp_optimize_hyperparams", "gp_predict", "kernel_matrix",
     "KineticFitResult", "fit_first_order", "predict_first_order",
     "FitMetrics", "compute_metrics", "obs_pred_slope", "r_squared", "rmse",
     "CholeskyFactor", "DescentResult", "cholesky", "gradient_descent", "solve",

@@ -16,12 +16,16 @@ iterations of its Levenberg-Marquardt runs, how they stopped, ``-`` for
 one model evaluation.
 
 The ``stop`` column reads ``converged`` when every optimizer run met its
-stopping rule (``DescentResult.converged``) and ``cap`` when one ran out
-of iterations: 200 for the GP search's descent, so a search that the cap
-cuts short shows. The counts come from wrapping the module-level
-functions the optimizers look up, and a function the package lacks
-counts 0 (its ``stop`` reads ``-``), so the same script compares any two
-versions of the package. Run from the repo root:
+stopping rule (``DescentResult.converged``), ``cap`` when one ran out of
+iterations (``numeric._MAX_ITERS``, 200, for the GP search's descent and
+``numeric._LM_MAX_ITERS`` for Levenberg-Marquardt), so a search that the
+cap cuts short shows, and ``drift`` when one stopped unconverged short of
+its cap, as a Levenberg-Marquardt run that only drifts does. In a version
+without those caps every unconverged run reads ``cap``. The counts come
+from wrapping the module-level functions the optimizers look up, and a
+function the package lacks counts 0 (its ``stop`` reads ``-``), so the
+same script compares any two versions of the package. Run from the repo
+root:
 
     PYTHONPATH=src python tools/optimizer_counts.py
 """
@@ -33,7 +37,7 @@ import functools
 
 import numpy as np
 
-from pabfit import expmodel, gp
+from pabfit import expmodel, gp, numeric
 from pabfit.dataio import FIXTURES, load_fixture
 
 
@@ -61,12 +65,17 @@ def counting(module, *names):
             setattr(module, name, fn)
 
 
-def stop(results) -> str:
-    """``converged`` if every run met its stopping rule, ``cap`` if one ran out of iterations."""
+def stop(results, cap: str) -> str:
+    """``converged`` if every run met its stopping rule, ``cap`` if one ran out
+    of the iterations ``numeric.<cap>`` allows, ``drift`` if one stopped short of them."""
     results = [r for r in results if r is not None]
     if not results:
         return "-"
-    return "converged" if all(r.converged for r in results) else "cap"
+    unconverged = [r.iterations for r in results if not r.converged]
+    if not unconverged:
+        return "converged"
+    limit = getattr(numeric, cap, 0)  # without it, every unconverged run is at its cap
+    return "cap" if max(unconverged) >= limit else "drift"
 
 
 def gp_rows(name: str):
@@ -83,7 +92,8 @@ def gp_rows(name: str):
         iterations = sum(r.iterations for r in calls["gradient_descent"] if r is not None)
         model = gp.gp_fit(hp, x, y)
         loo_r2 = 1.0 - gp.gp_loo_sse(model) / tss
-        yield f"gp {objective}", fits, iterations, stop(calls["gradient_descent"]), loo_r2, score(model)
+        stopped = stop(calls["gradient_descent"], "_MAX_ITERS")
+        yield f"gp {objective}", fits, iterations, stopped, loo_r2, score(model)
 
 
 def exp_rows(name: str):
@@ -96,7 +106,8 @@ def exp_rows(name: str):
             fit = expmodel.fit_exp_model(data, exponent_form=form)
         evals = "{}+{}j".format(*(len(calls[name]) for name in names))
         iterations = sum(r.iterations for r in calls["levenberg_marquardt"] if r is not None)
-        yield f"exp {form.value}", evals, iterations, stop(calls["levenberg_marquardt"]), None, fit.sse
+        stopped = stop(calls["levenberg_marquardt"], "_LM_MAX_ITERS")
+        yield f"exp {form.value}", evals, iterations, stopped, None, fit.sse
 
 
 def main() -> None:
