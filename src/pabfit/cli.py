@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from contextlib import contextmanager
@@ -168,7 +169,8 @@ def _resolve_inputs(args, names, writes: list[Path]) -> list[Path]:
     are refused too: the report would replace its rows."""
     paths = [resolve_input(name) for name in names]
     for out in writes:
-        same = [path for path in paths if out.exists() and out.samefile(path)]
+        # a name the file system cannot look up (too long, say) is no input; its write fails
+        same = [path for path in paths if os.path.exists(out) and out.samefile(path)]
         if same:
             raise ValidationError(f"--output {args.output} would overwrite the input {same[0]}")
     if len(set(writes)) < len(writes):
@@ -504,7 +506,6 @@ def _cmd_synth(args) -> int:
             v=args.v,
             w=w,
             mean=args.mean,
-            epsilon=args.epsilon,
             c0=args.c0,
             thickness=args.thickness,
             ph=args.ph,
@@ -624,7 +625,6 @@ def _synth_options(p) -> None:
     p.add_argument("--v", type=float, default=None, help="GP signal variance")
     p.add_argument("--w", default=None, help="GP weights w1[,w2[,w3]]")
     p.add_argument("--mean", type=float, default=0.5, help="GP draw mean removal")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON, help="GP draw jitter")
     p.add_argument("--c0", type=float, default=50.0)
     p.add_argument("--thickness", type=float, default=3.0)
     p.add_argument("--ph", type=float, default=None)

@@ -65,8 +65,6 @@ CANONICAL_COLUMNS = tuple(_COLUMNS)
 # effluent sampling schedule: every 10 min over the first hour, then hourly
 DEFAULT_SCHEDULE = tuple(float(t) for t in list(range(10, 61, 10)) + list(range(120, 3601, 60)))
 
-FIXTURE_DIR_ENV = "PABFIT_FIXTURE_DIR"
-
 _FLOAT_MAX = float(np.finfo(float).max)
 # the largest ln of a finite time, so exp() of a report's time_denominator stays finite
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
@@ -158,7 +156,6 @@ def generate_synthetic(
     v: float | None,
     w: Sequence[float],
     mean: float,
-    epsilon: float,
     c0: float,
     thickness: float,
     ph: float | None,
@@ -173,12 +170,13 @@ def generate_synthetic(
 
     Each generator reads its own parameters and ignores the rest:
     ``first-order`` k, ``exp-model`` a and b, ``gp-draw`` v, w (one weight
-    per input; one weight sees t_norm alone), epsilon and mean. Noise is
-    additive Gaussian (sd = ``noise_sd``) applied on the generator's natural
-    scale and clamped so concentrations stay within [0, c0]. k, a and b
-    must be finite. A removal curve that is NaN at finite parameters (at
-    a = 1e308, t * a * (b + W) overflows where e^{-t * (a + b + W)} is 0)
-    is an ``InvalidSpec`` that names them, not a row the series rejects.
+    per input; one weight sees t_norm alone) and mean, with the jitter
+    ``gp.DEFAULT_EPSILON``. Noise is additive Gaussian (sd = ``noise_sd``)
+    applied on the generator's natural scale and clamped so concentrations
+    stay within [0, c0]. k, a and b must be finite. A removal curve that
+    is NaN at finite parameters (at a = 1e308, t * a * (b + W) overflows
+    where e^{-t * (a + b + W)} is 0) is an ``InvalidSpec`` that names them,
+    not a row the series rejects.
     """
     t = np.asarray(schedule, dtype=float)  # the series checks its times
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
@@ -218,7 +216,7 @@ def generate_synthetic(
             if generator == "exp-model":
                 removal = exp_model_eval(ExpModelParams(a=a, b=b), t_norm, thickness)
             else:
-                hp = GpHyperParams(v=v, w=w, epsilon=epsilon)  # its inputs named by count
+                hp = GpHyperParams(v=v, w=w)  # its inputs named by count, the default jitter
                 columns = {"t_norm": t_norm, "ph": 7.0 if ph is None else ph, "thickness_cm": thickness}
                 x = design_matrix(columns, hp.inputs)
                 removal = mean + covariance_factor(hp, x).lower @ rng.standard_normal(t.size)
@@ -336,6 +334,14 @@ def write_comparison(entries, provenance: dict, path: str | Path) -> None:
     _write_json(path, {**empty, "comparison": comparison, "provenance": provenance})
 
 
+def _finite_float(text: str) -> float:
+    """A JSON float, or ValueError for NaN, Infinity, -Infinity and a float past the range."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _finite_number(value) -> bool:
     """A JSON number within the float range: not a bool, NaN, inf or a huge int."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
@@ -381,7 +387,9 @@ def _valid_row(row) -> bool:
 def read_report(path: str | Path) -> FitReport:
     """Load a report written by :func:`write_report`.
 
-    Every check a report needs before a model is rebuilt from it runs
+    A report that is not JSON, or holds ``NaN``, ``Infinity``,
+    ``-Infinity`` or a float past the range in any field, is a
+    ``ParseError``. Every check a report needs before a model is rebuilt from it runs
     here, in one pass, but those of a GP's training rows: a known model
     kind; each parameter the kind requires
     (a finite number; the GP's ``w`` a list, and its ``v``, ``w``,
@@ -399,8 +407,8 @@ def read_report(path: str | Path) -> FitReport:
     column (``cli._INPUT_MAX``).
     """
     path = Path(path)
-    try:
-        payload = json.loads(_read_text(path))
+    try:  # a number that is not finite would be copied into outputs
+        payload = json.loads(_read_text(path), parse_constant=_finite_float, parse_float=_finite_float)
     except (ValueError, RecursionError) as e:  # an int past 4300 digits or deep nesting, too
         raise ParseError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(payload, dict):
@@ -467,28 +475,26 @@ FIXTURES: dict[str, Contaminant] = {
 # the influent concentration of every bundled run, mg/L
 FIXTURE_C0 = 50.0
 
-
-def fixture_dir() -> Path:
-    """Bundled fixture directory, overridable via PABFIT_FIXTURE_DIR."""
-    env = os.environ.get(FIXTURE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "fixtures"
+# the bundled fixture files' directory
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def resolve_input(path: str | Path) -> Path:
     """An existing path as-is, else, for a bare file name, a bundled fixture of that name."""
     p = Path(path)
-    if p.exists():
-        return p
     bare = str(path) == p.name  # one path part: a path with a directory never falls back
-    candidate = fixture_dir() / p.name
-    if bare and candidate.exists():
-        return candidate
+    candidate = FIXTURE_DIR / p.name
+    try:  # exists() raises for a name too long, say
+        if p.exists():
+            return p
+        if bare and candidate.exists():
+            return candidate
+    except OSError as e:
+        raise FileIOError(f"cannot read {path}: {e}") from e
     raise FileIOError(f"no such file: {path}" + (" (also not a bundled fixture)" if bare else ""))
 
 
 def load_fixture(name: str) -> ObservationSeries:
     if name not in FIXTURES:
         raise InvalidSpec(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
-    return load_series(fixture_dir() / name, FIXTURES[name], FIXTURE_C0)
+    return load_series(FIXTURE_DIR / name, FIXTURES[name], FIXTURE_C0)

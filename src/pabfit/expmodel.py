@@ -117,6 +117,8 @@ def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> E
     is flat along a * (b + W) = q, the point of that curve with
     a = |b + W| >= 0, where b + W takes the sign of q.
 
+    A column outside its domain, t_norm in [0, 1], W finite and >= 0 and
+    removal finite (NaN is in none), is an ``InvalidInput`` that names it.
     No positivity constraint is imposed on a or b; the fit reports whatever
     minimizes the SSE, ``sse`` is the sum of squares at the reported point,
     and ``converged`` is that of the run the answer came from (False when
@@ -127,8 +129,10 @@ def fit_exp_model(data, exponent_form: ExponentForm = ExponentForm.LITERAL) -> E
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
         raise InvalidInput("data must be a non-empty sequence of (t_norm, w, removal) triples")
     t, w, y = arr[:, 0], arr[:, 1], arr[:, 2]
-    if np.any((t < 0.0) | (t > 1.0)):
-        raise InvalidInput("t_norm values must lie in [0, 1]")
+    inside = {"t_norm": (t >= 0.0) & (t <= 1.0), "w": (w >= 0.0) & (w < math.inf), "removal": np.isfinite(y)}
+    outside = [name for name, ok in inside.items() if not ok.all()]
+    if outside:
+        raise InvalidInput(f"{outside[0]} values must be finite, t_norm in [0, 1] and w >= 0")
 
     def params(theta) -> ExpModelParams:
         return ExpModelParams(a=float(theta[0]), b=float(theta[1]), exponent_form=exponent_form)

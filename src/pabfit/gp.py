@@ -8,8 +8,8 @@ with one inverse-length weight per input dimension, so each regressor
 (normalized log-time, pH, thickness) carries its own relevance. A GP reads
 one to three of the columns ``INPUT_NAMES`` names; ``GpHyperParams`` holds
 their names and one weight each. ``kernel_matrix`` builds the covariance
-on cache-sized row blocks, bit-identical to v * exp(-einsum(...)). It
-forms each column's pairwise differences as one BLAS matrix product,
+on cache-sized row blocks, one input column at a time. It forms each
+column's pairwise differences as one BLAS matrix product,
 [x, 1] @ [1; -x'] (GPML eq. 5.1 for the kernel): both of its products are
 by 1, so they are exact, and their sum is x - x' with the one rounding of
 a subtraction (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -75,10 +75,6 @@ _DEFAULT_HYPERPARAMS = {
     Contaminant.PB: (0.3852, (0.7839, 2.8869, 2.859e-9)),
     Contaminant.METHYLENE_BLUE: (0.2397, (14.6899, 2.2309)),
 }
-
-# the column order in which a kernel exponent sums its terms -w_p * d_p^2:
-# the order numpy's einsum("ijp,p->ij", d * d, w) uses for p <= 3
-_KERNEL_SUM_ORDER = (0, 2, 1)
 
 # elements of one (rows, m) block of kernel_matrix: the squared-difference
 # term it holds (512 KiB of float64) stays in cache while the block's rows
@@ -171,11 +167,9 @@ def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
     sum is x - y with the subtraction's one rounding (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, section 2.2), whether BLAS
     adds them or fuses one multiply-add. The exponent sums its terms into
-    the block in the column order ``_KERNEL_SUM_ORDER``, (0, 2, 1), the
-    order numpy's ``einsum("ijp,p->ij", d * d, w)`` uses; the negation folded
-    into each weight is exact. So the result is bit-identical to
-    v * exp(-einsum(...)), and the temporary is one block whatever n and
-    m are.
+    the block in column order, and the negation folded into each weight is
+    exact, so every entry is v * exp(-(w_0 d_0^2 + w_1 d_1^2 + ...)) summed
+    left to right, and the temporary is one block whatever n and m are.
     """
     xa = _as_input_matrix(x, hp.p)
     xb = xa if x2 is None else _as_input_matrix(x2, hp.p)
@@ -185,19 +179,17 @@ def kernel_matrix(hp: GpHyperParams, x, x2=None) -> np.ndarray:
     pa[:, :, 0] = xa.T
     pb = np.ones((hp.p, 2, m))
     np.negative(xb.T, out=pb[:, 1])
-    neg_w = [-wk for wk in hp.w]
-    order = [k for k in _KERNEL_SUM_ORDER if k < hp.p]
     out = np.empty((n, m))
     rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, m)))
     scratch = np.empty((rows, m))
     for start in range(0, n, rows):
         acc = out[start : start + rows]
-        for i, k in enumerate(order):
-            term = scratch[: len(acc)] if i else acc
+        for k in range(hp.p):
+            term = scratch[: len(acc)] if k else acc
             np.matmul(pa[k, start : start + rows], pb[k], out=term)
             term *= term
-            term *= neg_w[k]
-            if i:
+            term *= -hp.w[k]
+            if k:
                 acc += term
         np.exp(acc, out=acc)
         acc *= hp.v
@@ -326,12 +318,11 @@ def _kernel_from_squared_differences(hp: GpHyperParams, sq: list[np.ndarray]) ->
     """K = v * exp(sum_p -w_p * D_p) from ``_squared_differences(x)``.
 
     D_p is the square of the difference x - x' rounded once, as
-    ``kernel_matrix`` forms it, and the terms are summed in the same
-    ``_KERNEL_SUM_ORDER``, so K is bit for bit ``kernel_matrix(hp, x)``.
+    ``kernel_matrix`` forms it, and the terms are summed in the same column
+    order, so K is bit for bit ``kernel_matrix(hp, x)``.
     """
-    order = [k for k in _KERNEL_SUM_ORDER if k < hp.p]
-    cov = sq[order[0]] * -hp.w[order[0]]
-    for k in order[1:]:
+    cov = sq[0] * -hp.w[0]
+    for k in range(1, hp.p):
         cov += sq[k] * -hp.w[k]
     np.exp(cov, out=cov)
     cov *= hp.v

@@ -2,7 +2,7 @@
 
 None of this is reached by a command: the central-difference gradient
 checks each closed-form gradient and Jacobian, the scalar kernel checks
-every entry of the blocked ``kernel_matrix`` and the one-broadcast einsum
+every entry of the blocked ``kernel_matrix`` and the one-broadcast
 kernel matrix checks its every bit, and the two parameter pairs are
 reference exponential-model fits the model tests are pinned to.
 ``kinetic_r2`` is the R^2 ``fit-kinetics`` reports for a first-order fit.
@@ -12,6 +12,7 @@ reference exponential-model fits the model tests are pinned to.
 scipy's public API.
 """
 
+import functools
 import math
 
 import mpmath
@@ -84,15 +85,16 @@ def kernel(hp, x, x2) -> float:
 
 
 def unblocked_kernel_matrix(hp, x, x2=None) -> np.ndarray:
-    """The kernel matrix as one einsum over an (n, m, p) temporary.
+    """The kernel matrix as one broadcast over an (n, m, p) temporary.
 
-    ``kernel_matrix`` sums its exponent in the order this einsum uses for
-    p <= 3, columns (0, 2, 1), so the two agree bit for bit.
+    The exponent sums the columns of its terms w_p * d_p^2 left to right,
+    the order ``kernel_matrix`` sums them in, so the two agree bit for bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x2 = x if x2 is None else np.atleast_2d(np.asarray(x2, dtype=float))
     d = x[:, None, :] - x2[None, :, :]
-    return hp.v * np.exp(-np.einsum("ijp,p->ij", d * d, np.asarray(hp.w)))
+    terms = d * d * np.asarray(hp.w)
+    return hp.v * np.exp(-functools.reduce(np.add, np.moveaxis(terms, -1, 0)))
 
 
 def gp_posterior(hp, x, y, xq, jitter_used=0.0):

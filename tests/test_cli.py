@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import subprocess
@@ -9,16 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pabfit import dataio, numeric
+from pabfit import cli, dataio, numeric
 from pabfit.cli import (
     FixedInputWarning,
     _rebuild_model,
+    _stage,
     main,
     optimum_thickness_scan,
     predict,
     predict_minutes,
 )
-from pabfit.dataio import fixture_dir, load_fixture, read_report, report_csv_path
+from pabfit.dataio import FIXTURE_DIR, load_fixture, read_report, report_csv_path
 from pabfit.errors import InvalidInput, ValidationError
 from pabfit.expmodel import ExpModelParams, ExponentForm, exp_model_eval
 from pabfit.domain import Contaminant
@@ -31,6 +33,7 @@ from pabfit.gp import (
     training_set,
 )
 from pabfit.kinetics import KineticFitResult
+from pabfit.metrics import DegenerateFitWarning
 
 
 DEGENERATE_LINE = (
@@ -142,7 +145,7 @@ def test_constant_removal_reports_r2_zero(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["fit-kinetics", "fit-exp", "fit-gp"])
 def test_byte_order_mark_fits_the_same(tmp_path, command):
     # the same file saved with the mark a spreadsheet's "CSV UTF-8" export writes
-    data = (fixture_dir() / "pcbc_run1.csv").read_bytes()
+    data = (FIXTURE_DIR / "pcbc_run1.csv").read_bytes()
     reports = []
     for sub, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
         (tmp_path / sub).mkdir()
@@ -220,7 +223,7 @@ class TestFitExp:
     def test_literal_fit_does_not_depend_on_the_thickness(self, tmp_path):
         # pcp_run1 moved to 30 cm fits as at 3 cm: on one thickness the
         # curve depends on a and b + W only
-        lines = (fixture_dir() / "pcp_run1.csv").read_text().splitlines()
+        lines = (FIXTURE_DIR / "pcp_run1.csv").read_text().splitlines()
         column = lines[0].split(",").index("thickness_cm")
         rows = [line.split(",") for line in lines[1:]]
         for cells in rows:
@@ -644,7 +647,7 @@ class TestPredictMinutesChecks:
 
 def corrupted_fixture(tmp_path, column, value):
     """pcbc_run1.csv with the cell of ``column`` in data row 5 set to ``value``."""
-    lines = (fixture_dir() / "pcbc_run1.csv").read_text().splitlines()
+    lines = (FIXTURE_DIR / "pcbc_run1.csv").read_text().splitlines()
     header = lines[0].split(",")
     cells = lines[5].split(",")
     cells[header.index(column)] = value
@@ -833,7 +836,7 @@ class TestPhBound:
     def test_predict_and_report_share_the_default_ph(self, tmp_path):
         # pcbc_run1 with pH cells alternating 7.0 / 7.3: without --ph both
         # commands query the GP at its mean training pH
-        lines = (fixture_dir() / "pcbc_run1.csv").read_text().splitlines()
+        lines = (FIXTURE_DIR / "pcbc_run1.csv").read_text().splitlines()
         column = lines[0].split(",").index("ph")
         for i in range(1, len(lines)):
             cells = lines[i].split(",")
@@ -1034,6 +1037,44 @@ class TestGpTrainingRows:
                 assert run_cli(*command, str(model), "--output", str(tmp_path / "o.json")) == 0
 
 
+class TestNonJsonNumbers:
+    """NaN, Infinity and a float past the range are no JSON numbers: a report
+    that holds one, in a field the checks read or not, fails at load with
+    code 2 and one error line, so none is copied into an output."""
+
+    @pytest.mark.parametrize(
+        "command,argv,key,text",
+        [
+            ("report", ["fit-kinetics", "--input", "pcbc_run1.csv"], "extra", "NaN"),
+            ("report", ["fit-kinetics", "--input", "pcbc_run1.csv"], "c0", "Infinity"),
+            ("report", ["fit-kinetics", "--input", "pcbc_run1.csv"], "c0", "-Infinity"),
+            ("report", ["fit-kinetics", "--input", "pcbc_run1.csv"], "extra", "1e400"),
+            ("report", FIT_GP, "epsilon", "NaN"),
+            ("predict", FIT_EXP, "sse", "NaN"),
+        ],
+        ids=["report_nan", "report_infinity", "report_minus_infinity", "report_overflow", "report_gp_epsilon_nan",
+             "predict_nan"],
+    )
+    def test_rejected_at_load(self, tmp_path, capsys, command, argv, key, text):
+        model = tmp_path / "model.json"
+        assert run_cli(*argv, "--output", str(model)) == 0
+        payload = json.loads(model.read_text())
+        payload["parameters"][key] = "@"
+        model.write_text(json.dumps(payload).replace('"@"', text))
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        if command == "predict":
+            rest = ["--model", str(model), "--t-grid", "60", "--w-grid", "1"]
+        else:
+            rest = ["--inputs", str(model)]
+        assert run_cli(command, *rest, "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage=load code=2 kind=ParseError: ")
+        assert f"{text} is" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestOutputIsNotAnInput:
     """No file a command writes may be one of its inputs: it fails at load,
     with code 3 and one error line, and the input keeps its bytes."""
@@ -1056,7 +1097,7 @@ class TestOutputIsNotAnInput:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "link").symlink_to(tmp_path)  # resolves to the input's directory
         data = tmp_path / "data.csv"
-        data.write_bytes((fixture_dir() / "pcbc_run1.csv").read_bytes())
+        data.write_bytes((FIXTURE_DIR / "pcbc_run1.csv").read_bytes())
         self.refused(tmp_path, capsys, [command, "--input", "data.csv", "--output", output], [data])
 
     def test_predict_output_at_its_model(self, tmp_path, capsys, monkeypatch):
@@ -1116,6 +1157,30 @@ class TestOutputIsItsOwnRowCsv:
         monkeypatch.chdir(tmp_path)
         assert run_cli("fit-exp", "--input", "pcbc_run1.csv", "--output", "m.json") == 0
         self.refused(tmp_path, capsys, ["predict", "--model", "m.json", "--t-grid", "60"])
+
+
+class TestNameTooLong:
+    """A path the file system cannot look up, a name past its length limit,
+    fails with code 5 and one error line, and writes no file: an input at
+    load, an output when it is written."""
+
+    @pytest.mark.parametrize(
+        "argv,stage",
+        [
+            (["fit-kinetics", "--input", "a" * 5000, "--output", "o.json"], "load"),
+            (["fit-kinetics", "--input", "pcbc_run1.csv", "--output", "a" * 5000 + ".json"], "write"),
+            (["report", "--inputs", "b" * 300, "--output", "o.json"], "load"),
+        ],
+        ids=["input", "output", "report_input"],
+    )
+    def test_fails_as_file_io_error(self, tmp_path, capsys, monkeypatch, argv, stage):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage={stage} code=5 kind=FileIOError: ")
+        assert "File name too long" in err
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFailedWrite:
@@ -1501,6 +1566,15 @@ class TestSynth:
         assert r.returncode == 0, r.stderr
         assert a.read_bytes() == b.read_bytes()
 
+    def test_jitter_is_no_option(self, tmp_path):
+        # a draw's jitter is gp.DEFAULT_EPSILON, the fit-gp --epsilon default
+        out = tmp_path / "gp.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("synth", "--generator", "gp-draw", "--v", "0.3", "--w", "6", "--epsilon", "1e-6",
+                    "--output", str(out))
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
     def test_more_than_three_weights_rejected(self, tmp_path, capsys):
         # a GP draw has at most three inputs (t_norm, pH, W); a fourth
         # weight must not be dropped in silence, and the weights' own type
@@ -1722,6 +1796,28 @@ class TestThicknessScan:
         p = ExpModelParams(a=3.315, b=0.829)
         w_star, _ = optimum_thickness_scan(p, [0.0, 0.5, 1.0, 1.5], t_fixed=1.0)
         assert w_star == 1.5  # removal increases with thickness for these params
+
+
+class TestErrorNets:
+    def test_stage_passes_other_warnings_to_showwarning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _stage("fit"):
+                warnings.warn("not one of ours", RuntimeWarning)
+                warnings.warn("flat", DegenerateFitWarning)
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "not one of ours")]
+        assert capsys.readouterr().err == "warning: stage=fit kind=DegenerateFitWarning: flat\n"
+
+    def test_os_error_outside_a_stage_exits_5(self, tmp_path, capsys, monkeypatch):
+        def broken_pipe(args):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        help_text, options, _ = cli._COMMANDS["fit-kinetics"]
+        monkeypatch.setitem(cli._COMMANDS, "fit-kinetics", (help_text, options, broken_pipe))
+        out = tmp_path / "kin.json"
+        assert run_cli("fit-kinetics", "--input", "pcbc_run1.csv", "--output", str(out)) == 5
+        assert capsys.readouterr().err == "error: stage=io code=5 kind=OSError: [Errno 32] Broken pipe\n"
+        assert not out.exists()
 
 
 class TestParser:

@@ -11,8 +11,8 @@ import pabfit
 from pabfit.dataio import (
     DEFAULT_SCHEDULE,
     FIXTURE_C0,
+    FIXTURE_DIR,
     FIXTURES,
-    fixture_dir,
     generate_synthetic,
     load_fixture,
     load_series,
@@ -37,7 +37,7 @@ from pabfit.errors import (
     ValidationError,
 )
 from pabfit.expmodel import fit_exp_model
-from pabfit.gp import DEFAULT_EPSILON, training_set
+from pabfit.gp import training_set
 from pabfit.kinetics import fit_first_order
 from pabfit.metrics import FitMetrics
 
@@ -126,7 +126,7 @@ class TestLoadSeries:
     def test_byte_order_mark_is_read_past(self, tmp_path):
         # a spreadsheet's "CSV UTF-8" export starts with one
         bom = tmp_path / "pcbc_run1.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + (fixture_dir() / "pcbc_run1.csv").read_bytes())
+        bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURE_DIR / "pcbc_run1.csv").read_bytes())
         assert load_series(bom, Contaminant.PB, FIXTURE_C0) == load_fixture("pcbc_run1.csv")
         bom.write_bytes(b"\xef\xbb\xbftime_min,concentration_mg_l\n10,40\n60,30\xff\n90,20\n")
         with pytest.raises(ParseError, match="not valid UTF-8"):
@@ -169,30 +169,21 @@ class TestFixtures:
             ), name
             assert kinetic_r2(series, fit) >= r2_min, name
 
-    def test_fixture_dir_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PABFIT_FIXTURE_DIR", str(tmp_path))
-        assert fixture_dir() == tmp_path
-        with pytest.raises(FileIOError):
-            resolve_input("pcbc_run1.csv")
-
     def test_a_bare_name_resolves_from_the_fixture_dir(self, tmp_path, monkeypatch):
-        # the override's file of a bundled name, three rows of pcbc_run1.csv
+        # a local file of a bundled name, three rows of pcbc_run1.csv, is
+        # resolved before the fixture, but load_fixture reads the package's
         monkeypatch.chdir(tmp_path)
-        override = tmp_path / "fixtures"
-        override.mkdir()
         bundled = Path(pabfit.__file__).parent / "fixtures"
-        head = (bundled / "pcbc_run1.csv").read_text().splitlines()[:4]
-        (override / "pcbc_run1.csv").write_text("\n".join(head) + "\n")
-        monkeypatch.setenv("PABFIT_FIXTURE_DIR", str(override))
-        assert resolve_input("pcbc_run1.csv") == override / "pcbc_run1.csv"
-        assert len(load_fixture("pcbc_run1.csv").samples) == 3
-        monkeypatch.delenv("PABFIT_FIXTURE_DIR")
+        assert FIXTURE_DIR == bundled
         assert resolve_input("pcbc_run1.csv") == bundled / "pcbc_run1.csv"
+        head = (bundled / "pcbc_run1.csv").read_text().splitlines()[:4]
+        Path("pcbc_run1.csv").write_text("\n".join(head) + "\n")
+        assert resolve_input("pcbc_run1.csv") == Path("pcbc_run1.csv")
         assert len(load_fixture("pcbc_run1.csv").samples) == 65
 
     def test_only_a_bare_name_falls_back_to_a_fixture(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert resolve_input("pcbc_run1.csv") == fixture_dir() / "pcbc_run1.csv"
+        assert resolve_input("pcbc_run1.csv") == FIXTURE_DIR / "pcbc_run1.csv"
         for path in ("./pcbc_run1.csv", "sub/pcbc_run1.csv", tmp_path / "pcbc_run1.csv"):
             with pytest.raises(FileIOError, match="no such file"):
                 resolve_input(path)
@@ -206,7 +197,7 @@ def synth(generator, **options):
     """``generate_synthetic`` with the synth command's defaults for the
     options not given."""
     defaults = dict(
-        k=None, a=None, b=None, v=None, w=(), mean=0.5, epsilon=DEFAULT_EPSILON,
+        k=None, a=None, b=None, v=None, w=(), mean=0.5,
         c0=50.0, thickness=3.0, ph=None, schedule=DEFAULT_SCHEDULE, noise_sd=0.0,
         seed=0, contaminant=Contaminant.PB, run_label="synthetic",
     )
@@ -407,7 +398,7 @@ class TestReports:
             {"parameters": {"v": "0.3852", "epsilon": 1.490116e-08, "w": [1.0, 1.0]}},
             {"parameters": {"v": True, "epsilon": 1.490116e-08, "w": [1.0, 1.0]}},
             {"parameters": {"v": 10**400, "epsilon": 1.490116e-08, "w": [1.0, 1.0]}},
-            {"parameters": {"v": 0.3852, "epsilon": float("nan"), "w": [1.0, 1.0]}},
+            {"parameters": {"v": 0.3852, "epsilon": -1.0, "w": [1.0, 1.0]}},
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": "x"}},
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": []}},
             {"model_kind": "exponential", "parameters": {"a": 1.0, "b": 1.0, "exponent_form": {}}},

@@ -8,7 +8,7 @@ import pytest
 from pabfit import expmodel, numeric
 from pabfit.dataio import FIXTURES, load_fixture
 from pabfit.domain import Contaminant
-from pabfit.errors import InvalidInput, NonFiniteObjective
+from pabfit.errors import InvalidInput
 from pabfit.expmodel import (
     ExpModelParams,
     ExponentForm,
@@ -163,9 +163,18 @@ class TestFit:
         with pytest.raises(InvalidInput):
             fit_exp_model([(1.5, 0.0, 0.2)])  # t_norm out of range
 
-    def test_nan_target_raises(self):
-        with pytest.raises(NonFiniteObjective):
-            fit_exp_model([(0.5, 0.0, float("nan"))])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_names_its_column(self, column, value):
+        row = [0.5, 1.0, 0.2]
+        row[column] = value
+        name = ("t_norm", "w", "removal")[column]
+        with pytest.raises(InvalidInput, match=f"^{name} values must"):
+            fit_exp_model([(0.4, 1.0, 0.1), row])
+
+    def test_negative_thickness_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match=r"^w values must"):
+            fit_exp_model([(0.4, 1.0, 0.1), (0.5, -1.0, 0.2)])
 
 
 def fixture_data(name):

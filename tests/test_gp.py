@@ -172,7 +172,7 @@ class TestKernelFromSquaredDifferences:
 
 class TestKernelMatrixBlocks:
     """The column-by-column, row-blocked kernel matrix is bit-identical to
-    the one-einsum oracle for every p a GP has, 1 to 3."""
+    the one-broadcast oracle for every p a GP has, 1 to 3."""
 
     BLOCK = gp_module._KERNEL_BLOCK_ELEMENTS
     P_RANGE = range(1, 4)

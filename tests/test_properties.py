@@ -241,12 +241,12 @@ def adversarial_kernels(draw):
 
 @SEEDED
 @given(adversarial_kernels())
-def test_kernel_matrix_matches_the_einsum_oracle_on_adversarial_inputs(case):
+def test_kernel_matrix_matches_the_broadcast_oracle_on_adversarial_inputs(case):
     hp, x, x2 = case
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = kernel_matrix(hp, x, x2), unblocked_kernel_matrix(hp, x, x2)
     # 0 * inf, a zero weight on an overflowing difference, is NaN in both,
-    # but its sign differs between the einsum and the blocked sum
+    # but the oracle negates it after the sum, the blocked sum before
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))

@@ -1,4 +1,5 @@
-"""The public names of the package, and the ones the benchmark harness calls.
+"""The public names of the package, the ones the benchmark harness calls,
+and the README's library example.
 
 ``pabfit`` loads each public name from its defining module on first use.
 ``perfbench/`` drives the package through module attributes, so a name it
@@ -10,6 +11,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,26 @@ PUBLIC_NAMES = [
     "FitMetrics", "compute_metrics", "obs_pred_slope", "r_squared", "rmse",
     "CholeskyFactor", "DescentResult", "cholesky", "gradient_descent", "solve",
 ]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(snippet, str(README), "exec"), namespace)
+    # what its comments state
+    assert round(namespace["kin"].k, 5) == -0.00057
+    assert namespace["hp"].inputs == ("t_norm",)
+    assert namespace["fixed"] == {"ph": 7.0, "thickness_cm": 3.0}
+    assert capsys.readouterr().out.startswith("FitMetrics(r2=0.99")
+    assert namespace["x_grid"].shape == (18, 1)
+    assert list(namespace["columns"]) == ["time_min", "t_norm", "ph", "thickness_cm"]
+    assert namespace["mean"].shape == namespace["variance"].shape == (2,)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_public_names_are_pinned():
